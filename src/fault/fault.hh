@@ -50,7 +50,9 @@
  * conn-reset@reply and torn-frame@reply share the reply ordinal
  * counter, so one schedule interleaves them deterministically. Job
  * clauses key on the grid index and are reproducible at any worker
- * count. Each clause fires a bounded number of times, so a plan
+ * count; a job that shares a run with its pair's other counter
+ * architectures (src/sweep/sweep.hh) decides the attempt for the
+ * whole run. Each clause fires a bounded number of times, so a plan
  * describes a finite, replayable failure schedule.
  */
 

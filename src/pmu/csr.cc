@@ -195,9 +195,9 @@ CsrFile::readCsr(u32 addr)
         return minstretValue;
     if (addr >= csr::mhpmcounter3 &&
         addr < csr::mhpmcounter3 + csr::numHpm)
-        return hpmValue(addr - csr::mhpmcounter3);
+        return readHpmInBand(addr - csr::mhpmcounter3);
     if (addr >= csr::hpmcounter3 && addr < csr::hpmcounter3 + csr::numHpm)
-        return hpmValue(addr - csr::hpmcounter3);
+        return readHpmInBand(addr - csr::hpmcounter3);
     if (addr >= csr::mhpmevent3 && addr < csr::mhpmevent3 + csr::numHpm)
         return hpms[addr - csr::mhpmevent3].selector;
     if (addr == csr::mcountinhibit)
@@ -248,6 +248,14 @@ CsrFile::writeCsr(u32 addr, u64 value)
         inhibitMask = value;
         return;
     }
+}
+
+u64
+CsrFile::readHpmInBand(u32 index)
+{
+    if (configuredMask & (1u << index))
+        configuredRead = true;
+    return hpmValue(index);
 }
 
 u64

@@ -139,6 +139,14 @@ class CsrFile : public CsrBackend
      * the increment logic in hardware, so the count is suspect.
      */
     bool hpmArmedWrite(u32 index) const;
+    /**
+     * Sticky: in-band software read a configured programmable
+     * counter. That is the only CSR read whose value depends on the
+     * counter architecture (mcycle, minstret, selectors and
+     * unconfigured counters read the same under all three), so while
+     * it is clear the committed stream is architecture-independent.
+     */
+    bool configuredHpmRead() const { return configuredRead; }
 
     u64 cycles() const { return mcycleValue; }
     u64 instsRetired() const { return minstretValue; }
@@ -193,6 +201,8 @@ class CsrFile : public CsrBackend
     void recomputeConfigured();
     void tickHpm(Hpm &hpm, const EventBus &bus);
     void tickHpmMasked(Hpm &hpm, u64 high);
+    /** readCsr() of counter `index`: latches configuredRead. */
+    u64 readHpmInBand(u32 index);
 
     CoreKind coreKind;
     CounterArch counterArch;
@@ -202,6 +212,7 @@ class CsrFile : public CsrBackend
     u64 inhibitMask = ~0ull; ///< counters start inhibited (§IV-D step 4)
     /** Bit i set iff hpms[i] has a non-empty decoded source list. */
     u32 configuredMask = 0;
+    bool configuredRead = false;
     std::array<Hpm, csr::numHpm> hpms;
 };
 

@@ -1,8 +1,11 @@
 #include "sweep/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -99,15 +102,39 @@ sweepPointLabel(const SweepPoint &point)
 
 // ----------------------------------------------------- grid expansion
 
+namespace
+{
+
+/** `values` without repeats, each kept where it first appears. */
+template <typename T>
+std::vector<T>
+firstOccurrences(const std::vector<T> &values)
+{
+    std::vector<T> unique;
+    for (const T &value : values) {
+        if (std::find(unique.begin(), unique.end(), value) ==
+            unique.end())
+            unique.push_back(value);
+    }
+    return unique;
+}
+
+} // namespace
+
 std::vector<SweepPoint>
 GridSpec::expand() const
 {
+    const std::vector<std::string> core_axis = firstOccurrences(cores);
+    const std::vector<std::string> workload_axis =
+        firstOccurrences(workloads);
+    const std::vector<CounterArch> arch_axis =
+        firstOccurrences(counterArchs);
     std::vector<SweepPoint> points;
-    points.reserve(cores.size() * workloads.size() *
-                   counterArchs.size());
-    for (const std::string &core : cores) {
-        for (const std::string &workload : workloads) {
-            for (CounterArch arch : counterArchs) {
+    points.reserve(core_axis.size() * workload_axis.size() *
+                   arch_axis.size());
+    for (const std::string &core : core_axis) {
+        for (const std::string &workload : workload_axis) {
+            for (CounterArch arch : arch_axis) {
                 SweepPoint point;
                 point.core = core;
                 point.workload = workload;
@@ -125,13 +152,14 @@ namespace
 {
 
 SweepJob
-jobForPoint(const SweepPoint &point)
+jobForPoint(const SweepPoint &point, u64 run)
 {
     SweepJob job;
     job.label = sweepPointLabel(point);
     job.maxCycles = point.maxCycles;
     job.withTrace = point.withTrace;
     job.point = point;
+    job.run = run;
     job.make = [point] {
         return makeSweepCore(point.core, point.counterArch,
                              buildWorkload(point.workload));
@@ -139,19 +167,51 @@ jobForPoint(const SweepPoint &point)
     return job;
 }
 
-// ------------------------------------------------------ job execution
+/** Jobs [begin, end), simulated together. */
+struct Run
+{
+    u64 begin = 0;
+    u64 end = 0;
+};
+
+/** Split a job list into runs of adjacent jobs sharing a run key. */
+std::vector<Run>
+groupRuns(const std::vector<SweepJob> &jobs)
+{
+    std::vector<Run> runs;
+    for (u64 begin = 0; begin < jobs.size();) {
+        const SweepJob &first = jobs[begin];
+        u64 end = begin + 1;
+        while (first.run != 0 && end < jobs.size() &&
+               jobs[end].run == first.run &&
+               jobs[end].maxCycles == first.maxCycles &&
+               jobs[end].withTrace == first.withTrace)
+            end++;
+        runs.push_back({begin, end});
+        begin = end;
+    }
+    return runs;
+}
+
+// ------------------------------------------------------ run execution
 
 using Clock = std::chrono::steady_clock;
 
 /**
- * One attempt: build, run in chunks against the deadline, analyze.
- * Throws FatalError upward; the retry loop in runJob() handles it.
+ * One attempt of a run: build the first member's core, run it in
+ * chunks against the deadline, analyze, and write each answered
+ * member's store. `members` are the run's pending job indices in
+ * ascending order. Returns one result per member answered: all of
+ * them, or only the first when the program read a configured counter
+ * in-band (the architecture could then have steered it). Throws
+ * FatalError upward; the retry loop in runMembers() handles it.
  */
-SweepResult
-runAttempt(const SweepJob &job, const SweepOptions &options,
-           u64 index)
+std::vector<SweepResult>
+runAttempt(const std::vector<SweepJob> &jobs,
+           const std::vector<u64> &members,
+           const SweepOptions &options)
 {
-    SweepResult result;
+    const SweepJob &job = jobs[members.front()];
     const Clock::time_point start = Clock::now();
     const bool bounded = options.timeoutSec > 0;
     const Clock::time_point deadline =
@@ -161,11 +221,21 @@ runAttempt(const SweepJob &job, const SweepOptions &options,
 
     // Fault hooks, keyed on the grid index so they are reproducible
     // at any worker count: an injected failure exercises the retry
-    // path, an injected hang exercises the timeout path.
-    const FaultPlan::JobDecision decision = faultPlan().onJob(index);
-    if (decision.fail)
-        fatal("sweep job '", job.label,
-              "': injected fault (fail@job#", index, ")");
+    // path, an injected hang exercises the timeout path. Every member
+    // is consulted, so a fault on any of them decides the attempt for
+    // the whole run.
+    bool hang = false;
+    std::optional<u64> failed;
+    for (u64 index : members) {
+        const FaultPlan::JobDecision decision =
+            faultPlan().onJob(index);
+        if (decision.fail && !failed)
+            failed = index;
+        hang |= decision.hang;
+    }
+    if (failed)
+        fatal("sweep job '", jobs[*failed].label,
+              "': injected fault (fail@job#", *failed, ")");
 
     std::unique_ptr<Core> core = job.make();
     if (!core)
@@ -185,7 +255,7 @@ runAttempt(const SweepJob &job, const SweepOptions &options,
     const u64 chunk = std::max<u64>(1, options.chunkCycles);
     u64 simulated = 0;
     bool timed_out = false;
-    if (decision.hang) {
+    if (hang) {
         // An injected hang: stall to the deadline when the job is
         // bounded (so the cooperative timeout fires), or for a
         // bounded beat when it is not (so unbounded campaigns still
@@ -209,69 +279,91 @@ runAttempt(const SweepJob &job, const SweepOptions &options,
         }
     }
 
-    result.cycles = simulated;
-    result.finished = core->done();
-    result.exitCode =
+    SweepResult shared;
+    shared.cycles = simulated;
+    shared.finished = core->done();
+    shared.exitCode =
         core->executor().halted() ? core->executor().exitCode() : 0;
-    result.counters = gatherTmaCounters(*core);
-    result.tma = analyzeTma(*core);
-    result.ipc = result.cycles
-                     ? static_cast<double>(result.counters.retiredUops) /
-                           static_cast<double>(result.cycles)
+    shared.counters = gatherTmaCounters(*core);
+    shared.tma = analyzeTma(*core);
+    shared.ipc = shared.cycles
+                     ? static_cast<double>(shared.counters.retiredUops) /
+                           static_cast<double>(shared.cycles)
                      : 0.0;
     if (trace) {
         TraceAnalyzer analyzer(*trace);
-        result.recoverySequences = analyzer.recoveryCdf().sequences();
-        result.overlapFraction =
+        shared.recoverySequences = analyzer.recoveryCdf().sequences();
+        shared.overlapFraction =
             analyzer.overlapUpperBound(core->coreWidth())
                 .overlapFraction;
-        if (!options.traceOutDir.empty()) {
+    }
+    shared.status = timed_out ? SweepStatus::Timeout : SweepStatus::Ok;
+    if (timed_out)
+        shared.error = "exceeded per-job timeout";
+
+    const u64 answered =
+        core->csrs().configuredHpmRead() ? 1 : members.size();
+    std::vector<SweepResult> results(answered, shared);
+    if (trace && !options.traceOutDir.empty()) {
+        for (u64 m = 0; m < answered; m++) {
             if (timed_out) {
                 // Timed-out traces are wall-clock dependent; writing
                 // them would break the byte-identical guarantee
                 // across workers. The skip is recorded, not silent.
-                result.traceSkipped =
+                results[m].traceSkipped =
                     "timeout: partial trace not stored";
-            } else {
-                const std::string path =
-                    sweepTracePath(options.traceOutDir, job.label);
-                trace->toStore(path);
-                const auto slash = path.find_last_of('/');
-                result.traceStore = slash == std::string::npos
+                continue;
+            }
+            const std::string path = sweepTracePath(
+                options.traceOutDir, jobs[members[m]].label);
+            trace->toStore(path);
+            const auto slash = path.find_last_of('/');
+            results[m].traceStore = slash == std::string::npos
                                         ? path
                                         : path.substr(slash + 1);
-            }
         }
     }
-    result.status =
-        timed_out ? SweepStatus::Timeout : SweepStatus::Ok;
-    if (timed_out)
-        result.error = "exceeded per-job timeout";
-    result.wallMs =
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
-    return result;
+    return results;
 }
 
-/** Attempt/retry loop: never throws. */
-SweepResult
-runJob(const SweepJob &job, const SweepOptions &options, u64 index)
+/**
+ * Attempt/retry loop for one run: never throws. Returns the answered
+ * members' results in index order; the run's wall time, every
+ * attempt included, is split evenly across them.
+ */
+std::vector<SweepResult>
+runMembers(const std::vector<SweepJob> &jobs,
+           const std::vector<u64> &members, const SweepOptions &options)
 {
+    const Clock::time_point start = Clock::now();
     const u32 max_attempts = std::max(1u, options.maxAttempts);
-    SweepResult result;
-    for (u32 attempt = 1; attempt <= max_attempts; attempt++) {
+    std::vector<SweepResult> results;
+    u32 attempt = 1;
+    for (;; attempt++) {
         try {
-            result = runAttempt(job, options, index);
-            result.attempts = attempt;
-            return result;
+            results = runAttempt(jobs, members, options);
+            break;
         } catch (const std::exception &err) {
-            result = SweepResult{};
-            result.status = SweepStatus::Failed;
-            result.attempts = attempt;
-            result.error = err.what();
+            SweepResult failed;
+            failed.status = SweepStatus::Failed;
+            failed.error = err.what();
+            results.assign(members.size(), failed);
+            if (attempt == max_attempts)
+                break;
         }
     }
-    return result;
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    for (u64 m = 0; m < results.size(); m++) {
+        const SweepJob &job = jobs[members[m]];
+        results[m].index = members[m];
+        results[m].label = job.label;
+        results[m].point = job.point;
+        results[m].attempts = attempt;
+        results[m].wallMs = wall_ms / static_cast<double>(results.size());
+    }
+    return results;
 }
 
 } // namespace
@@ -322,37 +414,68 @@ runSweepJobs(const std::vector<SweepJob> &jobs,
         }
     }
 
+    const std::vector<Run> runs = groupRuns(jobs);
     std::atomic<u64> cursor{0};
+    std::atomic<u64> unshared{0};
+    std::atomic<bool> stop{false};
     Mutex callback_mutex("sweep.callback", lockrank::kSweepCallback);
+    std::exception_ptr first_error;
 
     auto work = [&] {
-        for (;;) {
-            const u64 index =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (index >= num_jobs)
-                return;
-            if (restored[index])
-                continue;
-            SweepResult result = runJob(jobs[index], options, index);
-            result.index = index;
-            result.label = jobs[index].label;
-            result.point = jobs[index].point;
-            // Distinct slots: no lock needed for the store itself.
-            results[index] = std::move(result);
-            if (journal.isOpen() || options.onResult) {
-                LockGuard lock(callback_mutex);
-                // Journal first: a record implies the row (and its
-                // trace store, already renamed into place) is
-                // durable before the user sees it reported.
-                journal.append(results[index]);
-                if (options.onResult)
-                    options.onResult(results[index]);
+        try {
+            while (!stop.load()) {
+                const u64 claimed =
+                    cursor.fetch_add(1, std::memory_order_relaxed);
+                if (claimed >= runs.size())
+                    return;
+                std::vector<u64> pending;
+                for (u64 i = runs[claimed].begin; i < runs[claimed].end;
+                     i++) {
+                    if (!restored[i])
+                        pending.push_back(i);
+                }
+                if (pending.empty())
+                    continue;
+                std::vector<SweepResult> done =
+                    runMembers(jobs, pending, options);
+                if (done.size() < pending.size()) {
+                    // The program read a configured counter in-band:
+                    // each remaining architecture runs on its own.
+                    unshared++;
+                    for (u64 m = done.size(); m < pending.size(); m++)
+                        done.push_back(std::move(
+                            runMembers(jobs, {pending[m]}, options)
+                                .front()));
+                }
+                // Distinct slots: no lock needed for the stores.
+                for (SweepResult &result : done)
+                    results[result.index] = std::move(result);
+                if (journal.isOpen() || options.onResult) {
+                    LockGuard lock(callback_mutex);
+                    for (u64 index : pending) {
+                        // Journal first: a record implies the row
+                        // (and its trace store, already renamed into
+                        // place) is durable before the user sees it
+                        // reported.
+                        journal.append(results[index]);
+                        if (options.onResult)
+                            options.onResult(results[index]);
+                    }
+                }
             }
+        } catch (...) {
+            // A throwing journal append or callback must not escape
+            // a std::thread (std::terminate): keep the first, stop
+            // claiming runs, and rethrow once every worker joined.
+            LockGuard lock(callback_mutex);
+            if (!first_error)
+                first_error = std::current_exception();
+            stop = true;
         }
     };
 
     const u32 workers = static_cast<u32>(std::min<u64>(
-        std::max(1u, options.workers), num_jobs));
+        std::max(1u, options.workers), runs.size()));
     if (workers <= 1) {
         work();
     } else {
@@ -363,15 +486,30 @@ runSweepJobs(const std::vector<SweepJob> &jobs,
         for (std::thread &thread : pool)
             thread.join();
     }
+    if (first_error)
+        std::rethrow_exception(first_error);
+    if (const u64 count = unshared.load())
+        inform("sweep: ", count, " of ", runs.size(),
+               " runs read a configured HPM counter in-band; their "
+               "other counter architectures ran unshared");
     return results;
 }
 
 std::vector<SweepResult>
 runSweep(const GridSpec &grid, const SweepOptions &options)
 {
+    // Points of one (core, workload) pair are adjacent (counter
+    // architectures expand innermost) and share the pair's run key.
+    const std::vector<SweepPoint> points = grid.expand();
     std::vector<SweepJob> jobs;
-    for (const SweepPoint &point : grid.expand())
-        jobs.push_back(jobForPoint(point));
+    jobs.reserve(points.size());
+    u64 pair = 0;
+    for (u64 i = 0; i < points.size(); i++) {
+        if (i == 0 || points[i].core != points[i - 1].core ||
+            points[i].workload != points[i - 1].workload)
+            pair++;
+        jobs.push_back(jobForPoint(points[i], pair));
+    }
     return runSweepJobs(jobs, options);
 }
 

@@ -9,22 +9,31 @@
  * runs them on N worker threads, and aggregates results
  * deterministically.
  *
- * Threading model: each job owns its core, program, and (optional)
- * trace — no mutable state is shared between jobs. Workers pull job
- * indices from a single atomic cursor and write each finished
+ * Runs: the counter architectures count the same per-cycle event
+ * signals, so grid points that differ only in counterArch have the
+ * same simulated statistics. Adjacent jobs with the same non-zero
+ * SweepJob::run key form one *run*, simulated once; its result is
+ * fanned out to every member. Custom-factory jobs keep key 0 and are
+ * simulated on their own.
+ *
+ * Threading model: each run owns its core, program, and (optional)
+ * trace — no mutable state is shared between runs. Workers pull run
+ * indices from a single atomic cursor and write each member's
  * SweepResult into a pre-sized slot vector at the job's grid index,
  * so the aggregated output is in grid order and byte-identical
  * regardless of worker count or completion order (the simulators
  * themselves are deterministic).
  *
- * Job lifecycle: claim -> build (SweepJob::make) -> run in
- * chunkCycles slices, checking the wall-clock deadline between
- * slices (cooperative per-job timeout; a pathological config cannot
- * hang the campaign) -> analyze -> store. A job that throws
- * FatalError is retried up to SweepOptions::maxAttempts times before
- * being recorded as Failed; the campaign always runs to completion
- * and failures are visible in the result rows rather than aborting
- * the sweep.
+ * Run lifecycle: claim -> build (the first pending member's
+ * SweepJob::make) -> run in chunkCycles slices, checking the
+ * wall-clock deadline between slices (cooperative per-job timeout; a
+ * pathological config cannot hang the campaign) -> analyze -> store
+ * -> fan out. A run that throws FatalError is retried up to
+ * SweepOptions::maxAttempts times before its members are recorded as
+ * Failed; the campaign always runs to completion and failures are
+ * visible in the result rows rather than aborting the sweep. If the
+ * program read a configured HPM counter in-band, the architecture
+ * could have steered it, so the other members run on their own.
  */
 
 #ifndef ICICLE_SWEEP_SWEEP_HH
@@ -64,7 +73,8 @@ struct SweepPoint
 /**
  * A declarative sweep grid: the cross product
  * cores x workloads x counterArchs, expanded row-major (cores
- * outermost, counter architectures innermost).
+ * outermost, counter architectures innermost). A value repeated on
+ * an axis counts once, where it first appears.
  */
 struct GridSpec
 {
@@ -89,13 +99,22 @@ struct SweepJob
     std::string label;
     /**
      * Build the core (and its program). Called on the worker thread,
-     * once per attempt; everything it allocates is owned by the job.
+     * once per attempt of the job's run, and only for the run's first
+     * pending member; everything it allocates is owned by the run.
      */
     std::function<std::unique_ptr<Core>()> make;
     u64 maxCycles = 80'000'000;
     bool withTrace = false;
     /** Descriptive origin (empty strings for custom jobs). */
     SweepPoint point;
+    /**
+     * Run key. Adjacent jobs with the same non-zero key (and the same
+     * maxCycles and withTrace) must build the same core and program
+     * except for the counter architecture; the engine simulates them
+     * once. Grid jobs get their (core, workload) pair's ordinal + 1.
+     * 0, the default for custom factories, never shares.
+     */
+    u64 run = 0;
 };
 
 /** Aggregated measurements for one grid point. */
@@ -176,8 +195,9 @@ struct SweepOptions
     bool resume = false;
     /**
      * Completion callback (progress reporting). Serialized under the
-     * engine mutex; called in completion order, not grid order.
-     * Resumed points are reported up front, before workers start.
+     * engine mutex; called in completion order, not grid order (a
+     * run's members in index order). Resumed points are reported up
+     * front, before workers start.
      */
     std::function<void(const SweepResult &)> onResult;
 };
@@ -193,7 +213,11 @@ std::string sweepTracePath(const std::string &dir,
  */
 std::string sweepPointLabel(const SweepPoint &point);
 
-/** Run explicit jobs. Results come back in job order. */
+/**
+ * Run explicit jobs. Results come back in job order. An exception
+ * from a journal append or onResult stops the workers claiming runs;
+ * the first one is rethrown here once they have joined.
+ */
 std::vector<SweepResult> runSweepJobs(const std::vector<SweepJob> &jobs,
                                       const SweepOptions &options = {});
 

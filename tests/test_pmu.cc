@@ -363,6 +363,37 @@ TEST(CsrFile, CsrAddressMapReadWrite)
     EXPECT_EQ(csrs.readCsr(0x123), 0u);
 }
 
+TEST(CsrFile, InBandReadOfConfiguredCounterIsLatched)
+{
+    // Only a configured counter's value depends on the counter
+    // architecture; reading it in-band latches the sticky flag a
+    // sweep checks before sharing one simulation across them.
+    EventBus bus;
+    CsrFile csrs(CoreKind::Boom, CounterArch::Distributed, &bus);
+    csrs.writeCsr(csr::mcountinhibit, 0);
+    csrs.readCsr(csr::mcycle);
+    csrs.readCsr(csr::cycle);
+    csrs.readCsr(csr::minstret);
+    csrs.readCsr(csr::instret);
+    csrs.readCsr(csr::mhpmcounter3 + 2);
+    csrs.readCsr(csr::hpmcounter3 + 2);
+    csrs.readCsr(csr::mhpmevent3 + 2);
+    EXPECT_FALSE(csrs.configuredHpmRead());
+
+    csrs.writeCsr(csr::mhpmevent3 + 2,
+                  csr::selector(EventSetId::Tma, 1));
+    // A configured counter that is never read leaves it clear; so
+    // does a host-side (out-of-band) read.
+    csrs.readCsr(csr::mhpmcounter3 + 1);
+    EXPECT_EQ(csrs.hpmValue(2), 0u);
+    EXPECT_FALSE(csrs.configuredHpmRead());
+    csrs.readCsr(csr::hpmcounter3 + 2);
+    EXPECT_TRUE(csrs.configuredHpmRead());
+    // Sticky: unconfiguring the counter does not clear it.
+    csrs.writeCsr(csr::mhpmevent3 + 2, 0);
+    EXPECT_TRUE(csrs.configuredHpmRead());
+}
+
 TEST(CsrFile, ClearCountersResetsValues)
 {
     EventBus bus;

@@ -2,11 +2,12 @@
  * @file
  * Sweep-engine tests: grid expansion order, deterministic aggregation
  * across worker counts (the byte-identical guarantee), retry and
- * timeout handling, custom-job campaigns, and the named-config /
- * axis-value helpers.
+ * timeout handling, custom-job campaigns, runs shared across counter
+ * architectures, and the named-config / axis-value helpers.
  */
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "common/logging.hh"
 #include "fault/fault.hh"
 #include "isa/builder.hh"
+#include "pmu/csr.hh"
 #include "rocket/rocket.hh"
 #include "store/store.hh"
 #include "sweep/journal.hh"
@@ -66,23 +68,35 @@ smallGrid()
 
 TEST(GridSpec, ExpandsRowMajor)
 {
-    const GridSpec grid = smallGrid();
-    const std::vector<SweepPoint> points = grid.expand();
-    ASSERT_EQ(points.size(), 8u);
-    for (const SweepPoint &point : points)
-        EXPECT_EQ(point.maxCycles, 400'000u);
-    // cores outermost, archs innermost.
-    EXPECT_EQ(points[0].core, "rocket");
-    EXPECT_EQ(points[0].workload, "vvadd");
-    EXPECT_EQ(points[0].counterArch, CounterArch::Scalar);
-    EXPECT_EQ(points[1].counterArch, CounterArch::AddWires);
-    EXPECT_EQ(points[2].workload, "towers");
-    EXPECT_EQ(points[4].core, "boom-small");
-    EXPECT_EQ(points[7].core, "boom-small");
-    EXPECT_EQ(points[7].workload, "towers");
-    EXPECT_EQ(points[7].counterArch, CounterArch::AddWires);
-    for (const SweepPoint &point : points)
-        EXPECT_FALSE(point.withTrace);
+    // A value repeated on an axis counts once, where it first
+    // appears: `--archs addwires,add-wires`, a spec line
+    // `archs = scalar, scalar` and `icicled --archs` all expand
+    // through here, and two points with one label would share one
+    // store path.
+    GridSpec repeated = smallGrid();
+    repeated.cores = {"rocket", "boom-small", "rocket"};
+    repeated.workloads = {"vvadd", "vvadd", "towers", "vvadd"};
+    repeated.counterArchs = {CounterArch::Scalar, CounterArch::AddWires,
+                             CounterArch::AddWires,
+                             CounterArch::Scalar};
+    for (const GridSpec &grid : {smallGrid(), repeated}) {
+        const std::vector<SweepPoint> points = grid.expand();
+        ASSERT_EQ(points.size(), 8u);
+        for (const SweepPoint &point : points)
+            EXPECT_EQ(point.maxCycles, 400'000u);
+        // cores outermost, archs innermost.
+        EXPECT_EQ(points[0].core, "rocket");
+        EXPECT_EQ(points[0].workload, "vvadd");
+        EXPECT_EQ(points[0].counterArch, CounterArch::Scalar);
+        EXPECT_EQ(points[1].counterArch, CounterArch::AddWires);
+        EXPECT_EQ(points[2].workload, "towers");
+        EXPECT_EQ(points[4].core, "boom-small");
+        EXPECT_EQ(points[7].core, "boom-small");
+        EXPECT_EQ(points[7].workload, "towers");
+        EXPECT_EQ(points[7].counterArch, CounterArch::AddWires);
+        for (const SweepPoint &point : points)
+            EXPECT_FALSE(point.withTrace);
+    }
 }
 
 TEST(SweepEngine, ResultsArriveInGridOrder)
@@ -592,6 +606,22 @@ TEST(SweepEngine, InjectedHangTimesOutInsteadOfWedging)
     EXPECT_EQ(results[1].status, SweepStatus::Ok);
 }
 
+TEST(SweepEngine, JournalFailureInAWorkerIsRethrownToTheCaller)
+{
+    // Regression: a FatalError from a journal append inside a worker
+    // thread escaped the std::thread and called std::terminate. It
+    // must stop the sweep and reach the caller, as with one worker.
+    const std::string path = "/tmp/icicle_journal_enospc.bin";
+    std::remove(path.c_str());
+    setFaultSpec("enospc@journal#1");
+    SweepOptions options;
+    options.workers = 2;
+    options.journalPath = path;
+    EXPECT_THROW(runSweepJobs(twoCountJobs(), options), FatalError);
+    setFaultSpec("");
+    std::remove(path.c_str());
+}
+
 TEST(SweepEngine, UnknownWorkloadBecomesFailedRow)
 {
     GridSpec grid;
@@ -602,6 +632,239 @@ TEST(SweepEngine, UnknownWorkloadBecomesFailedRow)
     EXPECT_EQ(results[0].status, SweepStatus::Failed);
     EXPECT_NE(results[0].error.find("no-such-workload"),
               std::string::npos);
+}
+
+// ---- runs: one simulation per (core, workload) pair ------------------
+
+/** Programs mhpmevent3 to count retired instructions, unmasks it,
+ * runs a short loop, and exits with the hpmcounter3 value it reads. */
+Program
+readsConfiguredCounter()
+{
+    const EventId event = EventId::InstRetired;
+    const u64 selector = csr::selector(
+        eventInfo(CoreKind::Rocket, event).set,
+        1ull << maskBitOf(CoreKind::Rocket, event));
+    ProgramBuilder b("hpm-read");
+    b.li(t0, static_cast<i64>(selector));
+    b.csrrw(zero, csr::mhpmevent3, t0);
+    b.csrrwi(zero, csr::mcountinhibit, 0);
+    Label loop = b.newLabel();
+    b.li(t2, 300);
+    b.bind(loop);
+    b.addi(t2, t2, -1);
+    b.bnez(t2, loop);
+    b.csrrs(a0, csr::hpmcounter3, zero);
+    b.halt();
+    return b.build();
+}
+
+/** One Rocket job per counter architecture over `program`, all with
+ * run key `run`; every factory call bumps `makes`. */
+std::vector<SweepJob>
+archJobs(const Program &program, u64 run,
+         const std::shared_ptr<std::atomic<u32>> &makes)
+{
+    std::vector<SweepJob> jobs;
+    for (CounterArch arch : {CounterArch::Scalar, CounterArch::AddWires,
+                             CounterArch::Distributed}) {
+        SweepJob job;
+        job.label = program.name + "/" + counterArchName(arch);
+        job.maxCycles = 100'000;
+        job.run = run;
+        job.point.counterArch = arch;
+        job.make = [program, arch, makes] {
+            makes->fetch_add(1);
+            RocketConfig config;
+            config.counterArch = arch;
+            return std::make_unique<RocketCore>(config, program);
+        };
+        jobs.push_back(std::move(job));
+    }
+    return jobs;
+}
+
+TEST(SweepRuns, KeyedJobsSimulateOnceAndMatchUnsharedRuns)
+{
+    auto makes = std::make_shared<std::atomic<u32>>(0);
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<SweepResult> shared =
+        runSweepJobs(archJobs(countLoop(500), 1, makes));
+    const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    EXPECT_EQ(makes->load(), 1u);
+    ASSERT_EQ(shared.size(), 3u);
+    // The run's wall time is split across the members it answered,
+    // so on one worker the rows' wall times sum to no more than the
+    // sweep took.
+    EXPECT_GT(shared[0].wallMs, 0.0);
+    EXPECT_EQ(shared[1].wallMs, shared[0].wallMs);
+    EXPECT_EQ(shared[2].wallMs, shared[0].wallMs);
+    EXPECT_LE(3 * shared[0].wallMs, elapsed_ms);
+
+    makes->store(0);
+    const std::vector<SweepResult> unshared =
+        runSweepJobs(archJobs(countLoop(500), 0, makes));
+    EXPECT_EQ(makes->load(), 3u);
+    EXPECT_EQ(formatSweepCsv(shared), formatSweepCsv(unshared));
+    EXPECT_EQ(formatSweepJson(shared), formatSweepJson(unshared));
+}
+
+TEST(SweepRuns, InBandCounterReadRunsEachArchitectureOnItsOwn)
+{
+    // The program reads a counter it configured, so the architecture
+    // could steer it: sharing must fall back to one run per member.
+    auto makes = std::make_shared<std::atomic<u32>>(0);
+    SweepOptions options;
+    options.workers = 2;
+    const std::vector<SweepResult> keyed = runSweepJobs(
+        archJobs(readsConfiguredCounter(), 1, makes), options);
+    EXPECT_EQ(makes->load(), 3u);
+    const std::vector<SweepResult> unshared = runSweepJobs(
+        archJobs(readsConfiguredCounter(), 0, makes), options);
+    EXPECT_EQ(formatSweepCsv(keyed), formatSweepCsv(unshared));
+    EXPECT_EQ(formatSweepJson(keyed), formatSweepJson(unshared));
+    for (const SweepResult &row : keyed) {
+        EXPECT_EQ(row.status, SweepStatus::Ok) << row.label;
+        EXPECT_GT(row.exitCode, 0u) << row.label;
+    }
+    // The distributed counter's principal lags the exact count, so a
+    // shared simulation would have reported the wrong exit code.
+    EXPECT_NE(keyed[2].exitCode, keyed[1].exitCode);
+}
+
+TEST(SweepRuns, ResumeFromAPartialRunSimulatesItOnce)
+{
+    const std::string path = "/tmp/icicle_journal_partial_run.bin";
+    std::remove(path.c_str());
+    auto makes = std::make_shared<std::atomic<u32>>(0);
+    const std::vector<SweepJob> jobs = archJobs(countLoop(500), 1, makes);
+    const std::vector<SweepResult> golden = runSweepJobs(jobs);
+
+    // The second append fails: the journal holds only member 0.
+    setFaultSpec("enospc@journal#1");
+    SweepOptions options;
+    options.journalPath = path;
+    EXPECT_THROW(runSweepJobs(jobs, options), FatalError);
+    setFaultSpec("");
+    SweepJournal journal;
+    const std::vector<SweepResult> journaled =
+        journal.resume(path, sweepGridHash(jobs), jobs.size());
+    journal.close();
+    ASSERT_EQ(journaled.size(), 1u);
+    EXPECT_EQ(journaled[0].index, 0u);
+
+    makes->store(0);
+    options.resume = true;
+    // Member 0 is reported once, as restored; only 1 and 2 re-run.
+    std::vector<u32> reported(jobs.size(), 0);
+    options.onResult = [&](const SweepResult &r) { reported[r.index]++; };
+    const std::vector<SweepResult> resumed = runSweepJobs(jobs, options);
+    EXPECT_EQ(makes->load(), 1u);
+    EXPECT_EQ(reported, std::vector<u32>(jobs.size(), 1));
+    EXPECT_EQ(formatSweepCsv(resumed), formatSweepCsv(golden));
+    EXPECT_EQ(formatSweepJson(resumed), formatSweepJson(golden));
+    EXPECT_EQ(formatSweepTable(resumed), formatSweepTable(golden));
+    std::remove(path.c_str());
+}
+
+TEST(SweepRuns, JobFaultDecidesTheWholeRunsAttempt)
+{
+    const std::string path = "/tmp/icicle_journal_run_fault.bin";
+    std::remove(path.c_str());
+    auto makes = std::make_shared<std::atomic<u32>>(0);
+    const std::vector<SweepJob> jobs = archJobs(countLoop(500), 1, makes);
+    const std::vector<SweepResult> golden = runSweepJobs(jobs);
+
+    setFaultSpec("fail@job#1=2");
+    SweepOptions options;
+    options.journalPath = path;
+    options.maxAttempts = 2;
+    const std::vector<SweepResult> failed = runSweepJobs(jobs, options);
+    setFaultSpec("");
+    for (const SweepResult &row : failed) {
+        EXPECT_EQ(row.status, SweepStatus::Failed) << row.label;
+        EXPECT_EQ(row.attempts, 2u) << row.label;
+        EXPECT_NE(row.error.find("fail@job#1"), std::string::npos)
+            << row.error;
+    }
+
+    makes->store(0);
+    options.resume = true;
+    const std::vector<SweepResult> resumed = runSweepJobs(jobs, options);
+    EXPECT_EQ(makes->load(), 1u);
+    EXPECT_EQ(formatSweepCsv(resumed), formatSweepCsv(golden));
+    EXPECT_EQ(formatSweepJson(resumed), formatSweepJson(golden));
+    EXPECT_EQ(formatSweepTable(resumed), formatSweepTable(golden));
+    std::remove(path.c_str());
+}
+
+TEST(SweepRuns, SharedGridMatchesPerArchRunsByteForByte)
+{
+    // Reports, journal bytes and every --trace-out store of a 3-arch
+    // grid equal those of the same points simulated one by one.
+    GridSpec grid;
+    grid.cores = {"rocket", "boom-small"};
+    grid.workloads = {"vvadd", "towers"};
+    grid.counterArchs = {CounterArch::Scalar, CounterArch::AddWires,
+                         CounterArch::Distributed};
+    grid.maxCycles = 300'000;
+    grid.withTrace = true;
+    std::vector<SweepJob> unkeyed;
+    for (const SweepPoint &point : grid.expand()) {
+        SweepJob job;
+        job.label = sweepPointLabel(point);
+        job.maxCycles = point.maxCycles;
+        job.withTrace = point.withTrace;
+        job.point = point;
+        job.make = [point] {
+            return makeSweepCore(point.core, point.counterArch,
+                                 buildWorkload(point.workload));
+        };
+        unkeyed.push_back(std::move(job));
+    }
+
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    const std::string root = "/tmp/icicle_sweep_shared_runs";
+    std::filesystem::remove_all(root);
+    auto run = [&](const std::string &name, u32 workers,
+                   const std::vector<SweepJob> *jobs) {
+        SweepOptions options;
+        options.workers = workers;
+        options.traceOutDir = root + "/" + name;
+        options.journalPath = root + "/" + name + ".icjn";
+        std::filesystem::create_directories(options.traceOutDir);
+        return jobs ? runSweepJobs(*jobs, options)
+                    : runSweep(grid, options);
+    };
+    const std::vector<SweepResult> per_arch = run("per-arch", 1, &unkeyed);
+    const std::vector<SweepResult> shared = run("shared", 1, nullptr);
+    const std::vector<SweepResult> shared4 = run("shared4", 4, nullptr);
+    ASSERT_EQ(per_arch.size(), 12u);
+    for (const std::vector<SweepResult> *rows : {&shared, &shared4}) {
+        EXPECT_EQ(formatSweepCsv(*rows), formatSweepCsv(per_arch));
+        EXPECT_EQ(formatSweepJson(*rows), formatSweepJson(per_arch));
+        EXPECT_EQ(formatSweepTable(*rows), formatSweepTable(per_arch));
+    }
+    EXPECT_EQ(slurp(root + "/shared.icjn"),
+              slurp(root + "/per-arch.icjn"));
+    for (const SweepResult &row : per_arch) {
+        SCOPED_TRACE(row.label);
+        ASSERT_EQ(row.status, SweepStatus::Ok);
+        const std::string want =
+            slurp(sweepTracePath(root + "/per-arch", row.label));
+        ASSERT_FALSE(want.empty());
+        EXPECT_EQ(slurp(sweepTracePath(root + "/shared", row.label)),
+                  want);
+        EXPECT_EQ(slurp(sweepTracePath(root + "/shared4", row.label)),
+                  want);
+    }
+    std::filesystem::remove_all(root);
 }
 
 } // namespace

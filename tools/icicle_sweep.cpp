@@ -106,17 +106,12 @@ splitList(const std::string &text)
     return items;
 }
 
+/** Repeats are kept here: GridSpec::expand() drops them. */
 void
-appendUnique(std::vector<std::string> &list,
-             const std::vector<std::string> &items)
+append(std::vector<std::string> &list,
+       const std::vector<std::string> &items)
 {
-    for (const std::string &item : items) {
-        bool present = false;
-        for (const std::string &existing : list)
-            present |= existing == item;
-        if (!present)
-            list.push_back(item);
-    }
+    list.insert(list.end(), items.begin(), items.end());
 }
 
 /** Parse the `key = value` spec file into the grid. */
@@ -148,12 +143,12 @@ loadSpecFile(const std::string &path, GridSpec &grid)
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
         if (key == "cores") {
-            appendUnique(grid.cores, splitList(value));
+            append(grid.cores, splitList(value));
         } else if (key == "workloads") {
-            appendUnique(grid.workloads, splitList(value));
+            append(grid.workloads, splitList(value));
         } else if (key == "suite") {
             for (const std::string &suite : splitList(value))
-                appendUnique(grid.workloads, workloadNames(suite));
+                append(grid.workloads, workloadNames(suite));
         } else if (key == "archs") {
             grid.counterArchs.clear();
             for (const std::string &arch : splitList(value))
@@ -235,13 +230,13 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--cores") {
-            appendUnique(flag_cores, splitList(value()));
+            append(flag_cores, splitList(value()));
         } else if (arg == "--workloads") {
-            appendUnique(flag_workloads, splitList(value()));
+            append(flag_workloads, splitList(value()));
         } else if (arg == "--suite") {
-            appendUnique(flag_suites, splitList(value()));
+            append(flag_suites, splitList(value()));
         } else if (arg == "--archs") {
-            appendUnique(flag_archs, splitList(value()));
+            append(flag_archs, splitList(value()));
             archs_set = true;
         } else if (arg == "--cycles") {
             grid.maxCycles = std::stoull(value());
@@ -295,10 +290,10 @@ main(int argc, char **argv)
             validateTraceOutDir(options.traceOutDir);
         if (!spec_path.empty())
             loadSpecFile(spec_path, grid);
-        appendUnique(grid.cores, flag_cores);
-        appendUnique(grid.workloads, flag_workloads);
+        append(grid.cores, flag_cores);
+        append(grid.workloads, flag_workloads);
         for (const std::string &suite : flag_suites)
-            appendUnique(grid.workloads, workloadNames(suite));
+            append(grid.workloads, workloadNames(suite));
         if (archs_set) {
             grid.counterArchs.clear();
             for (const std::string &arch : flag_archs)
