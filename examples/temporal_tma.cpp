@@ -4,7 +4,7 @@
  * event trace, write it to disk, read it back, and analyze it — the
  * out-of-band path of Fig. 4 (TraceRV extension + trace analyzer).
  *
- *   $ ./temporal_tma [workload] [trace-file]
+ *   $ ./temporal_tma [workload] [store.icst]
  */
 
 #include <cstdio>
@@ -20,13 +20,13 @@ int
 main(int argc, char **argv)
 {
     const char *workload = argc > 1 ? argv[1] : "mergesort";
-    const char *path = argc > 2 ? argv[2] : "/tmp/icicle_example.trace";
+    const char *path = argc > 2 ? argv[2] : "/tmp/icicle_example.icst";
 
     try {
         BoomCore core(BoomConfig::large(), buildWorkload(workload));
 
-        // Choose the signals to stream (the TraceBundle); record one
-        // bit per signal per cycle while the core runs.
+        // Choose the signals to stream (the trace bundle); record
+        // one bit per signal per cycle while the core runs.
         const TraceSpec spec = TraceSpec::tmaBundle(core);
         std::printf("tracing %u signals on %s...\n", spec.numFields(),
                     workload);
@@ -34,10 +34,10 @@ main(int argc, char **argv)
         std::printf("captured %llu cycles\n",
                     static_cast<unsigned long long>(trace.numCycles()));
 
-        // Round-trip through the binary format (the DMA-driver data).
-        writeTrace(trace, path);
-        Trace loaded = readTrace(path);
-        std::printf("trace file: %s (%llu cycles loaded back)\n\n",
+        // Round-trip through the compressed .icst trace store.
+        trace.toStore(path);
+        const Trace loaded = Trace::fromStore(path);
+        std::printf("trace store: %s (%llu cycles loaded back)\n\n",
                     path,
                     static_cast<unsigned long long>(
                         loaded.numCycles()));

@@ -1,10 +1,6 @@
 #include "core/session.hh"
 
-#include <array>
-
 #include "analysis/lint.hh"
-#include "core/dispatch.hh"
-#include "store/store.hh"
 
 namespace icicle
 {
@@ -63,29 +59,6 @@ TmaResult
 analyzeTma(const Core &core)
 {
     return computeTma(gatherTmaCounters(core), tmaParamsFor(core));
-}
-
-u64
-streamTraceRun(Core &core, const TraceSpec &spec, u64 max_cycles,
-               TraceSink &sink)
-{
-    const TracePacker packer(spec);
-    // Pack into a host-side block so the sink's virtual append is
-    // paid once per block rather than once per simulated cycle.
-    std::array<u64, 1024> block;
-    u64 fill = 0;
-    const u64 cycles = runCoreLoop(
-        core, max_cycles, [&](Cycle, const EventBus &bus) {
-            block[fill++] = packer.pack(bus);
-            if (fill == block.size()) {
-                sink.appendBlock(block.data(), fill);
-                fill = 0;
-            }
-        });
-    if (fill > 0)
-        sink.appendBlock(block.data(), fill);
-    sink.finish();
-    return cycles;
 }
 
 } // namespace icicle

@@ -18,12 +18,9 @@
 #include "core/core.hh"
 #include "rocket/rocket.hh"
 #include "tma/tma.hh"
-#include "trace/trace.hh"
 
 namespace icicle
 {
-
-class TraceSink;
 
 /** Construct a Rocket core as an abstract Core. */
 std::unique_ptr<Core> makeRocket(const RocketConfig &config,
@@ -45,19 +42,6 @@ TmaParams tmaParamsFor(const Core &core);
 
 /** One-call out-of-band analysis: gather counters and run the model. */
 TmaResult analyzeTma(const Core &core);
-
-/**
- * Streaming-capture mode: run the core and feed each cycle's packed
- * trace word straight into the sink — the in-memory Trace is never
- * materialized, so peak capture memory is whatever the sink buffers
- * (one block for a StoreWriter) regardless of trace length. The sink
- * is finish()ed before returning. Returns cycles simulated.
- *
- *   StoreWriter sink(spec, "run.icst");
- *   streamTraceRun(*core, spec, 1'000'000'000, sink);
- */
-u64 streamTraceRun(Core &core, const TraceSpec &spec, u64 max_cycles,
-                   TraceSink &sink);
 
 } // namespace icicle
 

@@ -2,10 +2,10 @@
  * @file
  * Crash-atomic file output.
  *
- * Every artifact the toolchain produces (.icst stores, .trc traces,
- * sweep CSV/JSON reports, salvage reports) is written through an
- * AtomicFile: bytes go to `path.tmp`, are fsync'd, and the tmp is
- * renamed over `path` (then the directory is fsync'd). A reader can
+ * Every artifact the toolchain produces (.icst stores, sweep CSV/JSON
+ * reports, salvage reports) is written through an AtomicFile: bytes
+ * go to `path.tmp`, are fsync'd, and the tmp is renamed over `path`
+ * (then the directory is fsync'd). A reader can
  * therefore never observe a partial artifact — it sees either the old
  * file or the complete new one, even across SIGKILL or power loss.
  *

@@ -14,7 +14,6 @@ faultSiteName(FaultSite site)
 {
     switch (site) {
       case FaultSite::StoreWrite: return "store";
-      case FaultSite::TraceWrite: return "trace";
       case FaultSite::JournalWrite: return "journal";
       case FaultSite::ReportWrite: return "report";
       case FaultSite::ConnAccept: return "accept";
@@ -53,14 +52,12 @@ parseSite(const std::string &name, const std::string &clause)
 {
     if (name == "store")
         return FaultSite::StoreWrite;
-    if (name == "trace")
-        return FaultSite::TraceWrite;
     if (name == "journal")
         return FaultSite::JournalWrite;
     if (name == "report")
         return FaultSite::ReportWrite;
     fatal("fault spec clause '", clause, "': unknown site '", name,
-          "' (store, trace, journal, report)");
+          "' (store, journal, report)");
 }
 
 u64

@@ -6,10 +6,10 @@
  * are exercised on purpose: a FaultPlan injects short writes, torn
  * final blocks, single-bit payload flips, ENOSPC, process kills, and
  * spurious sweep-job failures/hangs at *reproducible* points. Every
- * write-side module (store writer, trace writer, sweep journal,
- * report output) and the sweep thread pool consults the global plan,
- * so any tool can run under faults via the `ICICLE_FAULT` environment
- * variable (or a `--fault` CLI flag where one is exposed).
+ * write-side module (store writer, sweep journal, report output) and
+ * the sweep thread pool consults the global plan, so any tool can run
+ * under faults via the `ICICLE_FAULT` environment variable (or a
+ * `--fault` CLI flag where one is exposed).
  *
  * Spec grammar (comma-separated clauses):
  *
@@ -41,12 +41,12 @@
  *   kill@worker#K          K-th job dispatched to the worker pool
  *                          SIGKILLs the worker before it can answer
  *
- * Sites: store (.icst writes), trace (.trc writes), journal (sweep
- * journal appends), report (sweep/salvage report output), accept /
- * reply / read / write (icicled connection handling), worker (job
- * dispatch to the serve pool). Write-op ordinals are global per
- * site; they are reproducible whenever the writer order is
- * (single-worker sweeps, single captures, single-client serving).
+ * Sites: store (.icst writes), journal (sweep journal appends),
+ * report (sweep/salvage report output), accept / reply / read /
+ * write (icicled connection handling), worker (job dispatch to the
+ * serve pool). Write-op ordinals are global per site; they are
+ * reproducible whenever the writer order is (single-worker sweeps,
+ * single captures, single-client serving).
  * conn-reset@reply and torn-frame@reply share the reply ordinal
  * counter, so one schedule interleaves them deterministically. Job
  * clauses key on the grid index and are reproducible at any worker
@@ -74,7 +74,6 @@ namespace icicle
 enum class FaultSite : u8
 {
     StoreWrite,
-    TraceWrite,
     JournalWrite,
     ReportWrite,
     ConnAccept,     ///< icicled accept loop, per admitted connection
@@ -84,7 +83,7 @@ enum class FaultSite : u8
     WorkerDispatch, ///< serve-pool job dispatch (parent side)
 };
 
-constexpr u32 kNumFaultSites = 9;
+constexpr u32 kNumFaultSites = 8;
 
 const char *faultSiteName(FaultSite site);
 

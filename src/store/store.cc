@@ -7,7 +7,7 @@
 
 #include "common/crc32.hh"
 #include "common/logging.hh"
-#include "core/session.hh"
+#include "core/dispatch.hh"
 #include "fault/fault.hh"
 
 namespace icicle
@@ -154,41 +154,6 @@ jsonEscapeTo(std::ostringstream &os, const std::string &text)
             }
         }
     }
-}
-
-/** Merge-union of sorted absolute intervals (start, end pairs). */
-std::vector<std::pair<u64, u64>>
-mergeIntervals(std::vector<std::pair<u64, u64>> spans)
-{
-    std::sort(spans.begin(), spans.end());
-    std::vector<std::pair<u64, u64>> merged;
-    for (const auto &[a, b] : spans) {
-        if (!merged.empty() && a <= merged.back().second)
-            merged.back().second = std::max(merged.back().second, b);
-        else
-            merged.emplace_back(a, b);
-    }
-    return merged;
-}
-
-/** Intersection of two sorted disjoint interval lists. */
-std::vector<std::pair<u64, u64>>
-intersectIntervals(const std::vector<std::pair<u64, u64>> &lhs,
-                   const std::vector<std::pair<u64, u64>> &rhs)
-{
-    std::vector<std::pair<u64, u64>> out;
-    std::size_t i = 0, j = 0;
-    while (i < lhs.size() && j < rhs.size()) {
-        const u64 a = std::max(lhs[i].first, rhs[j].first);
-        const u64 b = std::min(lhs[i].second, rhs[j].second);
-        if (a < b)
-            out.emplace_back(a, b);
-        if (lhs[i].second < rhs[j].second)
-            i++;
-        else
-            j++;
-    }
-    return out;
 }
 
 } // namespace
@@ -471,6 +436,10 @@ StoreReader::openHeader()
                        ": header CRC mismatch");
     }
 
+    // Validate field by field. Going through TraceSpec::addLane would
+    // silently drop a corrupt duplicate (event, lane) pair, shifting
+    // the bit index of every later field: a malformed header must be
+    // rejected, not repaired.
     for (u32 f = 0; f < num_fields; f++) {
         u32 pair[2];
         std::memcpy(pair, table.data() + static_cast<u64>(f) * 8, 8);
@@ -988,171 +957,11 @@ StoreReader::countInWindow(EventId event, u64 begin, u64 end) const
 TmaResult
 StoreReader::windowTma(u64 begin, u64 end, u32 core_width) const
 {
-    TmaParams params;
-    params.coreWidth = core_width;
-    return windowTma(begin, end, params);
-}
-
-TmaResult
-StoreReader::windowTma(u64 begin, u64 end,
-                       const TmaParams &params) const
-{
-    end = clampTraceWindow(totalCycles, begin, end,
-                           "StoreReader::windowTma");
-    requireIntact(begin, end, "StoreReader::windowTma");
-
-    TmaCounters counters;
-    counters.cycles = end - begin;
-    auto count_in = [&](EventId event) {
-        return countInWindow(event, begin, end);
-    };
-    counters.retiredUops = count_in(EventId::UopsRetired) +
-                           count_in(EventId::InstRetired);
-    counters.issuedUops = count_in(EventId::UopsIssued) +
-                          count_in(EventId::InstIssued);
-    counters.fetchBubbles = count_in(EventId::FetchBubbles);
-    counters.recovering = count_in(EventId::Recovering);
-    counters.branchMispredicts = count_in(EventId::BranchMispredict);
-    counters.machineClears = count_in(EventId::Flush);
-    counters.fencesRetired = count_in(EventId::FenceRetired);
-    counters.icacheBlocked = count_in(EventId::ICacheBlocked);
-    counters.dcacheBlocked = count_in(EventId::DCacheBlocked);
-
-    return computeTma(counters, params);
-}
-
-std::vector<SignalRun>
-StoreReader::runsOfAny(EventId event) const
-{
-    std::vector<SignalRun> runs;
-    std::vector<u32> fields;
-    for (u32 f = 0; f < traceSpec.numFields(); f++) {
-        if (traceSpec.fields[f].event == event)
-            fields.push_back(f);
-    }
-    if (fields.empty())
-        return runs;
-
-    bool in_run = false;
-    u64 run_start = 0, run_end = 0;
-    auto feed = [&](u64 a, u64 b) {
-        if (in_run && a == run_end) {
-            run_end = b;
-            return;
-        }
-        if (in_run)
-            runs.push_back(SignalRun{run_start, run_end - run_start});
-        run_start = a;
-        run_end = b;
-        in_run = true;
-    };
-
-    for (u32 b = 0; b < blocks.size(); b++) {
-        const BlockMeta &block = blocks[b];
-        if (block.damaged)
-            continue; // salvage: damaged span reads as a gap
-        u64 pop_sum = 0;
-        bool saturated = false;
-        for (u32 f : fields) {
-            pop_sum += block.fields[f].popcount;
-            saturated |=
-                block.fields[f].popcount == block.numCycles;
-        }
-        if (pop_sum == 0)
-            continue; // all-zero block: extends the gap, no decode
-        if (saturated) {
-            // Some lane is high every cycle: the whole block is one
-            // run of the OR, no decode needed.
-            feed(block.startCycle,
-                 block.startCycle + block.numCycles);
-            continue;
-        }
-        // Union the per-lane set intervals of this block.
-        const auto decoded = decodeBlock(b);
-        std::vector<std::pair<u64, u64>> spans;
-        for (u32 f : fields) {
-            for (const SetInterval &iv : decoded->planes[f])
-                spans.emplace_back(
-                    block.startCycle + iv.start,
-                    block.startCycle + iv.start + iv.length);
-        }
-        for (const auto &[a, z] : mergeIntervals(std::move(spans)))
-            feed(a, z);
-    }
-    if (in_run)
-        runs.push_back(SignalRun{run_start, run_end - run_start});
-    return runs;
-}
-
-RecoveryCdf
-StoreReader::recoveryCdf() const
-{
-    RecoveryCdf cdf;
-    for (const SignalRun &run : runsOfAny(EventId::Recovering))
-        cdf.lengths.push_back(run.length);
-    std::sort(cdf.lengths.begin(), cdf.lengths.end());
-    return cdf;
-}
-
-OverlapBound
-StoreReader::overlapUpperBound(u32 core_width, u32 pad) const
-{
-    OverlapBound result;
-    const u64 cycles = totalCycles;
-    result.cycles = cycles;
-    if (cycles == 0)
-        return result;
-
-    const std::vector<SignalRun> refills =
-        runsOfAny(EventId::ICacheBlocked);
-    const std::vector<SignalRun> recoveries =
-        runsOfAny(EventId::Recovering);
-
-    auto padded = [&](const std::vector<SignalRun> &signal_runs) {
-        std::vector<std::pair<u64, u64>> spans;
-        spans.reserve(signal_runs.size());
-        for (const SignalRun &run : signal_runs) {
-            const u64 a = run.start > pad ? run.start - pad : 0;
-            const u64 z =
-                std::min(cycles, run.start + run.length + pad);
-            spans.emplace_back(a, z);
-        }
-        return mergeIntervals(std::move(spans));
-    };
-
-    // Overlap windows are where a padded refill window and a padded
-    // recovery window coincide — interval intersection instead of
-    // the analyzer's per-cycle flag arrays.
-    const std::vector<std::pair<u64, u64>> overlap =
-        intersectIntervals(padded(refills), padded(recoveries));
-
-    u64 overlap_slots = 0;
-    for (const auto &[a, z] : overlap)
-        overlap_slots += countInWindow(EventId::FetchBubbles, a, z);
-    const u64 bubble_slots = countAllLanes(EventId::FetchBubbles);
-    u64 recovering_cycles = 0;
-    for (const SignalRun &run : recoveries)
-        recovering_cycles += run.length;
-
-    const double total_slots =
-        static_cast<double>(cycles) * core_width;
-    result.overlapSlots = overlap_slots;
-    result.overlapFraction =
-        static_cast<double>(overlap_slots) / total_slots;
-    result.frontendFraction =
-        static_cast<double>(bubble_slots) / total_slots;
-    result.badSpecFraction =
-        static_cast<double>(recovering_cycles) * core_width /
-        total_slots;
-    if (result.frontendFraction > 0) {
-        result.frontendPerturbation =
-            result.overlapFraction / result.frontendFraction;
-    }
-    if (result.badSpecFraction > 0) {
-        result.badSpecPerturbation =
-            result.overlapFraction / result.badSpecFraction;
-    }
-    return result;
+    return windowTmaOf(totalCycles, begin, end, core_width,
+                       "StoreReader::windowTma",
+                       [this](EventId event, u64 lo, u64 hi) {
+                           return countInWindow(event, lo, hi);
+                       });
 }
 
 void
@@ -1246,7 +1055,13 @@ streamTraceToStore(Core &core, const TraceSpec &spec, u64 max_cycles,
                    const std::string &path, u32 block_cycles)
 {
     StoreWriter writer(spec, path, block_cycles);
-    return streamTraceRun(core, spec, max_cycles, writer);
+    const TracePacker packer(spec);
+    const u64 cycles = runCoreLoop(
+        core, max_cycles, [&](Cycle, const EventBus &bus) {
+            writer.append(packer.pack(bus));
+        });
+    writer.finish();
+    return cycles;
 }
 
 } // namespace icicle

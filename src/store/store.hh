@@ -16,12 +16,13 @@
  * plane, so a windowed TMA recomputation touches O(blocks) not
  * O(cycles).
  *
- * Writer side: StoreWriter implements TraceSink, the streaming
- * interface Session/core capture feeds one packed word per cycle.
- * Peak memory is one block buffer (blockCycles * 8 bytes) regardless
- * of trace length — billion-cycle captures run in bounded memory.
- * Output lands via AtomicFile (tmp + fsync + rename), so a crashed
- * capture never leaves a half-written .icst behind.
+ * Writer side: StoreWriter takes one packed word per cycle, from a
+ * finished Trace (Trace::toStore) or straight from a running core
+ * (streamTraceToStore). Peak memory is one block buffer
+ * (blockCycles * 8 bytes) regardless of trace length — billion-cycle
+ * captures run in bounded memory. Output lands via AtomicFile (tmp +
+ * fsync + rename), so a crashed capture never leaves a half-written
+ * .icst behind.
  *
  * Reader side: corruption raises typed StoreErrors (a FatalError
  * subclass, so embedders and the CLI keep their existing handling),
@@ -110,31 +111,6 @@ enum class StoreOpen : u8
 };
 
 /**
- * Streaming consumer of packed trace words, one per cycle. The
- * capture loop feeds append(); finish() seals the container. Both
- * StoreWriter and test doubles implement it.
- */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-    /** Feed one packed cycle word (bit f = field f of the spec). */
-    virtual void append(u64 word) = 0;
-    /**
-     * Feed a batch of packed cycle words. Equivalent to append() in
-     * a loop (the default); sinks with cheap bulk paths may override.
-     */
-    virtual void
-    appendBlock(const u64 *words, u64 count)
-    {
-        for (u64 i = 0; i < count; i++)
-            append(words[i]);
-    }
-    /** Flush buffered cycles and seal the output. Idempotent. */
-    virtual void finish() = 0;
-};
-
-/**
  * Writes an .icst file from a stream of packed cycle words. The
  * output is a pure function of (spec, blockCycles, word sequence):
  * no timestamps or platform state, so stores from identical runs are
@@ -142,16 +118,18 @@ class TraceSink
  * guarantee extends to `--trace-out`. The file is committed
  * atomically on finish(); a crash mid-capture leaves only a `.tmp`.
  */
-class StoreWriter : public TraceSink
+class StoreWriter
 {
   public:
     /** block_cycles 0 selects kStoreDefaultBlockCycles. */
     StoreWriter(const TraceSpec &spec, const std::string &path,
                 u32 block_cycles = kStoreDefaultBlockCycles);
-    ~StoreWriter() override;
+    ~StoreWriter();
 
-    void append(u64 word) override;
-    void finish() override;
+    /** Feed one packed cycle word (bit f = field f of the spec). */
+    void append(u64 word);
+    /** Flush buffered cycles and seal the output. Idempotent. */
+    void finish();
 
     u64 cyclesWritten() const { return totalCycles; }
     /** Cycles currently buffered (always <= blockCycles()). */
@@ -232,12 +210,16 @@ struct StoreDamage
  * blocksDecoded() counts the blocks whose planes were actually
  * decoded — the sublinear-query evidence bench_trace_store reports.
  *
+ * Whole-trace analyses (run detection, the recovery CDF, the overlap
+ * bound) are TraceAnalyzer's: decode the store with readAll() and
+ * analyze the returned Trace.
+ *
  * StoreOpen::Strict throws a typed StoreError on any corruption.
  * StoreOpen::Salvage recovers every CRC-valid block: whole-store
- * aggregates (count/countAllLanes/runsOfAny/recoveryCdf) skip
- * damaged blocks, window queries over intact ranges work normally,
- * and window queries touching a damaged range throw
- * StoreErrorKind::DamagedWindow — consult damage() for the mask.
+ * counts (count/countAllLanes) skip damaged blocks, window queries
+ * over intact ranges work normally, and window queries touching a
+ * damaged range throw StoreErrorKind::DamagedWindow — consult
+ * damage() for the mask.
  *
  * Const queries are safe to call from multiple threads on one
  * reader: the file handle and the single-block decode cache are the
@@ -283,26 +265,10 @@ class StoreReader
 
     /**
      * Temporal TMA over a window, matching
-     * TraceAnalyzer::windowTma exactly (same validation, same
-     * Table II model) while decoding only boundary blocks.
+     * TraceAnalyzer::windowTma exactly (both go through
+     * windowTmaOf) while decoding only boundary blocks.
      */
     TmaResult windowTma(u64 begin, u64 end, u32 core_width) const;
-    /** As above, with full model-parameter control (TMA-005 flag). */
-    TmaResult windowTma(u64 begin, u64 end,
-                        const TmaParams &params) const;
-
-    /**
-     * Contiguous runs where any traced lane of the event is high.
-     * All-zero blocks (footer popcount 0) extend the current gap and
-     * all-one blocks extend the current run without decoding.
-     */
-    std::vector<SignalRun> runsOfAny(EventId event) const;
-
-    /** Fig. 8b recovery CDF, matching TraceAnalyzer::recoveryCdf. */
-    RecoveryCdf recoveryCdf() const;
-
-    /** Table VI overlap bound, matching TraceAnalyzer exactly. */
-    OverlapBound overlapUpperBound(u32 core_width, u32 pad = 50) const;
 
     /** CRC-check every block payload; StoreError on corruption. */
     void verify() const;

@@ -3,17 +3,63 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 
-#include "common/crc32.hh"
 #include "common/logging.hh"
 #include "core/dispatch.hh"
-#include "fault/atomic_file.hh"
 
 namespace icicle
 {
+
+namespace
+{
+
+/** Set bits of `mask` summed over words [begin, end). */
+u64
+countMasked(const std::vector<u64> &words, u64 mask, u64 begin, u64 end)
+{
+    if (mask == 0)
+        return 0;
+    u64 total = 0;
+    for (u64 c = begin; c < end; c++)
+        total += static_cast<u64>(std::popcount(words[c] & mask));
+    return total;
+}
+
+/** Contiguous runs of cycles where any bit of `mask` is set. */
+std::vector<SignalRun>
+runsOfMask(const std::vector<u64> &words, u64 mask)
+{
+    std::vector<SignalRun> runs;
+    if (mask == 0)
+        return runs;
+    bool in_run = false;
+    u64 start = 0;
+    for (u64 c = 0; c < words.size(); c++) {
+        const bool high = (words[c] & mask) != 0;
+        if (high && !in_run) {
+            in_run = true;
+            start = c;
+        } else if (!high && in_run) {
+            runs.push_back(SignalRun{start, c - start});
+            in_run = false;
+        }
+    }
+    if (in_run)
+        runs.push_back(SignalRun{start, words.size() - start});
+    return runs;
+}
+
+/** Single-bit mask of a traced (event, lane), or 0 if untraced. */
+u64
+laneMask(const TraceSpec &spec, EventId event, u8 lane)
+{
+    const int field = spec.indexOf(event, lane);
+    return field < 0 ? 0 : 1ull << field;
+}
+
+} // namespace
 
 // ---------------------------------------------------------- TraceSpec
 
@@ -95,18 +141,6 @@ TraceSpec::frontendBundle()
 
 // -------------------------------------------------------------- Trace
 
-u64
-packTraceWord(const TraceSpec &spec, const EventBus &bus)
-{
-    u64 word = 0;
-    for (u32 f = 0; f < spec.fields.size(); f++) {
-        const TraceField &field = spec.fields[f];
-        if (bus.mask(field.event) & (1u << field.lane))
-            word |= 1ull << f;
-    }
-    return word;
-}
-
 TracePacker::TracePacker(const TraceSpec &spec)
 {
     for (u32 f = 0; f < spec.fields.size(); f++) {
@@ -143,26 +177,15 @@ Trace::high(u64 cycle, EventId event, u8 lane) const
 u64
 Trace::count(EventId event, u8 lane) const
 {
-    const int field = traceSpec.indexOf(event, lane);
-    if (field < 0)
-        return 0;
-    u64 total = 0;
-    const u64 mask = 1ull << field;
-    for (u64 word : records)
-        total += (word & mask) ? 1 : 0;
-    return total;
+    return countMasked(records, laneMask(traceSpec, event, lane), 0,
+                       records.size());
 }
 
 u64
 Trace::countAllLanes(EventId event) const
 {
-    const u64 mask = traceSpec.fieldMask(event);
-    if (mask == 0)
-        return 0;
-    u64 total = 0;
-    for (u64 word : records)
-        total += static_cast<u64>(std::popcount(word & mask));
-    return total;
+    return countMasked(records, traceSpec.fieldMask(event), 0,
+                       records.size());
 }
 
 Trace
@@ -172,119 +195,6 @@ traceRun(Core &core, const TraceSpec &spec, u64 max_cycles)
     runCoreLoop(core, max_cycles, [&trace](Cycle, const EventBus &bus) {
         trace.capture(bus);
     });
-    return trace;
-}
-
-// ----------------------------------------------------------- file I/O
-
-namespace
-{
-constexpr u32 kTraceMagic = 0x49434c54; // "ICLT"
-/** Version 2 appends a CRC32 of the cycle-record payload. */
-constexpr u32 kTraceVersion = 2;
-} // namespace
-
-void
-writeTrace(const Trace &trace, const std::string &path)
-{
-    // Crash-atomic: the .trc appears only once fully written.
-    AtomicFile out(path, FaultSite::TraceWrite);
-    Crc32 crc;
-    auto put32 = [&out](u32 v) { out.append(&v, 4); };
-    auto put64 = [&out](u64 v) { out.append(&v, 8); };
-    put32(kTraceMagic);
-    put32(kTraceVersion);
-    put32(trace.spec().numFields());
-    for (const TraceField &field : trace.spec().fields) {
-        put32(static_cast<u32>(field.event));
-        put32(field.lane);
-    }
-    put64(trace.numCycles());
-    for (u64 word : trace.raw()) {
-        put64(word);
-        crc.update(&word, 8);
-    }
-    put32(crc.value());
-    out.commit();
-}
-
-Trace
-readTrace(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot open trace file: ", path);
-    auto get32 = [&in] {
-        u32 v = 0;
-        in.read(reinterpret_cast<char *>(&v), 4);
-        return v;
-    };
-    auto get64 = [&in] {
-        u64 v = 0;
-        in.read(reinterpret_cast<char *>(&v), 8);
-        return v;
-    };
-    if (get32() != kTraceMagic)
-        fatal("not an Icicle trace file: ", path);
-    const u32 version = get32();
-    if (version != 1 && version != kTraceVersion)
-        fatal("unsupported trace version ", version, " in ", path);
-    // Build the spec field-by-field with explicit validation. Going
-    // through TraceSpec::addLane here would silently *dedup* a
-    // corrupt duplicate (event, lane) pair, shifting the bit index of
-    // every subsequent field and misattributing all later signals —
-    // a malformed header must be rejected, not repaired.
-    TraceSpec spec;
-    const u32 num_fields = get32();
-    if (!in)
-        fatal("truncated trace file header: ", path);
-    if (num_fields > 64)
-        fatal("corrupt trace header in ", path, ": ", num_fields,
-              " fields (trace bundles are limited to 64 signals)");
-    for (u32 f = 0; f < num_fields; f++) {
-        const u32 event = get32();
-        const u32 lane = get32();
-        if (!in)
-            fatal("truncated trace file header: ", path);
-        if (event >= kNumEvents)
-            fatal("corrupt trace header in ", path, ": field ", f,
-                  " has out-of-range event id ", event);
-        if (lane >= kMaxSources)
-            fatal("corrupt trace header in ", path, ": field ", f,
-                  " has out-of-range lane ", lane);
-        const EventId id = static_cast<EventId>(event);
-        if (spec.indexOf(id, static_cast<u8>(lane)) >= 0)
-            fatal("corrupt trace header in ", path, ": field ", f,
-                  " duplicates (", eventName(id), ", lane ", lane,
-                  ")");
-        spec.fields.push_back(
-            TraceField{id, static_cast<u8>(lane)});
-    }
-    Trace trace(spec);
-    const u64 cycles = get64();
-    if (!in)
-        fatal("truncated trace file header: ", path);
-    Crc32 crc;
-    for (u64 c = 0; c < cycles; c++) {
-        const u64 word = get64();
-        if (!in)
-            fatal("truncated trace file ", path, ": header promises ",
-                  cycles, " cycles but only ", c,
-                  " cycle records are present");
-        crc.update(&word, 8);
-        trace.append(word);
-    }
-    if (version >= 2) {
-        const u32 stored = get32();
-        if (!in)
-            fatal("truncated trace file ", path, ": all ", cycles,
-                  " cycle records present but the CRC trailer is "
-                  "missing");
-        if (stored != crc.value())
-            fatal("corrupt trace file ", path,
-                  ": payload CRC mismatch (stored ", stored,
-                  ", computed ", crc.value(), ")");
-    }
     return trace;
 }
 
@@ -302,55 +212,46 @@ clampTraceWindow(u64 num_cycles, u64 begin, u64 end, const char *what)
     return end;
 }
 
+TmaResult
+windowTmaOf(u64 num_cycles, u64 begin, u64 end, u32 core_width,
+            const char *what, const WindowCounter &count)
+{
+    if (core_width == 0)
+        fatal(what, ": core width must be at least 1");
+    end = clampTraceWindow(num_cycles, begin, end, what);
+    auto count_in = [&](EventId event) {
+        return count(event, begin, end);
+    };
+    TmaCounters counters;
+    counters.cycles = end - begin;
+    counters.retiredUops = count_in(EventId::UopsRetired) +
+                           count_in(EventId::InstRetired);
+    counters.issuedUops = count_in(EventId::UopsIssued) +
+                          count_in(EventId::InstIssued);
+    counters.fetchBubbles = count_in(EventId::FetchBubbles);
+    counters.recovering = count_in(EventId::Recovering);
+    counters.branchMispredicts = count_in(EventId::BranchMispredict);
+    counters.machineClears = count_in(EventId::Flush);
+    counters.fencesRetired = count_in(EventId::FenceRetired);
+    counters.icacheBlocked = count_in(EventId::ICacheBlocked);
+    counters.dcacheBlocked = count_in(EventId::DCacheBlocked);
+    TmaParams params;
+    params.coreWidth = core_width;
+    return computeTma(counters, params);
+}
+
 // ------------------------------------------------------ TraceAnalyzer
 
 std::vector<SignalRun>
 TraceAnalyzer::runsOf(EventId event, u8 lane) const
 {
-    std::vector<SignalRun> runs;
-    const int field = trace.spec().indexOf(event, lane);
-    if (field < 0)
-        return runs;
-    bool in_run = false;
-    u64 start = 0;
-    for (u64 c = 0; c < trace.numCycles(); c++) {
-        const bool high = trace.bit(c, static_cast<u32>(field));
-        if (high && !in_run) {
-            in_run = true;
-            start = c;
-        } else if (!high && in_run) {
-            runs.push_back(SignalRun{start, c - start});
-            in_run = false;
-        }
-    }
-    if (in_run)
-        runs.push_back(SignalRun{start, trace.numCycles() - start});
-    return runs;
+    return runsOfMask(trace.raw(), laneMask(trace.spec(), event, lane));
 }
 
 std::vector<SignalRun>
 TraceAnalyzer::runsOfAny(EventId event) const
 {
-    std::vector<SignalRun> runs;
-    const u64 mask = trace.spec().fieldMask(event);
-    if (mask == 0)
-        return runs;
-    const std::vector<u64> &words = trace.raw();
-    bool in_run = false;
-    u64 start = 0;
-    for (u64 c = 0; c < words.size(); c++) {
-        const bool high = (words[c] & mask) != 0;
-        if (high && !in_run) {
-            in_run = true;
-            start = c;
-        } else if (!high && in_run) {
-            runs.push_back(SignalRun{start, c - start});
-            in_run = false;
-        }
-    }
-    if (in_run)
-        runs.push_back(SignalRun{start, trace.numCycles() - start});
-    return runs;
+    return runsOfMask(trace.raw(), trace.spec().fieldMask(event));
 }
 
 OverlapBound
@@ -470,46 +371,15 @@ RecoveryCdf::mode() const
 TmaResult
 TraceAnalyzer::windowTma(u64 begin, u64 end, u32 core_width) const
 {
-    TmaParams params;
-    params.coreWidth = core_width;
-    return windowTma(begin, end, params);
-}
-
-TmaResult
-TraceAnalyzer::windowTma(u64 begin, u64 end,
-                         const TmaParams &params) const
-{
-    end = clampTraceWindow(trace.numCycles(), begin, end,
-                           "TraceAnalyzer::windowTma");
-
-    TmaCounters counters;
-    counters.cycles = end - begin;
-    // Resolve each event's field mask once, then count set bits in
-    // the packed words: O(events x cycles) with a popcount per cycle
-    // instead of a linear indexOf() per field per cycle.
-    const std::vector<u64> &words = trace.raw();
-    auto count_in = [&](EventId event) {
-        const u64 mask = trace.spec().fieldMask(event);
-        if (mask == 0)
-            return u64{0};
-        u64 total = 0;
-        for (u64 c = begin; c < end; c++)
-            total += static_cast<u64>(std::popcount(words[c] & mask));
-        return total;
-    };
-    counters.retiredUops = count_in(EventId::UopsRetired) +
-                           count_in(EventId::InstRetired);
-    counters.issuedUops = count_in(EventId::UopsIssued) +
-                          count_in(EventId::InstIssued);
-    counters.fetchBubbles = count_in(EventId::FetchBubbles);
-    counters.recovering = count_in(EventId::Recovering);
-    counters.branchMispredicts = count_in(EventId::BranchMispredict);
-    counters.machineClears = count_in(EventId::Flush);
-    counters.fencesRetired = count_in(EventId::FenceRetired);
-    counters.icacheBlocked = count_in(EventId::ICacheBlocked);
-    counters.dcacheBlocked = count_in(EventId::DCacheBlocked);
-
-    return computeTma(counters, params);
+    // Each event's field mask is resolved once per window, then the
+    // packed words are popcounted: no per-field indexOf() per cycle.
+    return windowTmaOf(trace.numCycles(), begin, end, core_width,
+                       "TraceAnalyzer::windowTma",
+                       [this](EventId event, u64 lo, u64 hi) {
+                           return countMasked(trace.raw(),
+                                              trace.spec().fieldMask(event),
+                                              lo, hi);
+                       });
 }
 
 std::string

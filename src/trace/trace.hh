@@ -6,15 +6,16 @@
  * A TraceSpec selects which (event, lane) signals to record; the
  * tracer packs one bit per signal per simulated cycle, exactly like
  * the customized TraceRV bridge streams dynamic signals per cycle
- * instead of instruction data. Traces can be kept in memory or
- * round-tripped through a compact binary file, and the analyzer
- * recomputes counter values, temporal TMA windows, class-overlap
- * upper bounds (Table VI), and recovery-sequence CDFs (Fig. 8b).
+ * instead of instruction data. Traces are kept in memory or written
+ * to an .icst store (src/store/), and the analyzer recomputes
+ * counter values, temporal TMA windows, class-overlap upper bounds
+ * (Table VI), and recovery-sequence CDFs (Fig. 8b).
  */
 
 #ifndef ICICLE_TRACE_TRACE_HH
 #define ICICLE_TRACE_TRACE_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,7 @@ struct TraceField
     }
 };
 
-/** The set of signals a trace records (the TraceBundle definition). */
+/** The set of signals a trace records. */
 struct TraceSpec
 {
     std::vector<TraceField> fields;
@@ -66,18 +67,13 @@ struct TraceSpec
 };
 
 /**
- * Pack the current bus state into one trace word: bit f mirrors
- * field f of the spec. Shared by in-memory capture and the streaming
- * store path (src/store/), so both record identical bits.
- */
-u64 packTraceWord(const TraceSpec &spec, const EventBus &bus);
-
-/**
- * Precompiled packer for a TraceSpec: contiguous lanes of the same
- * event (the common case — addEvent() adds lanes 0..n-1 in order)
- * collapse into one shift-and-mask segment, so packing a cycle costs
- * a few ALU ops per *event* instead of a branch per *field*.
- * Produces bit-identical words to packTraceWord().
+ * Precompiled packer for a TraceSpec: bit f of a packed word mirrors
+ * field f of the spec. Contiguous lanes of the same event (the common
+ * case — addEvent() adds lanes 0..n-1 in order) collapse into one
+ * shift-and-mask segment, so packing a cycle costs a few ALU ops per
+ * *event* instead of a branch per *field*. Shared by in-memory
+ * capture and the streaming store path (src/store/), so both record
+ * identical bits.
  */
 class TracePacker
 {
@@ -172,15 +168,6 @@ class Trace
 Trace traceRun(Core &core, const TraceSpec &spec, u64 max_cycles);
 
 /**
- * Binary trace file I/O (the DMA-driver data format). writeTrace
- * appends a CRC32 of the cycle-record payload (format version 2);
- * readTrace verifies it and reports expected vs. actual cycle counts
- * on truncation. Version-1 files (no CRC) are still accepted.
- */
-void writeTrace(const Trace &trace, const std::string &path);
-Trace readTrace(const std::string &path);
-
-/**
  * Validate a [begin, end) cycle window against a trace length:
  * fatal() on zero-cycle traces, a begin at or past the end of the
  * trace, or an empty window. Clamps end to num_cycles and returns
@@ -188,6 +175,21 @@ Trace readTrace(const std::string &path);
  */
 u64 clampTraceWindow(u64 num_cycles, u64 begin, u64 end,
                      const char *what);
+
+/** Count the set bits of one event's lanes over cycles [begin, end). */
+using WindowCounter = std::function<u64(EventId event, u64 begin, u64 end)>;
+
+/**
+ * Temporal TMA over a [begin, end) window of a trace num_cycles long:
+ * the Table II model applied to per-event counts from `count`. The
+ * in-memory analyzer counts by scanning words, StoreReader from block
+ * footers; both go through here, so they validate and map counts to
+ * TmaCounters identically. The window is validated with
+ * clampTraceWindow(), and a core width of 0 is a fatal() error (it
+ * would otherwise report zero slots as an all-zero breakdown).
+ */
+TmaResult windowTmaOf(u64 num_cycles, u64 begin, u64 end, u32 core_width,
+                      const char *what, const WindowCounter &count);
 
 // --------------------------------------------------------------------
 // Temporal TMA analysis
@@ -263,19 +265,12 @@ class TraceAnalyzer
 
     /**
      * Temporal TMA over a cycle window: recompute counter values from
-     * trace bits and apply the Table II model. The window is
-     * validated with clampTraceWindow(): an empty window, a begin at
-     * or past the trace end, or a zero-cycle trace is a fatal()
-     * error, not a silently empty result.
+     * trace bits and apply the Table II model (windowTmaOf). An empty
+     * window, a begin at or past the trace end, a zero-cycle trace or
+     * a zero core width is a fatal() error, not a silently empty
+     * result.
      */
     TmaResult windowTma(u64 begin, u64 end, u32 core_width) const;
-
-    /**
-     * As above, with full model-parameter control (recovery length,
-     * TMA-005 paper-literal M_nf_r formula, ...).
-     */
-    TmaResult windowTma(u64 begin, u64 end,
-                        const TmaParams &params) const;
 
     /**
      * Render a Fig. 3 style ASCII dot plot of the traced signals over

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <utility>
 
 #include "core/session.hh"
 #include "store/store.hh"
@@ -370,6 +371,48 @@ TEST(CliContract, HelpTextGoesToStdoutUsageErrorToStderr)
                         .c_str());
         EXPECT_TRUE(slurp(captured.path).empty()) << bin;
     }
+}
+
+TEST(CliContract, MalformedNumbersExitTwoNamingTheFlag)
+{
+    // Regression: numeric values went through raw std::stoul/stoull,
+    // so a non-number ended in std::terminate (exit 134), `1e6` was
+    // read as 1, and `--lane 256` wrapped to lane 0. Each is now a
+    // usage error whose message names the flag.
+    TempPath store("cli_numbers.icst");
+    TempPath captured("cli_numbers_capture.icst");
+    std::unique_ptr<Core> core = makeSweepCore(
+        "rocket", CounterArch::AddWires, buildWorkload("vvadd"));
+    streamTraceToStore(*core, TraceSpec::tmaBundle(*core), 20000,
+                       store.path, 4096);
+    const std::string trace = ICICLE_TRACE_BIN;
+    const std::pair<std::string, std::string> cases[] = {
+        {trace + " tma " + quoted(store.path) + " --window abc:100",
+         "--window"},
+        {std::string(ICICLE_SWEEP_BIN) + " --cycles abc", "--cycles"},
+        {trace + " capture --core rocket --workload vvadd --store " +
+             quoted(captured.path) + " --cycles 1e6",
+         "--cycles"},
+        {trace + " query fetch-bubbles " + quoted(store.path) +
+             " --lane 256",
+         "--lane"},
+    };
+    for (const auto &[command, flag] : cases) {
+        TempPath errs("cli_numbers_err.txt");
+        const int status = std::system(
+            (command + " > /dev/null 2> " + quoted(errs.path)).c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << command;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+        const std::string diag = slurp(errs.path);
+        EXPECT_NE(diag.find(flag), std::string::npos)
+            << command << ": " << diag;
+    }
+    // `--cycles 1e6` must not have captured a 1-cycle store.
+    EXPECT_FALSE(std::filesystem::exists(captured.path));
+    // A zero core width is refused too, not reported as 0% everywhere.
+    EXPECT_EQ(run(trace + " tma " + quoted(store.path) +
+                  " --window 0:1000 --width 0"),
+              2);
 }
 
 TEST(CliSweep, ResumeGridMismatchNamesJournalAndBothHashes)

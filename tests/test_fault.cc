@@ -122,16 +122,16 @@ TEST_F(FaultTest, MalformedSpecsAreFatal)
 
 TEST_F(FaultTest, ClausesFireAtTheirOrdinalThenExpire)
 {
-    setFaultSpec("enospc@trace#2");
-    EXPECT_EQ(faultPlan().onWrite(FaultSite::TraceWrite),
+    setFaultSpec("enospc@report#2");
+    EXPECT_EQ(faultPlan().onWrite(FaultSite::ReportWrite),
               FaultPlan::WriteAction::None); // op 0
     EXPECT_EQ(faultPlan().onWrite(FaultSite::StoreWrite),
               FaultPlan::WriteAction::None); // other site, op 0
-    EXPECT_EQ(faultPlan().onWrite(FaultSite::TraceWrite),
+    EXPECT_EQ(faultPlan().onWrite(FaultSite::ReportWrite),
               FaultPlan::WriteAction::None); // op 1
-    EXPECT_EQ(faultPlan().onWrite(FaultSite::TraceWrite),
+    EXPECT_EQ(faultPlan().onWrite(FaultSite::ReportWrite),
               FaultPlan::WriteAction::Enospc); // op 2: fires
-    EXPECT_EQ(faultPlan().onWrite(FaultSite::TraceWrite),
+    EXPECT_EQ(faultPlan().onWrite(FaultSite::ReportWrite),
               FaultPlan::WriteAction::None); // expired
 }
 

@@ -84,10 +84,10 @@ TEST(Integration, FullStackPipeline)
     EXPECT_NEAR(in_band.retiring, oob.retiring, 1e-9);
     EXPECT_NEAR(in_band.memBound, oob.memBound, 1e-9);
 
-    // 5. Trace survives a file round-trip and re-analyzes identically.
-    const std::string path = "/tmp/icicle_integration.trace";
-    writeTrace(trace, path);
-    const Trace loaded = readTrace(path);
+    // 5. Trace survives a store round-trip and re-analyzes identically.
+    const std::string path = "/tmp/icicle_integration.icst";
+    trace.toStore(path);
+    const Trace loaded = Trace::fromStore(path);
     TraceAnalyzer analyzer(loaded);
     const TmaResult windowed =
         analyzer.windowTma(0, loaded.numCycles(), core.coreWidth());

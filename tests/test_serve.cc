@@ -32,8 +32,10 @@
 #include "serve/pool.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "store/store.hh"
 #include "sweep/journal.hh"
 #include "sweep/sweep.hh"
+#include "workloads/workloads.hh"
 
 namespace icicle
 {
@@ -505,6 +507,49 @@ TEST(ServeEndToEnd, CachedRepliesAreByteIdentical)
         // The daemon survived the error; a fresh client still works.
         ServeClient client(options.socketPath);
         client.ping();
+        client.shutdown();
+    }
+    daemon.join();
+}
+
+TEST(ServeEndToEnd, ZeroWidthWindowIsAnErrorAndTheDaemonKeepsServing)
+{
+    // Regression: a window query with core width 0 was answered with
+    // zero slots and 0% in every class, which reads like a perfect
+    // run. It must get an Error reply, and the daemon must go on
+    // answering the same store.
+    TempDir dir("serve_zero_width");
+    const std::string store = dir.path + "/run.icst";
+    {
+        std::unique_ptr<Core> core = makeSweepCore(
+            "rocket", CounterArch::AddWires, buildWorkload("vvadd"));
+        streamTraceToStore(*core, TraceSpec::tmaBundle(*core), 20'000,
+                           store, 4096);
+    }
+    ServerOptions options;
+    options.socketPath = dir.path + "/icicled.sock";
+    options.cacheDir = dir.path + "/cache";
+    options.shards = 1;
+    IcicleServer server(options);
+    std::thread daemon([&] { server.run(); });
+    {
+        ServeClient client(options.socketPath);
+        WindowQuery query;
+        query.storePath = store;
+        query.begin = 0;
+        query.end = 1'000;
+        query.coreWidth = 0;
+        try {
+            client.windowTma(query);
+            // ADD_FAILURE, not FAIL: the daemon must still be joined.
+            ADD_FAILURE() << "zero-width window answered";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("core width"),
+                      std::string::npos)
+                << err.what();
+        }
+        query.coreWidth = 1;
+        EXPECT_EQ(client.windowTma(query).tma.totalSlots, 1'000u);
         client.shutdown();
     }
     daemon.join();

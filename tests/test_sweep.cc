@@ -301,7 +301,8 @@ TEST(SweepEngine, TraceOutWritesDeterministicStores)
         // And the store agrees with the row's trace-derived metrics.
         StoreReader reader(p1);
         EXPECT_EQ(reader.numCycles(), row.cycles);
-        EXPECT_EQ(reader.recoveryCdf().sequences(),
+        const Trace stored = reader.readAll();
+        EXPECT_EQ(TraceAnalyzer(stored).recoveryCdf().sequences(),
                   row.recoverySequences);
     }
     std::filesystem::remove_all(dir1);

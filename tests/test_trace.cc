@@ -82,9 +82,9 @@ TEST(Trace, BinaryRoundTrip)
     RocketCore core(RocketConfig{}, branchyLoop(300));
     Trace trace =
         traceRun(core, TraceSpec::frontendBundle(), 1'000'000);
-    const std::string path = "/tmp/icicle_test_trace.bin";
-    writeTrace(trace, path);
-    Trace loaded = readTrace(path);
+    const std::string path = "/tmp/icicle_test_trace.icst";
+    trace.toStore(path);
+    Trace loaded = Trace::fromStore(path);
     ASSERT_EQ(loaded.numCycles(), trace.numCycles());
     ASSERT_EQ(loaded.spec().numFields(), trace.spec().numFields());
     EXPECT_EQ(loaded.raw(), trace.raw());
@@ -93,11 +93,11 @@ TEST(Trace, BinaryRoundTrip)
 
 TEST(Trace, ReadRejectsGarbage)
 {
-    const std::string path = "/tmp/icicle_bad_trace.bin";
+    const std::string path = "/tmp/icicle_bad_trace.icst";
     FILE *f = fopen(path.c_str(), "wb");
     fputs("not a trace", f);
     fclose(f);
-    EXPECT_THROW(readTrace(path), FatalError);
+    EXPECT_THROW(Trace::fromStore(path), FatalError);
     std::remove(path.c_str());
 }
 

@@ -417,43 +417,43 @@ main(int argc, char **argv)
     if (const char *env = std::getenv("ICICLED_SOCKET"))
         opts.socket = env;
 
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                std::exit(cli::missingValue(arg, kUsage));
-            return argv[++i];
-        };
-        if (cli::isHelp(arg)) {
-            return cli::usageExit(stdout, kUsage);
-        } else if (arg == "--socket") {
-            opts.socket = value();
-        } else if (arg == "--clients") {
-            opts.clients = static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--requests") {
-            opts.requests = static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--hot-fraction") {
-            opts.hotFraction = std::stod(value());
-        } else if (arg == "--hot-keys") {
-            opts.hotKeys = static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--cycles") {
-            opts.maxCycles = std::stoull(value());
-        } else if (arg == "--out") {
-            opts.outPath = value();
-        } else if (arg == "--validate") {
-            opts.validatePath = value();
-        } else if (arg == "--check") {
-            opts.checkPath = value();
-        } else if (arg == "--min-hit-rate") {
-            opts.minHitRate = std::stod(value());
-        } else if (arg == "--min-speedup") {
-            opts.minSpeedup = std::stod(value());
-        } else {
-            return cli::unknownOption(arg, kUsage);
-        }
-    }
-
     try {
+        for (int i = 1; i < argc; i++) {
+            const std::string arg = argv[i];
+            auto value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    std::exit(cli::missingValue(arg, kUsage));
+                return argv[++i];
+            };
+            if (cli::isHelp(arg)) {
+                return cli::usageExit(stdout, kUsage);
+            } else if (arg == "--socket") {
+                opts.socket = value();
+            } else if (arg == "--clients") {
+                opts.clients = cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--requests") {
+                opts.requests = cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--hot-fraction") {
+                opts.hotFraction = cli::parseNumber<double>(arg, value());
+            } else if (arg == "--hot-keys") {
+                opts.hotKeys = cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--cycles") {
+                opts.maxCycles = cli::parseNumber<u64>(arg, value());
+            } else if (arg == "--out") {
+                opts.outPath = value();
+            } else if (arg == "--validate") {
+                opts.validatePath = value();
+            } else if (arg == "--check") {
+                opts.checkPath = value();
+            } else if (arg == "--min-hit-rate") {
+                opts.minHitRate = cli::parseNumber<double>(arg, value());
+            } else if (arg == "--min-speedup") {
+                opts.minSpeedup = cli::parseNumber<double>(arg, value());
+            } else {
+                return cli::unknownOption(arg, kUsage);
+            }
+        }
+
         if (!opts.validatePath.empty()) {
             std::string error;
             if (!validateServeReport(loadReport(opts.validatePath),

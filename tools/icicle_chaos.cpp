@@ -77,60 +77,60 @@ main(int argc, char **argv)
     ChaosOptions opts;
     std::string json_path;
     std::string sarif_path;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::exit(cli::missingValue(arg, kUsage));
-            }
-            return argv[++i];
-        };
-        if (cli::isHelp(arg))
-            return cli::usageExit(stdout, kUsage);
-        if (arg == "--dir") {
-            opts.dir = value();
-        } else if (arg == "--seed") {
-            opts.seed = std::stoull(value());
-        } else if (arg == "--episodes") {
-            opts.episodes = static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--clients") {
-            opts.clients = static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--requests") {
-            opts.requestsPerClient =
-                static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--cycles") {
-            opts.maxCycles = std::stoull(value());
-        } else if (arg == "--shards") {
-            opts.shards = static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--max-conns") {
-            opts.maxConns = static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--max-queue") {
-            opts.maxQueue = static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--attempt-timeout") {
-            opts.attemptTimeoutMs =
-                static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--deadline") {
-            opts.totalDeadlineMs =
-                static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--clean") {
-            opts.clean = true;
-        } else if (arg == "--overload") {
-            opts.overloadDrill = true;
-        } else if (arg == "--json") {
-            json_path = value();
-        } else if (arg == "--sarif") {
-            sarif_path = value();
-        } else {
-            return cli::unknownOption(arg, kUsage);
-        }
-    }
-    if (opts.overloadDrill && opts.maxConns == 0) {
-        std::fprintf(stderr, "fatal: --overload needs --max-conns "
-                             "(clients must exceed the cap)\n");
-        return 2;
-    }
-
     try {
+        for (int i = 1; i < argc; i++) {
+            const std::string arg = argv[i];
+            auto value = [&]() -> std::string {
+                if (i + 1 >= argc) {
+                    std::exit(cli::missingValue(arg, kUsage));
+                }
+                return argv[++i];
+            };
+            if (cli::isHelp(arg))
+                return cli::usageExit(stdout, kUsage);
+            if (arg == "--dir") {
+                opts.dir = value();
+            } else if (arg == "--seed") {
+                opts.seed = cli::parseNumber<u64>(arg, value());
+            } else if (arg == "--episodes") {
+                opts.episodes = cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--clients") {
+                opts.clients = cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--requests") {
+                opts.requestsPerClient =
+                    cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--cycles") {
+                opts.maxCycles = cli::parseNumber<u64>(arg, value());
+            } else if (arg == "--shards") {
+                opts.shards = cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--max-conns") {
+                opts.maxConns = cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--max-queue") {
+                opts.maxQueue = cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--attempt-timeout") {
+                opts.attemptTimeoutMs =
+                    cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--deadline") {
+                opts.totalDeadlineMs =
+                    cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--clean") {
+                opts.clean = true;
+            } else if (arg == "--overload") {
+                opts.overloadDrill = true;
+            } else if (arg == "--json") {
+                json_path = value();
+            } else if (arg == "--sarif") {
+                sarif_path = value();
+            } else {
+                return cli::unknownOption(arg, kUsage);
+            }
+        }
+        if (opts.overloadDrill && opts.maxConns == 0) {
+            std::fprintf(stderr, "fatal: --overload needs --max-conns "
+                                 "(clients must exceed the cap)\n");
+            return 2;
+        }
+
         // The chaos drive doubles as a lock-order witness: every
         // admission/conn/shard/fault lock nesting it exercises lands
         // in the graph, and a chaos-only cycle fails the run.

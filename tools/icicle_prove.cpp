@@ -117,9 +117,9 @@ parseArgs(int argc, char **argv, int first)
         else if (arg == "--live")
             args.live = true;
         else if (arg == "--horizon")
-            args.horizon = static_cast<u32>(std::stoul(value()));
+            args.horizon = cli::parseNumber<u32>(arg, value());
         else if (arg == "--cycles") {
-            args.cycles = std::stoull(value());
+            args.cycles = cli::parseNumber<u64>(arg, value());
             args.cyclesSet = true;
         }
         else if (arg == "--core")

@@ -154,7 +154,8 @@ loadSpecFile(const std::string &path, GridSpec &grid)
             for (const std::string &arch : splitList(value))
                 grid.counterArchs.push_back(parseCounterArch(arch));
         } else if (key == "cycles") {
-            grid.maxCycles = std::stoull(value);
+            grid.maxCycles = cli::parseNumber<u64>(
+                path + ":" + std::to_string(line_no) + ": cycles", value);
         } else if (key == "trace") {
             grid.withTrace = value == "on" || value == "true" ||
                              value == "1";
@@ -222,70 +223,70 @@ main(int argc, char **argv)
     std::vector<std::string> flag_cores, flag_workloads, flag_suites,
         flag_archs;
 
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                std::exit(cli::missingValue(arg, kUsage));
-            return argv[++i];
-        };
-        if (arg == "--cores") {
-            append(flag_cores, splitList(value()));
-        } else if (arg == "--workloads") {
-            append(flag_workloads, splitList(value()));
-        } else if (arg == "--suite") {
-            append(flag_suites, splitList(value()));
-        } else if (arg == "--archs") {
-            append(flag_archs, splitList(value()));
-            archs_set = true;
-        } else if (arg == "--cycles") {
-            grid.maxCycles = std::stoull(value());
-        } else if (arg == "--trace") {
-            grid.withTrace = true;
-        } else if (arg == "--trace-out") {
-            options.traceOutDir = value();
-            grid.withTrace = true;
-        } else if (arg == "--spec") {
-            spec_path = value();
-        } else if (arg == "--workers") {
-            options.workers =
-                static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--retries") {
-            options.maxAttempts =
-                static_cast<u32>(std::stoul(value()));
-        } else if (arg == "--timeout") {
-            options.timeoutSec = std::stod(value());
-        } else if (arg == "--journal") {
-            options.journalPath = value();
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (arg == "--format") {
-            format = value();
-        } else if (arg == "--timing") {
-            timing = true;
-        } else if (arg == "--progress") {
-            progress = true;
-        } else if (arg == "--out") {
-            out_path = value();
-        } else if (arg == "--list") {
-            listAxes();
-            return 0;
-        } else if (cli::isHelp(arg)) {
-            return usage(stdout);
-        } else {
-            return cli::unknownOption(arg, kUsage);
-        }
-    }
-    if (format != "text" && format != "csv" && format != "json") {
-        std::fprintf(stderr, "unknown format: %s\n", format.c_str());
-        return usage(stderr);
-    }
-    if (options.resume && options.journalPath.empty()) {
-        std::fprintf(stderr, "--resume requires --journal\n");
-        return usage(stderr);
-    }
-
     try {
+        for (int i = 1; i < argc; i++) {
+            const std::string arg = argv[i];
+            auto value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    std::exit(cli::missingValue(arg, kUsage));
+                return argv[++i];
+            };
+            if (arg == "--cores") {
+                append(flag_cores, splitList(value()));
+            } else if (arg == "--workloads") {
+                append(flag_workloads, splitList(value()));
+            } else if (arg == "--suite") {
+                append(flag_suites, splitList(value()));
+            } else if (arg == "--archs") {
+                append(flag_archs, splitList(value()));
+                archs_set = true;
+            } else if (arg == "--cycles") {
+                grid.maxCycles = cli::parseNumber<u64>(arg, value());
+            } else if (arg == "--trace") {
+                grid.withTrace = true;
+            } else if (arg == "--trace-out") {
+                options.traceOutDir = value();
+                grid.withTrace = true;
+            } else if (arg == "--spec") {
+                spec_path = value();
+            } else if (arg == "--workers") {
+                options.workers =
+                    cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--retries") {
+                options.maxAttempts =
+                    cli::parseNumber<u32>(arg, value());
+            } else if (arg == "--timeout") {
+                options.timeoutSec = cli::parseNumber<double>(arg, value());
+            } else if (arg == "--journal") {
+                options.journalPath = value();
+            } else if (arg == "--resume") {
+                options.resume = true;
+            } else if (arg == "--format") {
+                format = value();
+            } else if (arg == "--timing") {
+                timing = true;
+            } else if (arg == "--progress") {
+                progress = true;
+            } else if (arg == "--out") {
+                out_path = value();
+            } else if (arg == "--list") {
+                listAxes();
+                return 0;
+            } else if (cli::isHelp(arg)) {
+                return usage(stdout);
+            } else {
+                return cli::unknownOption(arg, kUsage);
+            }
+        }
+        if (format != "text" && format != "csv" && format != "json") {
+            std::fprintf(stderr, "unknown format: %s\n", format.c_str());
+            return usage(stderr);
+        }
+        if (options.resume && options.journalPath.empty()) {
+            std::fprintf(stderr, "--resume requires --journal\n");
+            return usage(stderr);
+        }
+
         if (!options.traceOutDir.empty())
             validateTraceOutDir(options.traceOutDir);
         if (!spec_path.empty())

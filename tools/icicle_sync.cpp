@@ -228,32 +228,32 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::exit(cli::missingValue(arg, kUsage));
-            }
-            return argv[++i];
-        };
-        if (cli::isHelp(arg))
-            return cli::usageExit(stdout, kUsage);
-        if (arg == "--dir") {
-            args.dir = value();
-        } else if (arg == "--json") {
-            args.jsonPath = value();
-        } else if (arg == "--sarif") {
-            args.sarifPath = value();
-        } else if (arg == "--cycles") {
-            args.cycles = std::stoull(value());
-        } else if (arg == "--mutant") {
-            args.mutant = true;
-        } else {
-            return cli::unknownOption(arg, kUsage);
-        }
-    }
-
     try {
+        for (int i = 1; i < argc; i++) {
+            const std::string arg = argv[i];
+            auto value = [&]() -> std::string {
+                if (i + 1 >= argc) {
+                    std::exit(cli::missingValue(arg, kUsage));
+                }
+                return argv[++i];
+            };
+            if (cli::isHelp(arg))
+                return cli::usageExit(stdout, kUsage);
+            if (arg == "--dir") {
+                args.dir = value();
+            } else if (arg == "--json") {
+                args.jsonPath = value();
+            } else if (arg == "--sarif") {
+                args.sarifPath = value();
+            } else if (arg == "--cycles") {
+                args.cycles = cli::parseNumber<u64>(arg, value());
+            } else if (arg == "--mutant") {
+                args.mutant = true;
+            } else {
+                return cli::unknownOption(arg, kUsage);
+            }
+        }
+
         lockorder::setLockOrderEnabled(true);
         lockorder::resetLockOrder();
         if (args.mutant) {

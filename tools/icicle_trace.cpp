@@ -1,20 +1,18 @@
 /**
  * @file
- * icicle-trace: inspect, convert, and query icestore (.icst) trace
- * containers and the legacy raw (.trc) format.
+ * icicle-trace: capture, inspect, query and salvage icestore (.icst)
+ * trace containers.
  *
  *   $ icicle-trace info run.icst --verify
- *   $ icicle-trace pack raw.trc run.icst --block 65536
- *   $ icicle-trace unpack run.icst raw.trc
  *   $ icicle-trace query fetch-bubbles run.icst --window 1000:9000
  *   $ icicle-trace tma run.icst --window 0:500000 --width 3
  *   $ icicle-trace capture --core boom-large --workload qsort \
- *       --cycles 2000000 --raw run.trc --store run.icst
+ *       --cycles 2000000 --store run.icst
  *
  * `query` and `tma` are served from block metadata wherever
  * possible: both report how many blocks actually decoded, the
- * sublinear-query evidence. `capture` with only --store streams the
- * run straight to disk without materializing the in-memory trace.
+ * sublinear-query evidence. `capture` streams the run straight to
+ * disk without materializing the in-memory trace.
  *
  * Exit status: 0 ok, 2 usage error or malformed input; `salvage`
  * additionally exits 1 when it recovered a damaged store.
@@ -27,11 +25,9 @@
 
 #include "common/argparse.hh"
 #include "common/logging.hh"
-#include "core/session.hh"
 #include "fault/atomic_file.hh"
 #include "store/store.hh"
 #include "sweep/sweep.hh"
-#include "trace/trace.hh"
 #include "workloads/workloads.hh"
 
 using namespace icicle;
@@ -45,20 +41,15 @@ constexpr char kUsage[] =
         "  info FILE.icst [--verify]\n"
         "      header, block, and compression summary; --verify\n"
         "      CRC-checks every block\n"
-        "  pack IN.trc OUT.icst [--block N]\n"
-        "      compress a raw trace into a block-indexed store\n"
-        "  unpack IN.icst OUT.trc\n"
-        "      expand a store back into the raw format\n"
         "  query EVENT FILE.icst [--lane N] [--window A:B]\n"
         "      count event cycles (all lanes unless --lane), served\n"
         "      from block metadata where possible\n"
         "  tma FILE.icst --window A:B [--width N]\n"
         "      temporal TMA over the window (Table II model)\n"
-        "  capture --core NAME --workload NAME [--cycles N]\n"
-        "          [--bundle tma|frontend] [--raw F] [--store F]\n"
-        "          [--block N]\n"
-        "      run a simulation and write its trace; with only\n"
-        "      --store the capture streams (bounded memory)\n"
+        "  capture --core NAME --workload NAME --store F\n"
+        "          [--cycles N] [--bundle tma|frontend] [--block N]\n"
+        "      run a simulation and stream its trace into a store\n"
+        "      (bounded memory)\n"
         "  salvage FILE.icst [--repaired OUT.icst] [--report F.json]\n"
         "      recover every CRC-valid block from a damaged store;\n"
         "      --repaired re-streams them into a sealed store,\n"
@@ -93,8 +84,8 @@ parseWindow(const std::string &text, u64 &begin, u64 &end)
     const auto colon = text.find(':');
     if (colon == std::string::npos)
         fatal("--window expects A:B, got '", text, "'");
-    begin = std::stoull(text.substr(0, colon));
-    end = std::stoull(text.substr(colon + 1));
+    begin = cli::parseNumber<u64>("--window", text.substr(0, colon));
+    end = cli::parseNumber<u64>("--window", text.substr(colon + 1));
 }
 
 /** Flag cursor: positional args collect, --flags consume values. */
@@ -108,7 +99,7 @@ struct Args
     u32 width = 1;
     u32 block = 0;
     u64 cycles = 80'000'000;
-    std::string core, workload, bundle = "tma", raw, store;
+    std::string core, workload, bundle = "tma", store;
     std::string repaired, report;
 };
 
@@ -129,21 +120,19 @@ parseArgs(int argc, char **argv, int first)
             parseWindow(value(), args.begin, args.end);
             args.has_window = true;
         } else if (arg == "--lane")
-            args.lane = static_cast<int>(std::stoul(value()));
+            args.lane = cli::parseNumber<u8>(arg, value());
         else if (arg == "--width")
-            args.width = static_cast<u32>(std::stoul(value()));
+            args.width = cli::parseNumber<u32>(arg, value());
         else if (arg == "--block")
-            args.block = static_cast<u32>(std::stoul(value()));
+            args.block = cli::parseNumber<u32>(arg, value());
         else if (arg == "--cycles")
-            args.cycles = std::stoull(value());
+            args.cycles = cli::parseNumber<u64>(arg, value());
         else if (arg == "--core")
             args.core = value();
         else if (arg == "--workload")
             args.workload = value();
         else if (arg == "--bundle")
             args.bundle = value();
-        else if (arg == "--raw")
-            args.raw = value();
         else if (arg == "--store")
             args.store = value();
         else if (arg == "--repaired")
@@ -190,37 +179,6 @@ cmdInfo(const Args &args)
                     static_cast<unsigned long long>(
                         reader.count(field.event, field.lane)));
     }
-    return 0;
-}
-
-int
-cmdPack(const Args &args)
-{
-    if (args.positional.size() != 2)
-        fatal("pack expects IN.trc OUT.icst");
-    const Trace trace = readTrace(args.positional[0]);
-    trace.toStore(args.positional[1], args.block);
-    StoreReader reader(args.positional[1]);
-    std::printf("packed %llu cycles x %u fields into %u blocks, "
-                "%.2fx compression\n",
-                static_cast<unsigned long long>(reader.numCycles()),
-                reader.spec().numFields(), reader.numBlocks(),
-                static_cast<double>(reader.rawBytes()) /
-                    static_cast<double>(reader.fileBytes()));
-    return 0;
-}
-
-int
-cmdUnpack(const Args &args)
-{
-    if (args.positional.size() != 2)
-        fatal("unpack expects IN.icst OUT.trc");
-    StoreReader reader(args.positional[0]);
-    reader.verify();
-    writeTrace(reader.readAll(), args.positional[1]);
-    std::printf("unpacked %llu cycles x %u fields\n",
-                static_cast<unsigned long long>(reader.numCycles()),
-                reader.spec().numFields());
     return 0;
 }
 
@@ -287,10 +245,8 @@ cmdTma(const Args &args)
 int
 cmdCapture(const Args &args)
 {
-    if (args.core.empty() || args.workload.empty())
-        fatal("capture requires --core and --workload");
-    if (args.raw.empty() && args.store.empty())
-        fatal("capture requires --raw and/or --store");
+    if (args.core.empty() || args.workload.empty() || args.store.empty())
+        fatal("capture requires --core, --workload and --store");
     std::unique_ptr<Core> core = makeSweepCore(
         args.core, CounterArch::AddWires, buildWorkload(args.workload));
     TraceSpec spec;
@@ -302,18 +258,8 @@ cmdCapture(const Args &args)
         fatal("unknown bundle '", args.bundle,
               "' (tma, frontend)");
 
-    u64 cycles = 0;
-    if (args.raw.empty()) {
-        // Store-only: stream straight to disk, bounded memory.
-        cycles = streamTraceToStore(*core, spec, args.cycles,
-                                    args.store, args.block);
-    } else {
-        const Trace trace = traceRun(*core, spec, args.cycles);
-        cycles = trace.numCycles();
-        writeTrace(trace, args.raw);
-        if (!args.store.empty())
-            trace.toStore(args.store, args.block);
-    }
+    const u64 cycles = streamTraceToStore(*core, spec, args.cycles,
+                                          args.store, args.block);
     std::printf("captured %llu cycles of %s/%s (%s bundle)\n",
                 static_cast<unsigned long long>(cycles),
                 args.core.c_str(), args.workload.c_str(),
@@ -374,10 +320,6 @@ main(int argc, char **argv)
         const Args args = parseArgs(argc, argv, 2);
         if (command == "info")
             return cmdInfo(args);
-        if (command == "pack")
-            return cmdPack(args);
-        if (command == "unpack")
-            return cmdUnpack(args);
         if (command == "query")
             return cmdQuery(args);
         if (command == "tma")

@@ -140,25 +140,25 @@ parseArgs(int argc, char **argv, int first, Args &args, int *status)
         } else if (arg == "--cache-dir") {
             args.cacheDir = value();
         } else if (arg == "--shards") {
-            args.shards = static_cast<u32>(std::stoul(value()));
+            args.shards = cli::parseNumber<u32>(arg, value());
         } else if (arg == "--job-timeout") {
-            args.jobTimeoutMs = static_cast<u32>(std::stoul(value()));
+            args.jobTimeoutMs = cli::parseNumber<u32>(arg, value());
         } else if (arg == "--max-conns") {
-            args.maxConns = static_cast<u32>(std::stoul(value()));
+            args.maxConns = cli::parseNumber<u32>(arg, value());
         } else if (arg == "--max-queue") {
-            args.maxQueue = static_cast<u32>(std::stoul(value()));
+            args.maxQueue = cli::parseNumber<u32>(arg, value());
         } else if (arg == "--idle-timeout") {
             args.idleTimeoutMs =
-                static_cast<u32>(std::stoul(value()));
+                cli::parseNumber<u32>(arg, value());
         } else if (arg == "--timeout") {
             args.client.attemptTimeoutMs =
-                static_cast<u32>(std::stoul(value()));
+                cli::parseNumber<u32>(arg, value());
         } else if (arg == "--deadline") {
             args.client.totalDeadlineMs =
-                static_cast<u32>(std::stoul(value()));
+                cli::parseNumber<u32>(arg, value());
         } else if (arg == "--retries") {
             args.client.maxRetries =
-                static_cast<u32>(std::stoul(value()));
+                cli::parseNumber<u32>(arg, value());
         } else if (arg == "--cores") {
             for (const std::string &core : splitList(value()))
                 args.query.cores.push_back(core);
@@ -172,9 +172,9 @@ parseArgs(int argc, char **argv, int first, Args &args, int *status)
             for (const std::string &a : splitList(value()))
                 args.query.archs.push_back(parseCounterArch(a));
         } else if (arg == "--cycles") {
-            args.query.maxCycles = std::stoull(value());
+            args.query.maxCycles = cli::parseNumber<u64>(arg, value());
         } else if (arg == "--seed") {
-            args.query.seed = std::stoull(value());
+            args.query.seed = cli::parseNumber<u64>(arg, value());
         } else if (arg == "--format") {
             args.query.format = value();
         } else if (arg == "--store") {
@@ -189,11 +189,13 @@ parseArgs(int argc, char **argv, int first, Args &args, int *status)
                 *status = cli::usageExit(stderr, kUsage);
                 return false;
             }
-            args.begin = std::stoull(text.substr(0, colon));
-            args.end = std::stoull(text.substr(colon + 1));
+            args.begin =
+                cli::parseNumber<u64>(arg, text.substr(0, colon));
+            args.end =
+                cli::parseNumber<u64>(arg, text.substr(colon + 1));
             args.hasWindow = true;
         } else if (arg == "--width") {
-            args.width = static_cast<u32>(std::stoul(value()));
+            args.width = cli::parseNumber<u32>(arg, value());
         } else {
             *status = cli::unknownOption(arg, kUsage);
             return false;
@@ -321,7 +323,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "fatal: %s\n", err.what());
         return 2;
     } catch (const std::exception &err) {
-        // Bad numeric flag values (stoull and friends).
         std::fprintf(stderr, "fatal: %s\n", err.what());
         return 2;
     }
