@@ -48,6 +48,14 @@ serveCacheKey(const SweepPoint &point, u64 seed)
     return key;
 }
 
+u64
+serveRunHash(const SweepPoint &point, u64 seed)
+{
+    SweepPoint scalar = point;
+    scalar.counterArch = CounterArch::Scalar;
+    return serveCacheKey(scalar, seed).hash;
+}
+
 ResultCache::ResultCache(const std::string &dir) : cacheDir(dir)
 {
     std::error_code ec;

@@ -8,7 +8,7 @@
  * the key is the serialized identity blob itself (cache-format
  * version, the sweep journal's per-job fields: canonical label,
  * cycle budget, trace flag, plus the request seed), and its FNV-1a
- * 64-bit hash names the entry file and routes the shard. The hash is
+ * 64-bit hash names the entry file. The hash is
  * only an address: lookup compares the blob stored in the entry
  * byte-for-byte against the requested blob, so a hash collision
  * degrades to a miss and a re-simulation, never to another point's
@@ -45,9 +45,9 @@ constexpr u32 kServeCacheVersion = 2;
 /**
  * The content address of one point's result: the full identity blob
  * plus its FNV-1a 64 hash. The blob is authoritative (compared
- * byte-for-byte on lookup); the hash only names the entry file and
- * picks the shard, so two points whose blobs collide in the hash
- * contend for one file name but can never serve each other's result.
+ * byte-for-byte on lookup); the hash only names the entry file, so
+ * two points whose blobs collide in the hash contend for one file
+ * name but can never serve each other's result.
  */
 struct ServeKey
 {
@@ -61,6 +61,14 @@ struct ServeKey
  * superset of sweepGridHash's per-job fields.
  */
 ServeKey serveCacheKey(const SweepPoint &point, u64 seed);
+
+/**
+ * The shard-routing hash of a point's run: the hash of the run's
+ * Scalar point's cache key, so it ignores the counter architecture
+ * and every architecture of one (core, workload) routes to one shard
+ * and is filled by one worker job.
+ */
+u64 serveRunHash(const SweepPoint &point, u64 seed);
 
 /** Disk-backed result cache; safe for concurrent lookup/publish. */
 class ResultCache

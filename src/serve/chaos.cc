@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -29,20 +30,30 @@ struct ChaosQuery
 /**
  * The fixed query set: small single- and multi-point grids over the
  * fast cores/workloads, csv format (stable, newline-terminated
- * rows). Expected bytes come from the same engine the CLI uses, so
- * CHAOS-001 is exactly the serve-vs-CLI byte-identity claim.
+ * rows); the last asks every counter architecture of one run, so a
+ * cold fill sends a multi-point job. Expected bytes come from the
+ * same engine the CLI uses, so CHAOS-001 is exactly the serve-vs-CLI
+ * byte-identity claim.
  */
 std::vector<ChaosQuery>
 buildQueries(const ChaosOptions &opts)
 {
-    std::vector<std::vector<std::string>> workload_sets = {
-        {"vvadd"}, {"towers"}, {"vvadd", "towers"}};
+    const std::vector<CounterArch> addwires = {CounterArch::AddWires};
+    const std::vector<CounterArch> all = {CounterArch::Scalar,
+                                          CounterArch::AddWires,
+                                          CounterArch::Distributed};
+    const std::vector<std::pair<std::vector<std::string>,
+                                std::vector<CounterArch>>>
+        grids = {{{"vvadd"}, addwires},
+                 {{"towers"}, addwires},
+                 {{"vvadd", "towers"}, addwires},
+                 {{"vvadd"}, all}};
     std::vector<ChaosQuery> queries;
-    for (const auto &workloads : workload_sets) {
+    for (const auto &[workloads, archs] : grids) {
         ChaosQuery cq;
         cq.query.cores = {"rocket"};
         cq.query.workloads = workloads;
-        cq.query.archs = {CounterArch::AddWires};
+        cq.query.archs = archs;
         cq.query.maxCycles = opts.maxCycles;
         cq.query.format = "csv";
 
@@ -92,9 +103,10 @@ episodeSpec(const ChaosOptions &opts, u32 episode)
          << (100 + rng.below(200));
     spec << ",stall@write#" << rng.below(replies) << "="
          << (opts.attemptTimeoutMs + 500);
-    // Only cache misses dispatch jobs, and the query set holds two
-    // distinct points — target the first dispatches so the clause
-    // actually fires on the cold (first) episode.
+    // Only cache misses dispatch jobs, one per run, and the query
+    // set holds two distinct runs (rocket/vvadd and rocket/towers) —
+    // target the first dispatches so the clause actually fires on the
+    // cold (first) episode.
     spec << ",kill@worker#" << rng.below(2);
     return spec.str();
 }
@@ -147,6 +159,7 @@ clientThread(const ChaosOptions &opts, u32 episode, u32 thread_index,
                         cq.query.workloads.front() +
                         (cq.query.workloads.size() > 1 ? "+..."
                                                        : "") +
+                        (cq.query.archs.size() > 1 ? " x archs" : "") +
                         "'");
                 }
             } catch (const FatalError &err) {

@@ -124,21 +124,30 @@ WorkerPool::childLoop(int rfd, int wfd)
             reply.error = "malformed job request";
         } else {
             try {
-                // One-point grid through the same engine the CLI
-                // uses (same retry policy), so the result — and
-                // therefore the cached bytes — match a direct
-                // icicle-sweep run exactly. The seed is key-only
+                // The job's architectures as one grid through the
+                // same engine the CLI uses (same run sharing and
+                // retry policy), so every result — and therefore the
+                // cached bytes — match a direct icicle-sweep run
+                // exactly. Index 0 on each result keeps the bytes
+                // those of a one-point grid. The seed is key-only
                 // today (reserved for seeded workload variants).
                 GridSpec grid;
                 grid.cores = {request.point.core};
                 grid.workloads = {request.point.workload};
                 grid.counterArchs = {request.point.counterArch};
+                grid.counterArchs.insert(grid.counterArchs.end(),
+                                         request.moreArchs.begin(),
+                                         request.moreArchs.end());
                 grid.maxCycles = request.point.maxCycles;
                 grid.withTrace = false;
-                const std::vector<SweepResult> results =
+                std::vector<SweepResult> results =
                     runSweep(grid, SweepOptions{});
+                for (SweepResult &result : results)
+                    result.index = 0;
                 reply.ok = true;
                 reply.result = results.at(0);
+                reply.moreResults.assign(results.begin() + 1,
+                                         results.end());
             } catch (const FatalError &err) {
                 reply.error = err.what();
             }
@@ -155,9 +164,10 @@ WorkerPool::runJob(u32 shard, const JobRequest &request,
 {
     Worker &worker = *workers.at(shard % workers.size());
     LockGuard lock(worker.mutex);
+    jobCount.fetch_add(1, std::memory_order_relaxed);
     // Two tries: the second lands on a freshly respawned worker if
     // the first found (or left) a corpse.
-    bool timed_out = false;
+    const char *failure = " died";
     for (int attempt = 0; attempt < 2; attempt++) {
         if (worker.pid < 0) {
             spawn(worker);
@@ -178,21 +188,25 @@ WorkerPool::runJob(u32 shard, const JobRequest &request,
         std::string payload;
         const FrameRead got = readFrameDeadline(
             worker.fromChild, type, payload, jobTimeoutMs);
-        if (got != FrameRead::Ok ||
-            type != MsgType::JobResponse ||
-            !decodeJobReply(payload, reply)) {
-            // A Timeout means the worker is alive but wedged (e.g. a
-            // respawn fork that landed on a held heap lock); reap()
-            // SIGKILLs it so the shard recovers instead of hanging.
-            timed_out |= got == FrameRead::Timeout;
-            reap(worker);
-            continue;
-        }
-        return true;
+        const bool decoded = got == FrameRead::Ok &&
+                             type == MsgType::JobResponse &&
+                             decodeJobReply(payload, reply);
+        if (decoded && jobReplyAnswers(request, reply))
+            return true;
+        // A Timeout means the worker is alive but wedged (e.g. a
+        // respawn fork that landed on a held heap lock); reap()
+        // SIGKILLs it so the shard recovers instead of hanging.
+        if (got == FrameRead::Timeout)
+            failure = " timed out";
+        else if (decoded)
+            failure = " answered the wrong number of points";
+        reap(worker);
     }
-    error = "worker for shard " + std::to_string(shard) +
-            (timed_out ? " timed out" : " died") +
+    error = "worker for shard " + std::to_string(shard) + failure +
             " twice running " + sweepPointLabel(request.point);
+    if (!request.moreArchs.empty())
+        error += " and " + std::to_string(request.moreArchs.size()) +
+                 " more counter architectures";
     return false;
 }
 

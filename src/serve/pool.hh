@@ -5,11 +5,14 @@
  * Simulation jobs run in forked child processes, not daemon threads:
  * a job that corrupts memory, trips an injected fault, or gets
  * SIGKILLed takes down one worker, not the daemon or its cache. One
- * worker per shard; a point's shard is its cache key modulo the
- * shard count, and the per-shard dispatch lock doubles as
- * single-flight — two concurrent requests for the same key serialize
- * on the shard, and the second finds the first's published cache
- * entry when the server re-checks under that lock.
+ * worker per shard. A job is one run: the missing counter
+ * architectures of one (core, workload), which the worker simulates
+ * once as one runSweep grid. A run's shard is its arch-independent
+ * hash (serveRunHash) modulo the shard count, and the server's
+ * per-shard lock doubles as single-flight — two concurrent requests
+ * for the same run serialize on the shard, and the second finds the
+ * first's published cache entries when the server re-checks under
+ * that lock.
  *
  * Lifecycle: all workers fork at pool construction, before the
  * daemon starts any thread (fork from a multithreaded process is
@@ -68,12 +71,17 @@ class WorkerPool
     u64 restarts() const
     { return restartCount.load(std::memory_order_relaxed); }
 
+    /** Jobs dispatched (runJob calls; a retried job counts once). */
+    u64 jobs() const
+    { return jobCount.load(std::memory_order_relaxed); }
+
     /**
      * Run one job on the shard's worker, serialized per shard.
-     * Returns false and fills `error` only when the worker died (or
-     * timed out) and its replacement failed too; a job that merely
-     * fails inside the simulator comes back true with
-     * reply.result.status == Failed.
+     * Returns false and fills `error` only when the worker died,
+     * timed out or sent a reply that does not answer every point of
+     * the job, and its replacement failed too; a job that merely
+     * fails inside the simulator comes back true with Failed result
+     * statuses.
      */
     bool runJob(u32 shard, const JobRequest &request,
                 JobReply &reply, std::string &error);
@@ -104,6 +112,7 @@ class WorkerPool
 
     std::vector<std::unique_ptr<Worker>> workers;
     std::atomic<u64> restartCount{0};
+    std::atomic<u64> jobCount{0};
     u32 jobTimeoutMs = 0;
 };
 

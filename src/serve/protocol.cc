@@ -36,6 +36,21 @@ writeAll(int fd, const char *data, size_t size)
 
 using ProtoClock = std::chrono::steady_clock;
 
+/** Counter architectures there are: a job names each at most once. */
+constexpr u8 kCounterArchs =
+    static_cast<u8>(CounterArch::Distributed) + 1;
+
+/** Read one architecture byte; false when it names none. */
+bool
+getArch(wire::Cursor &cur, CounterArch &arch)
+{
+    const u8 raw = cur.get8();
+    if (raw >= kCounterArchs)
+        return false;
+    arch = static_cast<CounterArch>(raw);
+    return true;
+}
+
 /**
  * 1 = ok, 0 = EOF before any byte, -1 = short read / error,
  * -2 = `deadline` (when non-null) expired before `size` bytes.
@@ -248,10 +263,10 @@ decodeSweepQuery(const std::string &payload, SweepQuery &query)
     for (u32 n = cur.get32(); n > 0 && cur.ok; n--)
         query.workloads.push_back(cur.getStr());
     for (u32 n = cur.get32(); n > 0 && cur.ok; n--) {
-        const u8 arch = cur.get8();
-        if (arch > static_cast<u8>(CounterArch::Distributed))
+        CounterArch arch;
+        if (!getArch(cur, arch))
             return false;
-        query.archs.push_back(static_cast<CounterArch>(arch));
+        query.archs.push_back(arch);
     }
     query.maxCycles = cur.get64();
     query.seed = cur.get64();
@@ -345,6 +360,9 @@ encodeJobRequest(const JobRequest &request)
     put64(p, request.point.maxCycles);
     put8(p, request.point.withTrace ? 1 : 0);
     put64(p, request.seed);
+    put8(p, static_cast<u8>(request.moreArchs.size()));
+    for (CounterArch arch : request.moreArchs)
+        put8(p, static_cast<u8>(arch));
     return p;
 }
 
@@ -357,13 +375,23 @@ decodeJobRequest(const std::string &payload, JobRequest &request)
     request = JobRequest{};
     request.point.core = cur.getStr();
     request.point.workload = cur.getStr();
-    const u8 arch = cur.get8();
-    if (arch > static_cast<u8>(CounterArch::Distributed))
+    if (!getArch(cur, request.point.counterArch))
         return false;
-    request.point.counterArch = static_cast<CounterArch>(arch);
     request.point.maxCycles = cur.get64();
     request.point.withTrace = cur.get8() != 0;
     request.seed = cur.get64();
+    const u8 more = cur.get8();
+    if (more >= kCounterArchs)
+        return false;
+    for (u8 i = 0; i < more; i++) {
+        CounterArch arch;
+        if (!getArch(cur, arch) || arch == request.point.counterArch ||
+            std::find(request.moreArchs.begin(),
+                      request.moreArchs.end(),
+                      arch) != request.moreArchs.end())
+            return false;
+        request.moreArchs.push_back(arch);
+    }
     return cur.atEnd();
 }
 
@@ -375,6 +403,9 @@ encodeJobReply(const JobReply &reply)
     put8(p, reply.ok ? 1 : 0);
     putStr(p, reply.error);
     putStr(p, encodeSweepResult(reply.result));
+    put8(p, static_cast<u8>(reply.moreResults.size()));
+    for (const SweepResult &result : reply.moreResults)
+        putStr(p, encodeSweepResult(result));
     return p;
 }
 
@@ -387,14 +418,34 @@ decodeJobReply(const std::string &payload, JobReply &reply)
     reply = JobReply{};
     reply.ok = cur.get8() != 0;
     reply.error = cur.getStr();
-    const std::string result = cur.getStr();
+    std::vector<std::string> results{cur.getStr()};
+    const u8 more = cur.get8();
+    if (more >= kCounterArchs)
+        return false;
+    for (u8 i = 0; i < more; i++)
+        results.push_back(cur.getStr());
     if (!cur.atEnd())
         return false;
-    // Workers run single-point grids, so the embedded result always
-    // carries index 0.
-    return decodeSweepResult(
-        reinterpret_cast<const unsigned char *>(result.data()),
-        result.size(), 1, reply.result);
+    // Workers set every result's index to 0, so each decodes as the
+    // one result of a one-point grid.
+    reply.moreResults.resize(more);
+    for (size_t i = 0; i < results.size(); i++) {
+        SweepResult &slot =
+            i == 0 ? reply.result : reply.moreResults[i - 1];
+        if (!decodeSweepResult(
+                reinterpret_cast<const unsigned char *>(
+                    results[i].data()),
+                results[i].size(), 1, slot))
+            return false;
+    }
+    return true;
+}
+
+bool
+jobReplyAnswers(const JobRequest &request, const JobReply &reply)
+{
+    return !reply.ok ||
+           reply.moreResults.size() == request.moreArchs.size();
 }
 
 std::string

@@ -319,15 +319,24 @@ IcicleServer::publishGuarded(const ServeKey &key,
 }
 
 bool
-IcicleServer::pointResult(const SweepPoint &point, u64 seed,
-                          SweepResult &result, bool &hit,
-                          bool &shed, std::string &error)
+IcicleServer::runResults(std::span<const SweepPoint> run, u64 seed,
+                         std::span<SweepResult> results, u32 &hits,
+                         bool &shed, std::string &error)
 {
-    const ServeKey key = serveCacheKey(point, seed);
-    const u32 shard = static_cast<u32>(key.hash % pool.shards());
     shed = false;
-    hit = cache.lookup(key, result);
-    if (!hit) {
+    std::vector<ServeKey> keys;
+    std::vector<size_t> missing;
+    for (size_t i = 0; i < run.size(); i++) {
+        keys.push_back(serveCacheKey(run[i], seed));
+        if (!cache.lookup(keys[i], results[i]))
+            missing.push_back(i);
+    }
+    if (!missing.empty()) {
+        // Every architecture of the run routes to one shard, so the
+        // admission slot, the shard lock and the re-check below are
+        // per run.
+        const u32 shard =
+            static_cast<u32>(serveRunHash(run[0], seed) % pool.shards());
         // Admission gate, stage 2: reserve a miss-queue slot before
         // contending on the shard mutex, so saturation becomes an
         // explicit shed instead of an unbounded lock convoy.
@@ -336,20 +345,27 @@ IcicleServer::pointResult(const SweepPoint &point, u64 seed,
             return false;
         }
         // Miss path: serialize on the shard, then re-check — a
-        // second requester blocked here finds the entry the first
-        // one published and never re-simulates (single-flight).
-        // releaseShard stays outside the shard-lock scope on every
-        // path: it takes the admission mutex, which ranks above
-        // (outside) the shard mutexes.
+        // second requester blocked here finds the entries the first
+        // one published and dispatches only what is still missing
+        // (single-flight). releaseShard stays outside the shard-lock
+        // scope on every path: it takes the admission mutex, which
+        // ranks above (outside) the shard mutexes.
         bool job_ok = true;
         {
             LockGuard lock(*shardMutexes[shard]);
-            if (cache.lookup(key, result)) {
-                hit = true;
-            } else {
+            std::vector<size_t> still_missing;
+            for (size_t i : missing) {
+                if (!cache.lookup(keys[i], results[i]))
+                    still_missing.push_back(i);
+            }
+            missing = std::move(still_missing);
+            if (!missing.empty()) {
                 JobRequest request;
-                request.point = point;
+                request.point = run[missing[0]];
                 request.seed = seed;
+                for (size_t m = 1; m < missing.size(); m++)
+                    request.moreArchs.push_back(
+                        run[missing[m]].counterArch);
                 JobReply reply;
                 std::string job_error;
                 if (!pool.runJob(shard, request, reply, job_error) ||
@@ -358,14 +374,18 @@ IcicleServer::pointResult(const SweepPoint &point, u64 seed,
                                               : job_error;
                     job_ok = false;
                 } else {
-                    result = reply.result;
-                    // Only Ok results are memoised: failures and
-                    // timeouts must re-run, not stick. Publication
-                    // failures degrade to compute-only, never error
-                    // the request (the result in hand is still
-                    // correct).
-                    if (result.status == SweepStatus::Ok)
-                        publishGuarded(key, result);
+                    for (size_t m = 0; m < missing.size(); m++) {
+                        SweepResult &result = results[missing[m]];
+                        result = m == 0 ? reply.result
+                                        : reply.moreResults[m - 1];
+                        // Only Ok results are memoised: failures and
+                        // timeouts must re-run, not stick.
+                        // Publication failures degrade to
+                        // compute-only, never error the request (the
+                        // result in hand is still correct).
+                        if (result.status == SweepStatus::Ok)
+                            publishGuarded(keys[missing[m]], result);
+                    }
                 }
             }
         }
@@ -373,11 +393,13 @@ IcicleServer::pointResult(const SweepPoint &point, u64 seed,
         if (!job_ok)
             return false;
     }
+    hits = static_cast<u32>(run.size() - missing.size());
     // The codec carries neither label nor point: rederive them, like
     // the journal's resume path does from its grid.
-    result.index = 0;
-    result.point = point;
-    result.label = sweepPointLabel(point);
+    for (size_t i = 0; i < run.size(); i++) {
+        results[i].point = run[i];
+        results[i].label = sweepPointLabel(run[i]);
+    }
     return true;
 }
 
@@ -433,14 +455,24 @@ IcicleServer::handleSweep(int fd, const std::string &payload)
     SweepReply reply;
     reply.points = static_cast<u32>(points.size());
     std::vector<SweepResult> results(points.size());
-    for (u64 i = 0; i < points.size(); i++) {
-        bool hit = false;
+    // One run at a time: counter architectures expand innermost, so
+    // a run is the adjacent points of one (core, workload).
+    for (size_t begin = 0; begin < points.size();) {
+        size_t end = begin + 1;
+        while (end < points.size() &&
+               points[end].core == points[begin].core &&
+               points[end].workload == points[begin].workload)
+            end++;
+        u32 hits = 0;
         bool shed = false;
         std::string error;
-        if (!pointResult(points[i], query.seed, results[i], hit,
-                         shed, error)) {
+        if (!runResults(
+                std::span(points).subspan(begin, end - begin),
+                query.seed,
+                std::span(results).subspan(begin, end - begin), hits,
+                shed, error)) {
             if (shed) {
-                // Not an error: the daemon is saturated. Points
+                // Not an error: the daemon is saturated. Runs
                 // already served stay cached, so retrying the whole
                 // (deterministic, content-addressed) query is safe
                 // and cheap.
@@ -453,13 +485,15 @@ IcicleServer::handleSweep(int fd, const std::string &payload)
             }
             return;
         }
-        results[i].index = i;
-        if (hit)
-            reply.cacheHits++;
-        else
-            reply.simulated++;
-        stats.countPoint(hit);
-        reply.allOk &= results[i].status == SweepStatus::Ok;
+        reply.cacheHits += hits;
+        reply.simulated += static_cast<u32>(end - begin) - hits;
+        for (size_t i = begin; i < end; i++) {
+            results[i].index = i;
+            // A count per run: which of its points hit is not kept.
+            stats.countPoint(i - begin < hits);
+            reply.allOk &= results[i].status == SweepStatus::Ok;
+        }
+        begin = end;
     }
 
     // timing=false always: wall-times are nondeterministic and would
@@ -532,6 +566,7 @@ IcicleServer::statsText()
        << "max_conns: " << opts.maxConns << "\n"
        << "max_queue: " << opts.maxQueue << "\n"
        << "worker_restarts: " << pool.restarts() << "\n"
+       << "worker_jobs: " << pool.jobs() << "\n"
        << "shards: " << pool.shards() << "\n"
        << "cache_entries: " << cache.entriesOnDisk() << "\n";
     return os.str();

@@ -12,9 +12,12 @@
  * Construction order is load-bearing: the worker pool forks its
  * children before the listening socket exists and before any thread
  * starts (see pool.hh). run() then accepts connections and handles
- * each on its own thread; per-point work is serialized per shard, so
- * N concurrent clients asking for the same cold key simulate it once
- * and N-1 of them hit the freshly published cache entry.
+ * each on its own thread. A sweep is served one run at a time — the
+ * points of one (core, workload), which differ only in counter
+ * architecture — and a run's misses are filled by one worker job,
+ * serialized per shard, so N concurrent clients asking for the same
+ * cold run simulate it once and N-1 of them hit the freshly
+ * published cache entries.
  *
  * Request handling never takes the daemon down: malformed frames
  * drop the connection, invalid requests get an Error reply, worker
@@ -29,6 +32,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,9 +70,9 @@ struct ServerOptions
      */
     u32 maxConns = 0;
     /**
-     * Admission gate: max requests queued-or-executing on one
-     * shard's miss path (0 = unbounded). A full shard gets one
-     * bounded grace wait, then the request is shed with Overloaded.
+     * Admission gate: max runs queued-or-executing on one shard's
+     * miss path (0 = unbounded). A full shard gets one bounded grace
+     * wait, then the request is shed with Overloaded.
      */
     u32 maxQueue = 0;
     /**
@@ -223,11 +227,17 @@ class IcicleServer
     void handleWindow(int fd, const std::string &payload);
     void handleStats(int fd);
     std::string statsText();
-    /** Run one point through cache + pool; false on worker failure
-     * (error filled) or shed (shed set, error empty). */
-    bool pointResult(const SweepPoint &point, u64 seed,
-                     SweepResult &result, bool &hit, bool &shed,
-                     std::string &error);
+    /**
+     * Serve one run — adjacent grid points of one (core, workload),
+     * differing only in counter architecture — through cache + pool:
+     * look up every point, then send the misses to the run's shard
+     * as one job. Fills one result per point (index left to the
+     * caller) and `hits`; false on worker failure (error filled) or
+     * shed (shed set, error empty).
+     */
+    bool runResults(std::span<const SweepPoint> run, u64 seed,
+                    std::span<SweepResult> results, u32 &hits,
+                    bool &shed, std::string &error);
     StoreReader &readerFor(const std::string &path);
     void sendError(int fd, const std::string &message);
     /**
@@ -240,8 +250,8 @@ class IcicleServer
      * fault hooks so shed traffic does not perturb schedules. */
     void sendOverloaded(int fd, const std::string &reason);
     /**
-     * Reserve a slot on `shard`'s miss queue: one bounded grace
-     * wait when full, then false = shed.
+     * Reserve a slot for one run on `shard`'s miss queue: one
+     * bounded grace wait when full, then false = shed.
      */
     bool admitShard(u32 shard);
     void releaseShard(u32 shard);
@@ -257,9 +267,10 @@ class IcicleServer
     WorkerPool pool;
     /**
      * One mutex per shard, taken around the miss path's re-check +
-     * dispatch + publish: concurrent requests for one key serialize
-     * here, and all but the first find the published entry instead
-     * of re-simulating (single-flight). One lock class
+     * dispatch + publish: concurrent requests for one run serialize
+     * here, and each later one finds what the earlier ones published
+     * and dispatches only what is still missing (single-flight per
+     * run). One lock class
      * ("serve.shard"): instances of the same role share a node in
      * the lock-order graph, and the per-shard state they guard (the
      * cache entry and worker pipe of a dynamic shard index) is
@@ -281,12 +292,13 @@ class IcicleServer
     u64 liveClients ICICLE_GUARDED_BY(connMutex) = 0;
 
     /**
-     * Admission gate: per-shard miss-queue depth. Connection threads
-     * take this (rank between serve.conn and serve.shard) to reserve
-     * a slot before contending on the shard mutex, so overload is
-     * shed with an explicit Overloaded reply instead of an unbounded
-     * convoy on the shard lock. The condvar is notified on every
-     * release; a full shard gets one bounded grace wait.
+     * Admission gate: per-shard miss-queue depth, in runs.
+     * Connection threads take this (rank between serve.conn and
+     * serve.shard) to reserve a slot before contending on the shard
+     * mutex, so overload is shed with an explicit Overloaded reply
+     * instead of an unbounded convoy on the shard lock. The condvar
+     * is notified on every release; a full shard gets one bounded
+     * grace wait.
      */
     Mutex admissionMutex{"serve.admission",
                          lockrank::kServeAdmission};

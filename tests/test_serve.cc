@@ -14,7 +14,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -25,6 +27,7 @@
 #include "common/lockorder.hh"
 #include "common/logging.hh"
 #include "common/sync.hh"
+#include "common/wire.hh"
 #include "fault/fault.hh"
 #include "serve/cache.hh"
 #include "serve/chaos.hh"
@@ -73,6 +76,85 @@ simulatedResult()
     EXPECT_EQ(results.size(), 1u);
     EXPECT_EQ(results.at(0).status, SweepStatus::Ok);
     return results.at(0);
+}
+
+constexpr CounterArch kAllArchs[] = {
+    CounterArch::Scalar, CounterArch::AddWires, CounterArch::Distributed};
+
+/**
+ * The results a worker sends for one 3-arch job: a rocket/vvadd grid
+ * over every counter architecture, each with index 0.
+ */
+std::vector<SweepResult>
+simulatedRun()
+{
+    GridSpec grid;
+    grid.cores = {"rocket"};
+    grid.workloads = {"vvadd"};
+    grid.counterArchs = {std::begin(kAllArchs), std::end(kAllArchs)};
+    grid.maxCycles = 200'000;
+    std::vector<SweepResult> results = runSweep(grid, SweepOptions{});
+    EXPECT_EQ(results.size(), 3u);
+    for (SweepResult &result : results)
+        result.index = 0;
+    return results;
+}
+
+/** The CSV icicle-sweep prints for `query`'s grid. */
+std::string
+directCsv(const SweepQuery &query)
+{
+    GridSpec grid;
+    grid.cores = query.cores;
+    grid.workloads = query.workloads;
+    grid.counterArchs = query.archs;
+    grid.maxCycles = query.maxCycles;
+    return formatSweepCsv(runSweep(grid, SweepOptions{}), false);
+}
+
+/** An in-process daemon (two shards) serving until destroyed. */
+class LiveDaemon
+{
+  public:
+    LiveDaemon(const std::string &socket, const std::string &cache)
+        : server(optionsFor(socket, cache)),
+          thread([this] { server.run(); })
+    {}
+    ~LiveDaemon()
+    {
+        server.stop();
+        thread.join();
+    }
+
+    LiveDaemon(const LiveDaemon &) = delete;
+    LiveDaemon &operator=(const LiveDaemon &) = delete;
+
+  private:
+    static ServerOptions
+    optionsFor(const std::string &socket, const std::string &cache)
+    {
+        ServerOptions options;
+        options.socketPath = socket;
+        options.cacheDir = cache;
+        options.shards = 2;
+        return options;
+    }
+
+    IcicleServer server;
+    std::thread thread;
+};
+
+/** Every file in a cache directory: name -> bytes. */
+std::map<std::string, std::string>
+cacheFiles(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        files[entry.path().filename().string()] =
+            std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    return files;
 }
 
 TEST(ServeProtocol, SweepQueryRoundTrip)
@@ -158,6 +240,102 @@ TEST(ServeProtocol, JobMessagesCarryBitExactResults)
     EXPECT_TRUE(reply_decoded.ok);
     EXPECT_EQ(encodeSweepResult(reply_decoded.result),
               encodeSweepResult(reply.result));
+    EXPECT_TRUE(reply_decoded.moreResults.empty());
+
+    // A run job names the rest of its architectures, and its reply
+    // carries one bit-exact result per architecture, in job order.
+    JobRequest run = request;
+    run.point.counterArch = CounterArch::Scalar;
+    run.moreArchs = {CounterArch::Distributed, CounterArch::AddWires};
+    JobRequest run_decoded;
+    ASSERT_TRUE(decodeJobRequest(encodeJobRequest(run), run_decoded));
+    EXPECT_EQ(run_decoded.point.counterArch, run.point.counterArch);
+    EXPECT_EQ(run_decoded.moreArchs, run.moreArchs);
+    EXPECT_EQ(run_decoded.seed, run.seed);
+
+    // One simulation answered all three, so their bytes match; a
+    // distinct attempt count on each makes a reordering visible.
+    std::vector<SweepResult> results = simulatedRun();
+    for (u32 i = 0; i < results.size(); i++)
+        results[i].attempts = i + 1;
+    JobReply three;
+    three.ok = true;
+    three.result = results[0];
+    three.moreResults = {results[2], results[1]};
+    JobReply three_decoded;
+    ASSERT_TRUE(decodeJobReply(encodeJobReply(three), three_decoded));
+    EXPECT_TRUE(three_decoded.ok);
+    EXPECT_EQ(encodeSweepResult(three_decoded.result),
+              encodeSweepResult(three.result));
+    ASSERT_EQ(three_decoded.moreResults.size(), 2u);
+    for (size_t i = 0; i < 2; i++) {
+        EXPECT_EQ(encodeSweepResult(three_decoded.moreResults[i]),
+                  encodeSweepResult(three.moreResults[i]));
+    }
+    EXPECT_TRUE(jobReplyAnswers(run, three_decoded));
+}
+
+TEST(ServeProtocol, JobDecodersRejectBadArchListsAndMiscountedReplies)
+{
+    // The job layout written out by hand, so each malformed variant
+    // below differs from a valid job in its arch bytes alone.
+    const auto job = [](u8 arch, std::vector<u8> more) {
+        std::string p;
+        wire::putStr(p, "rocket");
+        wire::putStr(p, "vvadd");
+        wire::put8(p, arch);
+        wire::put64(p, 200'000);
+        wire::put8(p, 0);
+        wire::put64(p, 9);
+        wire::put8(p, static_cast<u8>(more.size()));
+        for (u8 a : more)
+            wire::put8(p, a);
+        return p;
+    };
+    JobRequest valid;
+    valid.point.core = "rocket";
+    valid.point.workload = "vvadd";
+    valid.point.counterArch = CounterArch::Scalar;
+    valid.point.maxCycles = 200'000;
+    valid.seed = 9;
+    valid.moreArchs = {CounterArch::AddWires, CounterArch::Distributed};
+    ASSERT_EQ(job(0, {1, 2}), encodeJobRequest(valid));
+
+    JobRequest decoded;
+    EXPECT_TRUE(decodeJobRequest(job(0, {1, 2}), decoded));
+    EXPECT_TRUE(decodeJobRequest(job(2, {}), decoded));
+    // An arch byte out of range, on the point or an extra arch.
+    EXPECT_FALSE(decodeJobRequest(job(3, {}), decoded));
+    EXPECT_FALSE(decodeJobRequest(job(0, {3}), decoded));
+    EXPECT_FALSE(decodeJobRequest(job(0, {1, 255}), decoded));
+    // A repeated arch: the point's own, or another extra one.
+    EXPECT_FALSE(decodeJobRequest(job(1, {1}), decoded));
+    EXPECT_FALSE(decodeJobRequest(job(0, {2, 2}), decoded));
+    // More archs than CounterArch has.
+    EXPECT_FALSE(decodeJobRequest(job(0, {1, 2, 0}), decoded));
+    EXPECT_FALSE(decodeJobRequest(job(0, {1, 2, 1}), decoded));
+
+    // A reply can carry no more results than there are archs.
+    const std::vector<SweepResult> results = simulatedRun();
+    JobReply reply;
+    reply.ok = true;
+    reply.result = results[0];
+    reply.moreResults = {results[1], results[2], results[2]};
+    JobReply reply_decoded;
+    EXPECT_FALSE(decodeJobReply(encodeJobReply(reply), reply_decoded));
+
+    // An ok reply must answer every point of its job; the daemon
+    // treats one that does not as a failed worker. An error reply
+    // carries no results.
+    reply.moreResults = {results[1]};
+    EXPECT_FALSE(jobReplyAnswers(valid, reply));
+    reply.moreResults.clear();
+    EXPECT_FALSE(jobReplyAnswers(valid, reply));
+    reply.moreResults = {results[1], results[2]};
+    EXPECT_TRUE(jobReplyAnswers(valid, reply));
+    JobReply failed;
+    failed.error = "simulator failed";
+    EXPECT_TRUE(jobReplyAnswers(valid, failed));
 }
 
 TEST(ServeProtocol, TruncatedPayloadsNeverDecode)
@@ -177,15 +355,37 @@ TEST(ServeProtocol, TruncatedPayloadsNeverDecode)
             << "prefix of length " << len << " decoded";
     }
 
+    JobRequest one;
+    one.point.core = "rocket";
+    one.point.workload = "vvadd";
+    one.seed = 3;
+    JobRequest run = one;
+    run.point.counterArch = CounterArch::Scalar;
+    run.moreArchs = {CounterArch::AddWires, CounterArch::Distributed};
+    for (const JobRequest &request : {one, run}) {
+        const std::string request_bytes = encodeJobRequest(request);
+        for (size_t len = 0; len < request_bytes.size(); len++) {
+            JobRequest decoded;
+            EXPECT_FALSE(decodeJobRequest(request_bytes.substr(0, len),
+                                          decoded))
+                << "prefix of length " << len << " decoded";
+        }
+    }
+
+    const std::vector<SweepResult> results = simulatedRun();
     JobReply reply;
     reply.ok = true;
-    reply.result = simulatedResult();
-    const std::string reply_bytes = encodeJobReply(reply);
-    for (size_t len = 0; len < reply_bytes.size(); len++) {
-        JobReply decoded;
-        EXPECT_FALSE(
-            decodeJobReply(reply_bytes.substr(0, len), decoded))
-            << "prefix of length " << len << " decoded";
+    reply.result = results[0];
+    JobReply three = reply;
+    three.moreResults = {results[1], results[2]};
+    for (const JobReply &candidate : {reply, three}) {
+        const std::string reply_bytes = encodeJobReply(candidate);
+        for (size_t len = 0; len < reply_bytes.size(); len++) {
+            JobReply decoded;
+            EXPECT_FALSE(
+                decodeJobReply(reply_bytes.substr(0, len), decoded))
+                << "prefix of length " << len << " decoded";
+        }
     }
 }
 
@@ -298,6 +498,43 @@ TEST(ServeCache, KeyIsDeterministicAndCoversEveryAxis)
     other.withTrace = true;
     differs(other, 7);
     differs(point, 8);
+}
+
+TEST(ServeCache, EveryArchOfARunRoutesToOneShard)
+{
+    // The daemon fills a run's missing archs from one job on the
+    // run's shard, so the route must ignore the arch — for every core
+    // config, workload and seed — while distinct runs still spread.
+    const std::vector<std::string> cores = sweepCoreNames();
+    ASSERT_EQ(cores.size(), 6u);
+    std::set<u64> runs;
+    std::set<u64> shards_hit;
+    for (const std::string &core : cores) {
+        for (const char *workload :
+             {"vvadd", "towers", "qsort", "dhrystone"}) {
+            for (u64 seed : {0ull, 1ull, 7ull, 0xdeadbeefcafeull}) {
+                SweepPoint point;
+                point.core = core;
+                point.workload = workload;
+                point.maxCycles = 400'000;
+                point.counterArch = CounterArch::Scalar;
+                const u64 run = serveRunHash(point, seed);
+                for (CounterArch arch : kAllArchs) {
+                    point.counterArch = arch;
+                    for (u64 shards : {2u, 3u, 4u}) {
+                        EXPECT_EQ(serveRunHash(point, seed) % shards,
+                                  run % shards)
+                            << sweepPointLabel(point) << " seed "
+                            << seed;
+                    }
+                }
+                runs.insert(run);
+                shards_hit.insert(run % 4);
+            }
+        }
+    }
+    EXPECT_EQ(runs.size(), 6u * 4 * 4);
+    EXPECT_EQ(shards_hit.size(), 4u);
 }
 
 TEST(ServeCache, HashCollisionsDegradeToMisses)
@@ -510,6 +747,97 @@ TEST(ServeEndToEnd, CachedRepliesAreByteIdentical)
         client.shutdown();
     }
     daemon.join();
+}
+
+TEST(ServeEndToEnd, ColdRunsFillEveryArchFromOneWorkerJob)
+{
+    TempDir dir("serve_runs_cold");
+    const std::string socket = dir.path + "/icicled.sock";
+    LiveDaemon daemon(socket, dir.path + "/cache");
+    ServeClient client(socket);
+
+    SweepQuery query;
+    query.cores = {"rocket"};
+    query.workloads = {"vvadd", "towers"};
+    query.archs = {std::begin(kAllArchs), std::end(kAllArchs)};
+    query.maxCycles = 200'000;
+    query.format = "csv";
+
+    // Two runs, two worker jobs: each (core, workload) is simulated
+    // once and answers all three archs.
+    const SweepReply cold = client.sweep(query);
+    EXPECT_EQ(cold.points, 6u);
+    EXPECT_EQ(cold.cacheHits, 0u);
+    EXPECT_EQ(cold.simulated, 6u);
+    EXPECT_TRUE(cold.allOk);
+    EXPECT_EQ(cold.report, directCsv(query));
+    std::string stats = client.stats();
+    EXPECT_EQ(statsValue(stats, "worker_jobs"), 2u) << stats;
+    EXPECT_EQ(statsValue(stats, "jobs_simulated"), 6u) << stats;
+    EXPECT_EQ(statsValue(stats, "cache_entries"), 6u) << stats;
+
+    const SweepReply warm = client.sweep(query);
+    EXPECT_EQ(warm.cacheHits, 6u);
+    EXPECT_EQ(warm.simulated, 0u);
+    EXPECT_EQ(warm.report, cold.report);
+    stats = client.stats();
+    EXPECT_EQ(statsValue(stats, "worker_jobs"), 2u) << stats;
+}
+
+TEST(ServeEndToEnd, PartlyCachedRunSendsOnlyItsMissesInOneJob)
+{
+    TempDir dir("serve_runs_partial");
+    const std::string socket = dir.path + "/icicled.sock";
+    LiveDaemon daemon(socket, dir.path + "/cache");
+    ServeClient client(socket);
+
+    SweepQuery query;
+    query.cores = {"rocket"};
+    query.workloads = {"vvadd"};
+    query.archs = {CounterArch::AddWires};
+    query.maxCycles = 200'000;
+    query.format = "csv";
+    EXPECT_EQ(client.sweep(query).simulated, 1u);
+    EXPECT_EQ(statsValue(client.stats(), "worker_jobs"), 1u);
+
+    // The cached arch sits between the two missing ones: the job
+    // carries scalar and distributed, and its results land in their
+    // own rows.
+    query.archs = {std::begin(kAllArchs), std::end(kAllArchs)};
+    const SweepReply reply = client.sweep(query);
+    EXPECT_EQ(reply.cacheHits, 1u);
+    EXPECT_EQ(reply.simulated, 2u);
+    EXPECT_TRUE(reply.allOk);
+    EXPECT_EQ(reply.report, directCsv(query));
+    EXPECT_EQ(statsValue(client.stats(), "worker_jobs"), 2u);
+}
+
+TEST(ServeEndToEnd, RunFillsWriteTheCacheBytesOfArchByArchFills)
+{
+    TempDir dir("serve_runs_bytes");
+    SweepQuery query;
+    query.cores = {"rocket"};
+    query.workloads = {"vvadd", "towers"};
+    query.archs = {std::begin(kAllArchs), std::end(kAllArchs)};
+    query.maxCycles = 200'000;
+    query.format = "csv";
+    {
+        LiveDaemon daemon(dir.path + "/runs.sock", dir.path + "/runs");
+        ServeClient(dir.path + "/runs.sock").sweep(query);
+    }
+    {
+        LiveDaemon daemon(dir.path + "/archs.sock",
+                          dir.path + "/archs");
+        ServeClient client(dir.path + "/archs.sock");
+        for (CounterArch arch : kAllArchs) {
+            SweepQuery one = query;
+            one.archs = {arch};
+            client.sweep(one);
+        }
+    }
+    const auto by_run = cacheFiles(dir.path + "/runs");
+    EXPECT_EQ(by_run.size(), 6u);
+    EXPECT_TRUE(by_run == cacheFiles(dir.path + "/archs"));
 }
 
 TEST(ServeEndToEnd, ZeroWidthWindowIsAnErrorAndTheDaemonKeepsServing)
