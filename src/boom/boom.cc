@@ -104,6 +104,8 @@ BoomCore::BoomCore(const BoomConfig &config, const Program &program)
       btb(1024), csrs(CoreKind::Boom, config.counterArch, &events),
       fetchBuffer(config.fetchBufferEntries), rob(config.robEntries)
 {
+    if (cfg.robEntries > 1u << 16) // a Completion packs a 16-bit slot
+        fatal("BOOM ROB size must be at most 65536 entries");
     exec.setCsrBackend(&csrs);
     renameMap.fill(SeqSlot{});
     events.setNumSources(EventId::UopsIssued, cfg.totalIssueWidth());
@@ -185,7 +187,7 @@ BoomCore::flushFrom(u64 first_bad, bool replay)
     // is youngest-to-oldest, so pushFront lands the replayed uops in
     // program order ahead of everything queued above.
     while (robCount > 0) {
-        const u32 idx = (robTail + cfg.robEntries - 1) % cfg.robEntries;
+        const u32 idx = (robTail == 0 ? cfg.robEntries : robTail) - 1;
         RobEntry &entry = rob[idx];
         if (!entry.valid || entry.seq < first_bad)
             break;
@@ -274,7 +276,7 @@ BoomCore::stageCommit()
             renameMap[uop.ret.inst.rd] = SeqSlot{};
 
         head.valid = false;
-        robHead = (robHead + 1) % cfg.robEntries;
+        robHead = robHead + 1 == cfg.robEntries ? 0 : robHead + 1;
         robCount--;
 
         // Fences and exceptions end the commit group.
@@ -290,9 +292,10 @@ BoomCore::stageComplete()
 {
     mshrs.drain(now);
     while (!completions.empty() && completions.top().at <= now) {
-        const Completion done = completions.top();
+        const u64 seq = completions.top().seqSlot >> 16;
+        const u32 slot = completions.top().seqSlot & 0xffff;
         completions.pop();
-        RobEntry *entry = findBySeq({done.seq, done.slot});
+        RobEntry *entry = findBySeq({seq, slot});
         if (!entry || entry->state != RobState::Issued) {
             continue; // squashed
         }
@@ -309,7 +312,7 @@ BoomCore::stageComplete()
                 events.raise(EventId::CtrlFlowTargetMispredict);
             // Squash everything younger (all wrong-path synthetics)
             // and restart the frontend on the correct path.
-            flushFrom(done.seq + 1, false);
+            flushFrom(seq + 1, false);
             redirectFrontend();
         }
     }
@@ -398,7 +401,7 @@ BoomCore::stageIssue()
                     done_at = now + 2 + xlat; // store-to-load forward
                     break;
                 }
-                const u64 block = addr / cfg.mem.l1d.blockBytes;
+                const u64 block = mem.l1d().blockAddr(addr);
                 if (mshrs.pending(block)) {
                     // Secondary miss: merge into the in-flight refill.
                     done_at = std::max(mshrs.readyCycle(block),
@@ -431,7 +434,7 @@ BoomCore::stageIssue()
                     if (!translation.l2Hit)
                         events.raise(EventId::L2TlbMiss);
                 }
-                const u64 block = addr / cfg.mem.l1d.blockBytes;
+                const u64 block = mem.l1d().blockAddr(addr);
                 if (!mshrs.pending(block) && !mem.l1d().probe(addr)) {
                     if (mshrs.full()) {
                         can_issue = false;
@@ -478,8 +481,8 @@ BoomCore::stageIssue()
             }
 
             entry->state = RobState::Issued;
-            completions.push(Completion{done_at, handle.seq,
-                                        handle.slot});
+            completions.push(
+                Completion{done_at, handle.seq << 16 | handle.slot});
             events.raise(EventId::UopsIssued, lane_base + issued_here);
             issued_here++;
             issuedThisCycle++;
@@ -528,11 +531,11 @@ BoomCore::stageDispatch()
     while (accepted < cfg.coreWidth) {
         if (fetchBuffer.empty())
             break;
-        // References into the ring head stay valid until the
-        // popFront() at the bottom of the loop (nothing is pushed in
-        // between); the one PipeUop copy lands directly in the ROB.
-        const Retired &ret = fetchBuffer.retFront();
-        const u8 flags = fetchBuffer.flagsFront();
+        // The ring head stays in place until the popFront() at the
+        // bottom of the loop (nothing is pushed in between), so the
+        // uop is copied once, ring slot to ROB entry.
+        const PipeUop &head = fetchBuffer.peekFront();
+        const Retired &ret = head.ret;
         const InstClass cls = classOf(ret.inst.op);
         const IqType q = routeToIq(ret.inst.op);
 
@@ -563,7 +566,7 @@ BoomCore::stageDispatch()
         // it on the next line, which shows up at 8-wide dispatch.
         entry.valid = true;
         entry.seq = nextSeq++;
-        entry.uop = fetchBuffer.front();
+        entry.uop = head;
         entry.iq = q;
         entry.src[0] = SeqSlot{};
         entry.src[1] = SeqSlot{};
@@ -571,7 +574,7 @@ BoomCore::stageDispatch()
         entry.isMem = cls == InstClass::Load || cls == InstClass::Store;
         entry.isStore = cls == InstClass::Store;
         entry.isFence = cls == InstClass::Fence;
-        if (!(flags & uopflag::wrongPath)) {
+        if (!head.wrongPath()) {
             if (readsRs1(ret.inst.op) && ret.inst.rs1)
                 entry.src[0] = renameMap[ret.inst.rs1];
             if (readsRs2(ret.inst.op) && ret.inst.rs2)
@@ -588,7 +591,7 @@ BoomCore::stageDispatch()
         if (entry.isMem && !entry.isStore)
             ldqUsed++;
 
-        robTail = (robTail + 1) % cfg.robEntries;
+        robTail = robTail + 1 == cfg.robEntries ? 0 : robTail + 1;
         robCount++;
         fetchBuffer.popFront();
         accepted++;
@@ -703,14 +706,12 @@ BoomCore::stageFetch()
         if (fetchBuffer.size() >= cfg.fetchBufferEntries)
             break;
 
-        PipeUop uop;
         Addr fetch_pc;
         bool from_replay = false;
         if (wrongPathMode) {
             fetch_pc = wrongPathPc;
         } else if (!replayQueue.empty()) {
-            uop = replayQueue.front();
-            fetch_pc = uop.ret.pc;
+            fetch_pc = replayQueue.peekFront().ret.pc;
             from_replay = true;
         } else {
             if (streamDone)
@@ -726,7 +727,7 @@ BoomCore::stageFetch()
             fetch_pc = streamHead.pc;
         }
 
-        const u64 block = fetch_pc / cfg.mem.l1i.blockBytes;
+        const u64 block = mem.l1i().blockAddr(fetch_pc);
         if (block != lastFetchBlock) {
             const MemResult result = mem.fetch(fetch_pc);
             if (result.tlbMiss) {
@@ -745,25 +746,27 @@ BoomCore::stageFetch()
             lastFetchBlock = block;
         }
 
+        // Written once, in its slot; dispatch copies it to the ROB.
+        PipeUop &uop = fetchBuffer.pushBack();
         if (wrongPathMode) {
-            uop = PipeUop{};
+            uop = kWrongPathUop;
             uop.ret.pc = fetch_pc;
-            uop.ret.inst.op = Op::Addi; // synthetic wrong-path uop
             uop.ret.nextPc = fetch_pc + 4;
-            uop.flags = uopflag::wrongPath;
             wrongPathPc += 4;
-            fetchBuffer.pushBack(uop);
             recovering = false;
             continue;
         }
 
         if (from_replay) {
+            uop = replayQueue.peekFront();
             replayQueue.popFront();
             // Clear stale speculation flags; re-predict below.
             uop.flags &= static_cast<u8>(
                 ~(uopflag::mispredicted | uopflag::targetMispredict));
         } else {
             uop.ret = streamHead;
+            uop.predictedNext = 0;
+            uop.flags = 0;
             streamValid = false;
             if (streamHead.halted)
                 streamDone = true;
@@ -772,7 +775,6 @@ BoomCore::stageFetch()
         const bool is_cf = uop.ret.isControlFlow();
         if (is_cf)
             predictControlFlow(uop);
-        fetchBuffer.pushBack(uop);
         recovering = false;
 
         if (classOf(uop.ret.inst.op) == InstClass::Fence) {
@@ -813,17 +815,16 @@ BoomCore::tick()
     stageFetch();
 
     csrs.tick(events);
-    // Only events raised this cycle can change a total.
+    // Only events raised this cycle can change a total. Bits are
+    // counted one by one: std::popcount is a library call on baseline x86-64.
     u64 dirty = events.dirty();
     while (dirty) {
         const u32 e = static_cast<u32>(std::countr_zero(dirty));
         dirty &= dirty - 1;
-        const u16 mask = events.mask(static_cast<EventId>(e));
-        totals[e] += static_cast<u64>(std::popcount(mask));
-        u16 bits = mask;
+        u16 bits = events.mask(static_cast<EventId>(e));
         while (bits) {
-            const u32 lane = static_cast<u32>(std::countr_zero(bits));
-            laneTotals[e][lane]++;
+            laneTotals[e][std::countr_zero(bits)]++;
+            totals[e]++;
             bits &= bits - 1;
         }
     }

@@ -24,8 +24,8 @@
 #include <array>
 #include <functional>
 #include <queue>
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bpred/bpred.hh"
@@ -166,19 +166,21 @@ class BoomCore final : public Core
         bool isFence = false;
     };
 
-    /** A scheduled writeback; min-heap ordered by (cycle, seq). */
+    /**
+     * A scheduled writeback, as (cycle, seq << 16 | ROB slot): seqs
+     * are unique, so the min-heap orders it exactly like (cycle, seq).
+     */
     struct Completion
     {
         Cycle at = 0;
-        u64 seq = 0;
-        u32 slot = 0;
+        u64 seqSlot = 0;
     };
     struct CompletionAfter
     {
         bool
         operator()(const Completion &a, const Completion &b) const
         {
-            return a.at > b.at || (a.at == b.at && a.seq > b.seq);
+            return a.at > b.at || (a.at == b.at && a.seqSlot > b.seqSlot);
         }
     };
 
@@ -261,7 +263,7 @@ class BoomCore final : public Core
     u32 ldqUsed = 0;
     Cycle divBusyUntil = 0;
     /** Store-set style memory dependence predictor. */
-    std::unordered_set<Addr> stlDependents;
+    std::set<Addr> stlDependents;
     u64 numMachineClears = 0;
 
     // per-cycle scratch shared between stages

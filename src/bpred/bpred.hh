@@ -164,7 +164,7 @@ class Ras
     void
     push(Addr addr)
     {
-        top = (top + 1) % stack.size();
+        top = top + 1 == stack.size() ? 0 : top + 1;
         stack[top] = addr;
         if (count < stack.size())
             count++;
@@ -176,7 +176,7 @@ class Ras
         if (count == 0)
             return std::nullopt;
         const Addr addr = stack[top];
-        top = (top + stack.size() - 1) % stack.size();
+        top = (top == 0 ? stack.size() : top) - 1;
         count--;
         return addr;
     }

@@ -13,10 +13,10 @@
 #ifndef ICICLE_CORE_DISPATCH_HH
 #define ICICLE_CORE_DISPATCH_HH
 
-#include <functional>
 #include <utility>
 
 #include "boom/boom.hh"
+#include "common/logging.hh"
 #include "core/core.hh"
 #include "rocket/rocket.hh"
 
@@ -25,8 +25,8 @@ namespace icicle
 
 /**
  * Run `core` for up to max_cycles with an inlined per-cycle hook.
- * Falls back to the virtual run() for Core subclasses other than the
- * two shipped models (e.g. test doubles).
+ * Only the two shipped models run here: any other Core subclass is a
+ * fatal error, so there is one per-cycle dispatch path.
  */
 template <typename F>
 u64
@@ -36,9 +36,7 @@ runCoreLoop(Core &core, u64 max_cycles, F &&hook)
         return rocket->runLoop(max_cycles, std::forward<F>(hook));
     if (auto *boom = dynamic_cast<BoomCore *>(&core))
         return boom->runLoop(max_cycles, std::forward<F>(hook));
-    return core.run(max_cycles,
-                    std::function<void(Cycle, const EventBus &)>(
-                        std::forward<F>(hook)));
+    fatal("no per-cycle run loop for core model '", core.name(), "'");
 }
 
 } // namespace icicle

@@ -1,17 +1,16 @@
 /**
  * @file
- * Structure-of-arrays pipeline buffers shared by the core timing
- * models (ISSUE 7 tick-loop refactor).
+ * Ring buffer of in-flight uops shared by the core timing models.
  *
  * Rocket's instruction buffer and BOOM's fetch/replay queues were
  * std::deque<struct>: every push/pop churned the deque's chunk map,
  * and the machine-clear replay path rebuilt a whole deque per flush.
- * Both also invited the reference-after-pop_front bug class ASan
- * caught in PR 1. UopRing replaces them with a power-of-two ring over
- * parallel arrays: the hot speculation flags live in a dense u8 lane
- * scanned without touching the (much larger) Retired payloads, all
- * steady-state operations are allocation-free, and front() returns by
- * value so there is no reference to invalidate.
+ * Both also invited the reference-after-pop_front bug class that ASan
+ * once caught here. UopRing replaces them with a power-of-two ring of
+ * whole PipeUops: fetch fills each entry in place through pushBack(),
+ * the consumer copies it out memory-to-memory, all steady-state
+ * operations are allocation-free, and front()/at() return by value so
+ * there is no reference to invalidate.
  */
 
 #ifndef ICICLE_CORE_PIPEBUF_HH
@@ -58,12 +57,16 @@ struct PipeUop
     }
 };
 
+/** Synthetic wrong-path uop: fetch copies it into a slot and sets its pcs. */
+inline constexpr PipeUop kWrongPathUop{.ret = {.inst = {.op = Op::Addi}},
+                                       .flags = uopflag::wrongPath};
+
 /**
- * Ring buffer of PipeUops in structure-of-arrays layout. Capacity is
- * rounded up to a power of two and grows by doubling only when a push
- * finds the ring full, so bounded buffers (ibuf, fetch buffer) never
- * allocate after construction and the unbounded replay queue
- * allocates O(log n) times total.
+ * Ring buffer of PipeUops. Capacity is rounded up to a power of two
+ * and grows by doubling only when a push finds the ring full, so
+ * bounded buffers (ibuf, fetch buffer) never allocate after
+ * construction and the unbounded replay queue allocates O(log n)
+ * times total.
  */
 class UopRing
 {
@@ -73,9 +76,7 @@ class UopRing
         u64 cap = 8;
         while (cap < min_capacity)
             cap <<= 1;
-        rets.resize(cap);
-        predNexts.resize(cap);
-        flagBits.resize(cap);
+        slots.resize(cap);
         mask = cap - 1;
     }
 
@@ -83,16 +84,18 @@ class UopRing
     bool empty() const { return count == 0; }
     void clear() { count = 0; head = 0; }
 
-    void
-    pushBack(const PipeUop &uop)
+    /**
+     * Append an entry and return its slot to fill in place. The slot
+     * still holds whatever last occupied it, so the caller writes
+     * every field. Like peekFront(), the reference is valid only
+     * until the next push or pop.
+     */
+    PipeUop &
+    pushBack()
     {
         if (count > mask)
             grow();
-        const u64 slot = (head + count) & mask;
-        rets[slot] = uop.ret;
-        predNexts[slot] = uop.predictedNext;
-        flagBits[slot] = uop.flags;
-        count++;
+        return slots[(head + count++) & mask];
     }
 
     /** Prepend (used to splice replayed uops ahead of the queue). */
@@ -102,9 +105,7 @@ class UopRing
         if (count > mask)
             grow();
         head = (head - 1) & mask;
-        rets[head] = uop.ret;
-        predNexts[head] = uop.predictedNext;
-        flagBits[head] = uop.flags;
+        slots[head] = uop;
         count++;
     }
 
@@ -122,47 +123,29 @@ class UopRing
     PipeUop front() const { return at(0); }
 
     /** Copy of the i-th oldest entry. */
-    PipeUop
-    at(u64 i) const
-    {
-        const u64 slot = (head + i) & mask;
-        PipeUop uop;
-        uop.ret = rets[slot];
-        uop.predictedNext = predNexts[slot];
-        uop.flags = flagBits[slot];
-        return uop;
-    }
+    PipeUop at(u64 i) const { return slots[(head + i) & mask]; }
 
-    /** Flag-lane peek: scans skip the Retired payload entirely. */
-    u8 flagsAt(u64 i) const { return flagBits[(head + i) & mask]; }
-    const Retired &retFront() const { return rets[head]; }
-    u8 flagsFront() const { return flagBits[head]; }
+    /**
+     * The oldest entry in place, valid only until the next push or
+     * pop: for stall checks and for copying it straight into its
+     * next home before popFront().
+     */
+    const PipeUop &peekFront() const { return slots[head]; }
+    u8 flagsAt(u64 i) const { return slots[(head + i) & mask].flags; }
 
   private:
     void
     grow()
     {
-        const u64 old_cap = mask + 1;
-        const u64 new_cap = old_cap * 2;
-        std::vector<Retired> new_rets(new_cap);
-        std::vector<Addr> new_preds(new_cap);
-        std::vector<u8> new_flags(new_cap);
-        for (u64 i = 0; i < count; i++) {
-            const u64 slot = (head + i) & mask;
-            new_rets[i] = rets[slot];
-            new_preds[i] = predNexts[slot];
-            new_flags[i] = flagBits[slot];
-        }
-        rets = std::move(new_rets);
-        predNexts = std::move(new_preds);
-        flagBits = std::move(new_flags);
+        std::vector<PipeUop> wider(2 * (mask + 1));
+        for (u64 i = 0; i < count; i++)
+            wider[i] = slots[(head + i) & mask];
+        slots = std::move(wider);
         head = 0;
-        mask = new_cap - 1;
+        mask = slots.size() - 1;
     }
 
-    std::vector<Retired> rets;
-    std::vector<Addr> predNexts;
-    std::vector<u8> flagBits;
+    std::vector<PipeUop> slots;
     u64 head = 0;
     u64 count = 0;
     u64 mask = 0;

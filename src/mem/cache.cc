@@ -1,15 +1,23 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace icicle
 {
 
-Cache::Cache(const CacheConfig &config)
-    : cfg(config), numSets(config.numSets())
+Cache::Cache(const CacheConfig &config) : cfg(config)
 {
-    if (numSets == 0 || (numSets & (numSets - 1)) != 0)
+    // Powers of two let every lookup find its set and tag by mask and
+    // shift instead of dividing.
+    if (!std::has_single_bit(cfg.blockBytes))
+        fatal("cache block size must be a nonzero power of two");
+    numSets = cfg.numSets();
+    if (!std::has_single_bit(numSets))
         fatal("cache set count must be a nonzero power of two");
+    blockShift = std::countr_zero(cfg.blockBytes);
+    setShift = std::countr_zero(numSets);
     lines.resize(static_cast<u64>(numSets) * cfg.ways);
 }
 

@@ -74,6 +74,9 @@ class Cache
     /** Invalidate everything (fence.i on the I-cache). */
     void flushAll();
 
+    /** Block number of addr (fetch-block and MSHR key). */
+    u64 blockAddr(Addr addr) const { return addr >> blockShift; }
+
     const CacheConfig &config() const { return cfg; }
     u64 accesses() const { return numAccesses; }
     u64 misses() const { return numMisses; }
@@ -87,9 +90,8 @@ class Cache
         u64 lruStamp = 0;
     };
 
-    u64 blockAddr(Addr addr) const { return addr / cfg.blockBytes; }
-    u32 setIndex(u64 block) const { return block % numSets; }
-    u64 tagOf(u64 block) const { return block / numSets; }
+    u32 setIndex(u64 block) const { return block & (numSets - 1); }
+    u64 tagOf(u64 block) const { return block >> setShift; }
 
     Line *findLine(u64 block);
     const Line *findLine(u64 block) const;
@@ -97,7 +99,9 @@ class Cache
     Line &victim(u64 block);
 
     CacheConfig cfg;
-    u32 numSets;
+    u32 numSets = 0;
+    u32 blockShift = 0;
+    u32 setShift = 0;
     std::vector<Line> lines;
     u64 stamp = 0;
     u64 numAccesses = 0;

@@ -155,8 +155,6 @@ RocketCore::tickFrontend()
         if (!wrongPathMode && streamDone)
             break;
 
-        // Materialize the next instruction to fetch.
-        PipeUop entry;
         Addr fetch_pc;
         if (wrongPathMode) {
             fetch_pc = wrongPathPc;
@@ -173,7 +171,7 @@ RocketCore::tickFrontend()
         }
 
         // I-cache access when crossing into a new block.
-        const u64 block = fetch_pc / cfg.mem.l1i.blockBytes;
+        const u64 block = mem.l1i().blockAddr(fetch_pc);
         if (block != lastFetchBlock) {
             const MemResult result = mem.fetch(fetch_pc);
             if (result.tlbMiss) {
@@ -191,27 +189,26 @@ RocketCore::tickFrontend()
             lastFetchBlock = block;
         }
 
-        // Deliver into the instruction buffer.
+        // Deliver into the instruction buffer, written once in its slot.
+        PipeUop &entry = ibuf.pushBack();
         if (wrongPathMode) {
-            entry.ret = Retired{};
+            entry = kWrongPathUop;
             entry.ret.pc = fetch_pc;
-            entry.ret.inst.op = Op::Addi; // synthetic wrong-path ALU op
             entry.ret.nextPc = fetch_pc + 4;
-            entry.flags = uopflag::wrongPath;
             wrongPathPc += 4;
-            ibuf.pushBack(entry);
             recovering = false;
             continue;
         }
 
         entry.ret = streamHead;
+        entry.predictedNext = 0;
+        entry.flags = 0;
         streamValid = false;
         if (streamHead.halted)
             streamDone = true;
         const bool is_cf = entry.ret.isControlFlow();
         if (is_cf)
             predictControlFlow(entry);
-        ibuf.pushBack(entry);
         recovering = false;
 
         if (is_cf) {
@@ -247,11 +244,11 @@ RocketCore::tickBackend()
         backend_stalled = true;
         events.raise(EventId::CsrInterlock);
     } else if (!halted && ibuf_valid) {
-        // Stall checks peek at the ring head through references
-        // (valid: nothing pushes or pops during the checks); the
-        // PipeUop is copied out only when the instruction issues.
-        const Retired &peek = ibuf.retFront();
-        const u8 peek_flags = ibuf.flagsFront();
+        // Stall checks peek at the ring head in place (valid: nothing
+        // pushes or pops during the checks); the PipeUop is copied
+        // out only when the instruction issues.
+        const PipeUop &peek_uop = ibuf.peekFront();
+        const Retired &peek = peek_uop.ret;
         const InstClass cls = classOf(peek.inst.op);
 
         // --- stall checks ------------------------------------------
@@ -285,7 +282,7 @@ RocketCore::tickBackend()
                 break;
             }
         };
-        if (!(peek_flags & uopflag::wrongPath)) {
+        if (!peek_uop.wrongPath()) {
             if (readsRs1(peek.inst.op))
                 check_operand(peek.inst.rs1);
             if (readsRs2(peek.inst.op))
@@ -479,11 +476,14 @@ RocketCore::tick()
     tickFrontend();
 
     csrs.tick(events);
-    // Only events raised this cycle can change a total.
+    // Only events raised this cycle can change a total. Bits are
+    // counted one by one: std::popcount is a library call on baseline x86-64.
     u64 dirty = events.dirty();
     while (dirty) {
         const u32 e = static_cast<u32>(std::countr_zero(dirty));
-        totals[e] += events.count(static_cast<EventId>(e));
+        for (u16 bits = events.mask(static_cast<EventId>(e)); bits;
+             bits &= bits - 1)
+            totals[e]++;
         dirty &= dirty - 1;
     }
     now++;

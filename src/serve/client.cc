@@ -22,6 +22,9 @@ namespace
 
 using ClientClock = std::chrono::steady_clock;
 
+/** How long a failed request write waits for a pending shed notice. */
+constexpr u32 kShedNoticeMs = 100;
+
 } // namespace
 
 ServeClient::ServeClient(const std::string &socket_path,
@@ -112,16 +115,25 @@ ServeClient::tryExchange(MsgType type, const std::string &payload,
     attemptCount++;
     if (fd < 0 && !connectNow(failure))
         return Attempt::Retriable;
-    if (!writeFrame(fd, type, payload)) {
-        failure = "lost connection to icicled at '" + socketPath +
-                  "' while sending a " +
-                  std::string(msgTypeName(type)) + " request";
-        disconnect();
-        return Attempt::Retriable;
-    }
     MsgType got;
-    const FrameRead read_result =
-        readFrameDeadline(fd, got, reply, opts.attemptTimeoutMs);
+    FrameRead read_result;
+    if (writeFrame(fd, type, payload)) {
+        read_result =
+            readFrameDeadline(fd, got, reply, opts.attemptTimeoutMs);
+    } else {
+        // The accept gate writes its Overloaded notice and closes at
+        // once, so the request write can fail with the notice still
+        // unread on the socket: read it before calling the connection
+        // lost, so the shed and its retry-after hint are honoured.
+        read_result = readFrameDeadline(fd, got, reply, kShedNoticeMs);
+        if (read_result != FrameRead::Ok || got != MsgType::Overloaded) {
+            failure = "lost connection to icicled at '" + socketPath +
+                      "' while sending a " +
+                      std::string(msgTypeName(type)) + " request";
+            disconnect();
+            return Attempt::Retriable;
+        }
+    }
     if (read_result != FrameRead::Ok) {
         // EOF (daemon restarted / injected reset), a torn or
         // CRC-failed frame, and an attempt timeout are all

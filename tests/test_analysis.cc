@@ -11,6 +11,7 @@
 
 #include "analysis/interval.hh"
 #include "analysis/lint.hh"
+#include "core/dispatch.hh"
 #include "core/session.hh"
 #include "isa/builder.hh"
 #include "perf/harness.hh"
@@ -479,6 +480,17 @@ TEST(LintGate, HarnessFailsFastOnDuplicateRequest)
     harness.addEvent(EventId::DTlbMiss); // reserved: warns, allowed
     harness.addEvent(EventId::DTlbMiss); // dedup'd by addEvent
     EXPECT_NO_THROW(harness.run(100));
+}
+
+TEST(CoreDispatch, UnknownCoreModelIsFatal)
+{
+    // runCoreLoop has one dispatch path, into the two shipped models:
+    // a test double that reaches it fails loudly instead of falling
+    // back to a type-erased per-cycle hook.
+    PuppetCore core(CoreKind::Rocket, 1, 1, CounterArch::Scalar,
+                    stubProgram());
+    EXPECT_THROW(runCoreLoop(core, 10, [](Cycle, const EventBus &) {}),
+                 FatalError);
 }
 
 // ============================================ diagnostics engine

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "boom/boom.hh"
+#include "common/logging.hh"
 #include "isa/builder.hh"
 
 namespace icicle
@@ -387,6 +388,17 @@ TEST(Boom, DrainsAfterHalt)
     ASSERT_TRUE(core.done());
     EXPECT_LT(cycles, 100000u);
     EXPECT_EQ(core.total(EventId::Exception), 1u);
+}
+
+TEST(Boom, RejectsRobTooLargeForCompletionHandles)
+{
+    // A completion packs its ROB slot into 16 bits: 65536 entries is
+    // the most a config may ask for.
+    BoomConfig config = BoomConfig::small();
+    config.robEntries = 1u << 16;
+    EXPECT_NO_THROW(BoomCore core(config, countdownLoop(1)));
+    config.robEntries = (1u << 16) + 1;
+    EXPECT_THROW(BoomCore core(config, countdownLoop(1)), FatalError);
 }
 
 } // namespace

@@ -15,17 +15,24 @@
  *     possible with deque::erase.
  *  3. RocketCore tickBackend — a reference to ibuf.front() held
  *     across popFront() and the FenceI ibuf.clear().
+ *  4. UopRing itself — in-place pushBack() slots written through
+ *     wrap-around and growth, interleaved with pushFront/popFront.
  *
  * The refactored UopRing makes the bug class structural: front() is
- * by-value and retFront()/flagsFront() references are documented as
- * invalid after any push/pop. These tests are the behavioral gate; in
+ * by-value, and the peekFront() and pushBack() slot references are
+ * documented as invalid after any push/pop. These tests are the
+ * behavioral gate, with a direct check of the ring itself (4); in
  * the sanitize CI job they additionally run under ASan+UBSan, so a
  * reintroduced stale reference fails loudly rather than flakily.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "boom/boom.hh"
+#include "common/random.hh"
+#include "core/pipebuf.hh"
 #include "isa/builder.hh"
 #include "rocket/rocket.hh"
 
@@ -149,6 +156,117 @@ TEST(RocketReplay, FenceIClearsBufferedUopsSafely)
     ASSERT_TRUE(core.done());
     EXPECT_EQ(core.total(EventId::InstRetired),
               core.executor().instsRetired());
+}
+
+/** Write every field of a uop, as fetch does into a ring slot. */
+void
+fillUop(PipeUop &uop, u64 id)
+{
+    uop.ret.pc = 0x1000 + 4 * id;
+    uop.ret.inst.op = static_cast<Op>(id % 4);
+    uop.ret.inst.rd = static_cast<u8>(id % 32);
+    uop.ret.inst.rs1 = static_cast<u8>((id + 1) % 32);
+    uop.ret.inst.rs2 = static_cast<u8>((id + 2) % 32);
+    uop.ret.inst.imm = -static_cast<i64>(id);
+    uop.ret.inst.raw = static_cast<u32>(id * 2654435761u);
+    uop.ret.nextPc = 0x1004 + 4 * id;
+    uop.ret.taken = id % 3 == 0;
+    uop.ret.memAddr = 0x8000 + 8 * id;
+    uop.ret.memSize = static_cast<u8>(1u << (id % 4));
+    uop.ret.halted = id % 5 == 0;
+    uop.predictedNext = 0x2000 + id;
+    uop.flags = static_cast<u8>(id % 8);
+}
+
+void
+expectSameUop(const PipeUop &got, const PipeUop &want)
+{
+    EXPECT_EQ(got.ret.pc, want.ret.pc);
+    EXPECT_EQ(got.ret.inst, want.ret.inst);
+    EXPECT_EQ(got.ret.inst.raw, want.ret.inst.raw);
+    EXPECT_EQ(got.ret.nextPc, want.ret.nextPc);
+    EXPECT_EQ(got.ret.taken, want.ret.taken);
+    EXPECT_EQ(got.ret.memAddr, want.ret.memAddr);
+    EXPECT_EQ(got.ret.memSize, want.ret.memSize);
+    EXPECT_EQ(got.ret.halted, want.ret.halted);
+    EXPECT_EQ(got.predictedNext, want.predictedNext);
+    EXPECT_EQ(got.flags, want.flags);
+}
+
+/** The ring holds exactly the model's entries, oldest first. */
+void
+expectRingMatches(const UopRing &ring, const std::deque<PipeUop> &model)
+{
+    ASSERT_EQ(ring.size(), model.size());
+    ASSERT_EQ(ring.empty(), model.empty());
+    if (model.empty())
+        return;
+    expectSameUop(ring.front(), model.front());
+    expectSameUop(ring.peekFront(), model.front());
+    for (u64 i = 0; i < model.size(); i++) {
+        expectSameUop(ring.at(i), model[i]);
+        ASSERT_EQ(ring.flagsAt(i), model[i].flags);
+    }
+}
+
+TEST(UopRingSlots, InPlaceFillsSurviveWrapAndGrowth)
+{
+    UopRing ring; // minimum capacity: 8
+    std::deque<PipeUop> model;
+    u64 next_id = 1;
+    auto push_back = [&] {
+        const u64 id = next_id++;
+        fillUop(ring.pushBack(), id);
+        fillUop(model.emplace_back(), id);
+    };
+    auto push_front = [&] {
+        PipeUop uop;
+        fillUop(uop, next_id++);
+        ring.pushFront(uop);
+        model.push_front(uop);
+    };
+    auto pop_front = [&] {
+        ring.popFront();
+        model.pop_front();
+    };
+
+    // Wrap the ring, fill it, then grow it from a pushBack while the
+    // live entries straddle the end of the array.
+    for (int i = 0; i < 5; i++)
+        push_back();
+    for (int i = 0; i < 3; i++)
+        pop_front();
+    for (int i = 0; i < 6; i++)
+        push_back();
+    expectRingMatches(ring, model); // full at 8, head mid-array
+    push_back();                    // grows to 16 while wrapped
+    expectRingMatches(ring, model);
+    // Fill the 16 with pushFront (head walks backwards past slot 0),
+    // then grow again from a pushFront.
+    for (int i = 0; i < 7; i++)
+        push_front();
+    expectRingMatches(ring, model);
+    push_front(); // grows to 32
+    expectRingMatches(ring, model);
+
+    // Seeded mixed walk: pushes outnumber pops, so the ring wraps at
+    // every size and doubles at random head positions.
+    Rng rng(11);
+    for (u32 step = 0; step < 2'000; step++) {
+        const u64 roll = rng.below(100);
+        if (roll < 40 || model.empty()) {
+            push_back();
+        } else if (roll < 55) {
+            push_front();
+        } else if (roll < 95) {
+            pop_front();
+        } else {
+            ring.popBack();
+            model.pop_back();
+        }
+        expectRingMatches(ring, model);
+    }
+    EXPECT_GT(model.size(), 64u); // grew past 64: two more doublings
 }
 
 } // namespace

@@ -85,6 +85,14 @@ TEST(Cache, RejectsNonPowerOfTwoSets)
     bad.ways = 1;
     bad.blockBytes = 64;
     EXPECT_THROW(Cache cache(bad), FatalError);
+    // Lookups shift by the block size too, so a block size that is
+    // not a power of two is rejected as well (here with four sets). A
+    // zero block size is rejected before numSets() divides by it.
+    bad.sizeBytes = 4 * 48;
+    bad.blockBytes = 48;
+    EXPECT_THROW(Cache cache(bad), FatalError);
+    bad.blockBytes = 0;
+    EXPECT_THROW(Cache cache(bad), FatalError);
 }
 
 TEST(Hierarchy, LatenciesStack)
