@@ -1,31 +1,32 @@
 /**
  * @file
  * bench/selfprof — the simulator profiles its own host-side
- * execution (ISSUE 7). Three fixed lanes (Rocket, BOOM large, BOOM
- * large + tracer) run a mixed ALU/memory/branch loop for a fixed
- * number of simulated cycles; the binary records simulated cycles per
- * host second plus hardware counters when perf_event_open works, and
- * emits BENCH_selfprof.json.
+ * throughput. Three fixed lanes (Rocket, BOOM large, BOOM large +
+ * tracer) run a mixed ALU/memory/branch loop for 1,000,000 simulated
+ * cycles each; the binary records simulated cycles per host second
+ * (wall clock) and emits BENCH_selfprof.json.
  *
  * Modes:
- *   bench_selfprof [--out FILE] [--sim-cycles N]   run + emit JSON
- *   bench_selfprof --validate FILE                 schema-check
- *   bench_selfprof --check BASELINE CURRENT [--tolerance T]
- *       calibration-normalized throughput gate: exit 1 when any lane
- *       drops more than T (default 0.20) below the baseline.
+ *   bench_selfprof [--out FILE]          run + emit JSON
+ *   bench_selfprof --check BASELINE CURRENT
+ *       calibration-normalized throughput gate: exit 1 when a lane
+ *       of BASELINE is missing from CURRENT or its normalized
+ *       sim-cycles/s dropped more than 20%.
  *
- * All three modes live in this one binary so CI needs no Python or
- * jq: the executable schema in src/selfprof/ is the contract.
+ * Both modes validate every report they read or write, so CI needs
+ * no Python or jq: validateSelfprofReport() in src/selfprof/ is the
+ * contract. Exit status: 0 ok, 1 invalid report or gate failure,
+ * 2 usage error.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "boom/boom.hh"
+#include "common/argparse.hh"
 #include "isa/builder.hh"
 #include "rocket/rocket.hh"
 #include "selfprof/selfprof.hh"
@@ -36,6 +37,21 @@ namespace
 
 using namespace icicle;
 using namespace icicle::reg;
+
+constexpr char kUsage[] =
+    "usage: bench_selfprof [--out FILE]\n"
+    "       bench_selfprof --check BASELINE CURRENT\n"
+    "\n"
+    "  --out FILE   write BENCH_selfprof.json to FILE (default:\n"
+    "               stdout)\n"
+    "  --check      exit 1 when a lane of BASELINE is missing from\n"
+    "               CURRENT or its calibration-normalized\n"
+    "               sim-cycles/s dropped more than 20%\n";
+
+/** Simulated cycles each lane measures. */
+constexpr u64 kSimCycles = 1'000'000;
+/** Largest normalized per-lane drop --check lets through. */
+constexpr double kTolerance = 0.20;
 
 Program
 mixLoop()
@@ -65,79 +81,49 @@ mixLoop()
 struct LaneResult
 {
     std::string name;
-    u64 simCycles = 0;
     double wallSeconds = 0;
-    HostCounters counters;
 };
 
-/** Warm the core (cold caches/predictors), then measure a region. */
+/** Warm the core (cold caches/predictors), then time kSimCycles. */
 template <typename F>
 LaneResult
-measureLane(const std::string &name, u64 sim_cycles,
-            HostProfiler &profiler, Core &core, F &&run)
+measureLane(const std::string &name, Core &core, F &&run)
 {
     core.run(10'000); // warm-up outside the measured region
-    LaneResult lane;
-    lane.name = name;
-    lane.simCycles = sim_cycles;
-    profiler.begin();
     const auto start = std::chrono::steady_clock::now();
-    run(sim_cycles);
+    run(kSimCycles);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
-    lane.counters = profiler.end();
-    lane.wallSeconds = elapsed.count();
-    return lane;
+    return LaneResult{name, elapsed.count()};
 }
 
 std::string
-renderReport(const std::vector<LaneResult> &lanes, double spin_rate,
-             bool perf_available)
+renderReport(const std::vector<LaneResult> &lanes, double spin_rate)
 {
     std::ostringstream os;
     os.precision(17);
     os << "{\n";
     os << "  \"schema_version\": 1,\n";
-    os << "  \"counter_source\": \""
-       << (perf_available ? "perf_event" : "wall_clock") << "\",\n";
     os << "  \"calibration\": {\"spin_iters_per_sec\": " << spin_rate
        << "},\n";
     os << "  \"lanes\": [\n";
     for (u64 i = 0; i < lanes.size(); i++) {
         const LaneResult &lane = lanes[i];
         const double rate =
-            static_cast<double>(lane.simCycles) / lane.wallSeconds;
+            static_cast<double>(kSimCycles) / lane.wallSeconds;
         os << "    {\"name\": \"" << lane.name << "\", "
-           << "\"sim_cycles\": " << lane.simCycles << ", "
+           << "\"sim_cycles\": " << kSimCycles << ", "
            << "\"wall_seconds\": " << lane.wallSeconds << ", "
-           << "\"sim_cycles_per_sec\": " << rate;
-        if (lane.counters.available) {
-            const double per_cycle =
-                static_cast<double>(lane.counters.instructions) /
-                static_cast<double>(lane.simCycles);
-            os << ",\n     \"host_instructions\": "
-               << lane.counters.instructions
-               << ", \"host_cycles\": " << lane.counters.cycles
-               << ", \"host_branch_misses\": "
-               << lane.counters.branchMisses
-               << ", \"host_cache_misses\": "
-               << lane.counters.cacheMisses
-               << ", \"host_instructions_per_sim_cycle\": "
-               << per_cycle;
-            if (lane.counters.cycles > 0)
-                os << ", \"host_ipc\": "
-                   << static_cast<double>(
-                          lane.counters.instructions) /
-                          static_cast<double>(lane.counters.cycles);
-        }
-        os << "}" << (i + 1 < lanes.size() ? "," : "") << "\n";
+           << "\"sim_cycles_per_sec\": " << rate << "}"
+           << (i + 1 < lanes.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
     return os.str();
 }
 
+/** Read, parse and validate the report at `path`. */
 bool
-loadReport(const std::string &path, JsonValue &out)
+loadAndValidate(const std::string &path, JsonValue &out)
 {
     std::ifstream in(path);
     if (!in) {
@@ -154,15 +140,6 @@ loadReport(const std::string &path, JsonValue &out)
                      path.c_str(), error.c_str());
         return false;
     }
-    return true;
-}
-
-bool
-loadAndValidate(const std::string &path, JsonValue &out)
-{
-    if (!loadReport(path, out))
-        return false;
-    std::string error;
     if (!validateSelfprofReport(out, &error)) {
         std::fprintf(stderr, "selfprof: %s: invalid report: %s\n",
                      path.c_str(), error.c_str());
@@ -172,21 +149,42 @@ loadAndValidate(const std::string &path, JsonValue &out)
 }
 
 int
-runLanes(const std::string &out_path, u64 sim_cycles)
+checkReports(const std::string &baseline_path,
+             const std::string &current_path)
 {
-    HostProfiler profiler;
+    JsonValue baseline, current;
+    if (!loadAndValidate(baseline_path, baseline) ||
+        !loadAndValidate(current_path, current))
+        return 1;
+    const SelfprofComparison cmp =
+        compareSelfprofReports(baseline, current, kTolerance);
+    std::fputs(cmp.report.c_str(), stdout);
+    if (!cmp.ok) {
+        std::fprintf(stderr,
+                     "selfprof: a baseline lane is missing or "
+                     "dropped more than %.0f%%\n",
+                     kTolerance * 100);
+        return 1;
+    }
+    std::printf("selfprof: within tolerance\n");
+    return 0;
+}
+
+int
+runLanes(const std::string &out_path)
+{
     std::vector<LaneResult> lanes;
 
     {
         RocketCore core(RocketConfig{}, mixLoop());
         lanes.push_back(measureLane(
-            "rocket_mix", sim_cycles, profiler, core,
+            "rocket_mix", core,
             [&core](u64 cycles) { core.run(cycles); }));
     }
     {
         BoomCore core(BoomConfig::large(), mixLoop());
         lanes.push_back(measureLane(
-            "boom_large_mix", sim_cycles, profiler, core,
+            "boom_large_mix", core,
             [&core](u64 cycles) { core.run(cycles); }));
     }
     {
@@ -194,7 +192,7 @@ runLanes(const std::string &out_path, u64 sim_cycles)
         const TraceSpec spec = TraceSpec::tmaBundle(core);
         Trace trace(spec);
         lanes.push_back(measureLane(
-            "boom_large_traced", sim_cycles, profiler, core,
+            "boom_large_traced", core,
             [&core, &trace](u64 cycles) {
                 core.runLoop(cycles,
                              [&trace](Cycle, const EventBus &bus) {
@@ -203,11 +201,10 @@ runLanes(const std::string &out_path, u64 sim_cycles)
             }));
     }
 
-    const double spin_rate = calibrateSpinRate();
     const std::string report =
-        renderReport(lanes, spin_rate, profiler.perfAvailable());
+        renderReport(lanes, calibrateSpinRate());
 
-    // The emitted report must pass its own schema gate.
+    // The emitted report must pass its own validation.
     std::string error;
     const JsonValue parsed = parseJson(report, &error);
     if (!validateSelfprofReport(parsed, &error)) {
@@ -227,10 +224,7 @@ runLanes(const std::string &out_path, u64 sim_cycles)
                          out_path.c_str());
             return 1;
         }
-        std::printf("selfprof: wrote %s (%s counters)\n",
-                    out_path.c_str(),
-                    profiler.perfAvailable() ? "perf_event"
-                                             : "wall_clock");
+        std::printf("selfprof: wrote %s\n", out_path.c_str());
     }
     return 0;
 }
@@ -241,54 +235,24 @@ int
 main(int argc, char **argv)
 {
     std::string out_path;
-    u64 sim_cycles = 1'000'000;
-    double tolerance = 0.20;
-
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
-        if (arg == "--validate" && i + 1 < argc) {
-            JsonValue report;
-            if (!loadAndValidate(argv[i + 1], report))
-                return 1;
-            std::printf("selfprof: %s is valid\n", argv[i + 1]);
-            return 0;
+        if (cli::isHelp(arg))
+            return cli::usageExit(stdout, kUsage);
+        if (arg == "--check") {
+            if (i + 2 >= argc)
+                return cli::missingValue(arg, kUsage);
+            if (i + 3 < argc)
+                return cli::unknownOption(argv[i + 3], kUsage);
+            return checkReports(argv[i + 1], argv[i + 2]);
         }
-        if (arg == "--check" && i + 2 < argc) {
-            for (int j = i + 3; j + 1 < argc; j += 2)
-                if (std::string(argv[j]) == "--tolerance")
-                    tolerance = std::atof(argv[j + 1]);
-            JsonValue baseline, current;
-            if (!loadAndValidate(argv[i + 1], baseline) ||
-                !loadAndValidate(argv[i + 2], current))
-                return 1;
-            const SelfprofComparison cmp = compareSelfprofReports(
-                baseline, current, tolerance);
-            std::fputs(cmp.report.c_str(), stdout);
-            if (!cmp.ok) {
-                std::fprintf(stderr,
-                             "selfprof: throughput regression "
-                             "beyond %.0f%%\n",
-                             tolerance * 100);
-                return 1;
-            }
-            std::printf("selfprof: within tolerance\n");
-            return 0;
-        }
-        if (arg == "--out" && i + 1 < argc) {
+        if (arg == "--out") {
+            if (i + 1 >= argc)
+                return cli::missingValue(arg, kUsage);
             out_path = argv[++i];
             continue;
         }
-        if (arg == "--sim-cycles" && i + 1 < argc) {
-            sim_cycles = std::strtoull(argv[++i], nullptr, 10);
-            continue;
-        }
-        std::fprintf(
-            stderr,
-            "usage: bench_selfprof [--out FILE] [--sim-cycles N]\n"
-            "       bench_selfprof --validate FILE\n"
-            "       bench_selfprof --check BASELINE CURRENT "
-            "[--tolerance T]\n");
-        return 2;
+        return cli::unknownOption(arg, kUsage);
     }
-    return runLanes(out_path, sim_cycles);
+    return runLanes(out_path);
 }

@@ -1,14 +1,14 @@
 #!/bin/sh
 # Run the bench/selfprof lane and gate it against the committed
-# baseline. Usage: scripts/run_selfprof.sh [BUILD_DIR] [SIM_CYCLES]
+# baseline. Usage: scripts/run_selfprof.sh [BUILD_DIR]
 #
-# Produces BUILD_DIR/BENCH_selfprof.json, schema-validates it, and
-# fails when any lane's calibration-normalized sim-cycles/s drops
-# more than 20% below bench/BENCH_selfprof.json.
+# Produces BUILD_DIR/BENCH_selfprof.json (validated before it is
+# written) and fails when a baseline lane is missing from it or its
+# calibration-normalized sim-cycles/s drops more than 20% below
+# bench/BENCH_selfprof.json.
 set -eu
 
 build_dir="${1:-build}"
-sim_cycles="${2:-1000000}"
 repo_dir="$(cd "$(dirname "$0")/.." && pwd)"
 bin="$build_dir/bench/bench_selfprof"
 out="$build_dir/BENCH_selfprof.json"
@@ -18,6 +18,5 @@ if [ ! -x "$bin" ]; then
     exit 1
 fi
 
-"$bin" --out "$out" --sim-cycles "$sim_cycles"
-"$bin" --validate "$out"
+"$bin" --out "$out"
 "$bin" --check "$repo_dir/bench/BENCH_selfprof.json" "$out"

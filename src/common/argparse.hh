@@ -2,8 +2,9 @@
  * @file
  * Shared CLI argument conventions for every icicle tool.
  *
- * All five binaries (icicle-lint/sweep/trace/prove and icicled)
- * promise the same contract, pinned by tests/test_cli.cc:
+ * Every shipped binary (icicle-lint/sweep/trace/prove/chaos/sync,
+ * icicled, icicle-bench-serve and bench_selfprof) promises the same
+ * contract, pinned by tests/test_cli.cc:
  *
  *   --help / -h   usage text on *stdout*, exit 0
  *   unknown flag  diagnostic + usage text on *stderr*, exit 2

@@ -5,109 +5,8 @@
 #include <cstdio>
 #include <cstring>
 
-#if defined(__linux__)
-#include <linux/perf_event.h>
-#include <sys/ioctl.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#endif
-
 namespace icicle
 {
-
-// ----------------------------------------------------- HostProfiler
-
-#if defined(__linux__)
-
-namespace
-{
-
-int
-openCounter(u32 type, u64 config, int group_fd)
-{
-    perf_event_attr attr;
-    std::memset(&attr, 0, sizeof(attr));
-    attr.type = type;
-    attr.size = sizeof(attr);
-    attr.config = config;
-    attr.disabled = group_fd < 0 ? 1 : 0;
-    attr.exclude_kernel = 1;
-    attr.exclude_hv = 1;
-    return static_cast<int>(syscall(SYS_perf_event_open, &attr, 0,
-                                    -1, group_fd, 0));
-}
-
-} // namespace
-
-HostProfiler::HostProfiler()
-{
-    // One group so all four counters cover the identical interval.
-    fds[0] = openCounter(PERF_TYPE_HARDWARE,
-                         PERF_COUNT_HW_INSTRUCTIONS, -1);
-    if (fds[0] < 0)
-        return;
-    fds[1] = openCounter(PERF_TYPE_HARDWARE,
-                         PERF_COUNT_HW_CPU_CYCLES, fds[0]);
-    fds[2] = openCounter(PERF_TYPE_HARDWARE,
-                         PERF_COUNT_HW_BRANCH_MISSES, fds[0]);
-    fds[3] = openCounter(PERF_TYPE_HARDWARE,
-                         PERF_COUNT_HW_CACHE_MISSES, fds[0]);
-}
-
-HostProfiler::~HostProfiler()
-{
-    for (int fd : fds)
-        if (fd >= 0)
-            close(fd);
-}
-
-void
-HostProfiler::begin()
-{
-    if (fds[0] < 0)
-        return;
-    ioctl(fds[0], PERF_EVENT_IOC_RESET, PERF_IOC_FLAG_GROUP);
-    ioctl(fds[0], PERF_EVENT_IOC_ENABLE, PERF_IOC_FLAG_GROUP);
-}
-
-HostCounters
-HostProfiler::end()
-{
-    HostCounters out;
-    if (fds[0] < 0)
-        return out;
-    ioctl(fds[0], PERF_EVENT_IOC_DISABLE, PERF_IOC_FLAG_GROUP);
-    u64 values[4] = {0, 0, 0, 0};
-    for (int i = 0; i < 4; i++) {
-        if (fds[i] < 0)
-            continue;
-        if (read(fds[i], &values[i], sizeof(u64)) !=
-            static_cast<ssize_t>(sizeof(u64)))
-            return out; // leave available == false
-    }
-    out.available = true;
-    out.instructions = values[0];
-    out.cycles = values[1];
-    out.branchMisses = values[2];
-    out.cacheMisses = values[3];
-    return out;
-}
-
-#else // !__linux__
-
-HostProfiler::HostProfiler() {}
-HostProfiler::~HostProfiler() {}
-void
-HostProfiler::begin()
-{
-}
-HostCounters
-HostProfiler::end()
-{
-    return HostCounters{};
-}
-
-#endif
 
 // ------------------------------------------------------ calibration
 
@@ -366,6 +265,16 @@ parseJson(const std::string &text, std::string *error)
 namespace
 {
 
+/** The lane of `report` called `name`; nullptr when it has none. */
+const JsonValue *
+findLane(const JsonValue &report, const std::string &name)
+{
+    for (const JsonValue &lane : report.get("lanes")->items)
+        if (lane.get("name")->str == name)
+            return &lane;
+    return nullptr;
+}
+
 bool
 failValidate(std::string *error, const std::string &what)
 {
@@ -400,12 +309,6 @@ validateSelfprofReport(const JsonValue &report, std::string *error)
     if (!version || !version->isNumber() || version->number != 1)
         return failValidate(error, "schema_version must be 1");
 
-    const JsonValue *source = report.get("counter_source");
-    if (!source || !source->isString() ||
-        (source->str != "perf_event" && source->str != "wall_clock"))
-        return failValidate(error, "counter_source must be "
-                                   "'perf_event' or 'wall_clock'");
-
     const JsonValue *calibration = report.get("calibration");
     if (!calibration || !calibration->isObject())
         return failValidate(error, "missing calibration object");
@@ -434,20 +337,6 @@ validateSelfprofReport(const JsonValue &report, std::string *error)
         if (!requirePositiveNumber(lane, "sim_cycles_per_sec", where,
                                    error))
             return false;
-        // Host counters are optional (wall-clock fallback omits
-        // them) but must be non-negative numbers when present.
-        for (const char *key :
-             {"host_instructions", "host_cycles",
-              "host_branch_misses", "host_cache_misses",
-              "host_instructions_per_sim_cycle", "host_ipc"}) {
-            const JsonValue *v = lane.get(key);
-            if (!v)
-                continue;
-            if (!v->isNumber() || v->number < 0)
-                return failValidate(
-                    error, where + ": '" + std::string(key) +
-                               "' must be a non-negative number");
-        }
     }
     return true;
 }
@@ -464,17 +353,14 @@ compareSelfprofReports(const JsonValue &baseline,
     const double cur_spin =
         current.get("calibration")->get("spin_iters_per_sec")->number;
 
-    const JsonValue *cur_lanes = current.get("lanes");
     for (const JsonValue &base_lane :
          baseline.get("lanes")->items) {
         const std::string &name = base_lane.get("name")->str;
-        const JsonValue *cur_lane = nullptr;
-        for (const JsonValue &candidate : cur_lanes->items)
-            if (candidate.get("name")->str == name)
-                cur_lane = &candidate;
+        const JsonValue *cur_lane = findLane(current, name);
         if (!cur_lane) {
             out.report += "  " + name + ": missing from current "
-                                        "report (not compared)\n";
+                                        "report  MISSING\n";
+            out.ok = false;
             continue;
         }
         // Spin-normalized throughput: sim cycles per calibration
@@ -495,6 +381,12 @@ compareSelfprofReports(const JsonValue &baseline,
         } else {
             out.report += "  ok\n";
         }
+    }
+    for (const JsonValue &cur_lane : current.get("lanes")->items) {
+        const std::string &name = cur_lane.get("name")->str;
+        if (!findLane(baseline, name))
+            out.report += "  " + name + ": not in baseline "
+                                        "(not compared)\n";
     }
     return out;
 }

@@ -334,11 +334,12 @@ TEST(CliContract, HelpExitsZeroUnknownFlagExitsTwo)
 {
     // Every shipped binary honours the same contract: --help (and -h)
     // succeeds with the usage text on stdout, an unrecognized flag is
-    // a usage error on stderr with exit 2. All five go through
+    // a usage error on stderr with exit 2. All nine go through
     // cli::usageExit, so one drifting apart is a real regression.
     const std::string binaries[] = {
-        ICICLE_TRACE_BIN,  ICICLE_PROVE_BIN,      ICICLE_SWEEP_BIN,
-        ICICLE_LINT_BIN,   ICICLED_BIN,           ICICLE_BENCH_SERVE_BIN,
+        ICICLE_TRACE_BIN, ICICLE_PROVE_BIN, ICICLE_SWEEP_BIN,
+        ICICLE_LINT_BIN,  ICICLED_BIN,      ICICLE_BENCH_SERVE_BIN,
+        ICICLE_CHAOS_BIN, ICICLE_SYNC_BIN,  BENCH_SELFPROF_BIN,
     };
     for (const std::string &bin : binaries) {
         EXPECT_EQ(run(bin + " --help"), 0) << bin;
@@ -352,8 +353,9 @@ TEST(CliContract, HelpTextGoesToStdoutUsageErrorToStderr)
     // The streams matter: `tool --help | less` must show the text,
     // and a usage error must not pollute piped stdout.
     const std::string binaries[] = {
-        ICICLE_TRACE_BIN,  ICICLE_PROVE_BIN,      ICICLE_SWEEP_BIN,
-        ICICLE_LINT_BIN,   ICICLED_BIN,           ICICLE_BENCH_SERVE_BIN,
+        ICICLE_TRACE_BIN, ICICLE_PROVE_BIN, ICICLE_SWEEP_BIN,
+        ICICLE_LINT_BIN,  ICICLED_BIN,      ICICLE_BENCH_SERVE_BIN,
+        ICICLE_CHAOS_BIN, ICICLE_SYNC_BIN,  BENCH_SELFPROF_BIN,
     };
     for (const std::string &bin : binaries) {
         TempPath captured("cli_contract_out.txt");

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the bench/selfprof support library: the JSON reader, the
- * executable BENCH_selfprof.json schema, the calibration-normalized
- * regression comparison, and the HostProfiler fallback contract.
+ * BENCH_selfprof.json validator, the calibration-normalized
+ * regression comparison, and the spin calibration.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@ namespace
 
 const char *kValidReport = R"({
   "schema_version": 1,
-  "counter_source": "wall_clock",
   "calibration": {"spin_iters_per_sec": 5.0e8},
   "lanes": [
     {"name": "rocket_mix", "sim_cycles": 1000000,
@@ -76,8 +75,6 @@ TEST(SelfprofSchema, RejectsBrokenReports)
         const char *to;
     } kMutations[] = {
         {"\"schema_version\": 1", "\"schema_version\": 2"},
-        {"\"counter_source\": \"wall_clock\"",
-         "\"counter_source\": \"stopwatch\""},
         {"\"spin_iters_per_sec\": 5.0e8",
          "\"spin_iters_per_sec\": 0"},
         {"\"sim_cycles_per_sec\": 1.0e7",
@@ -131,22 +128,32 @@ TEST(SelfprofCheck, NormalizesByCalibration)
         compareSelfprofReports(baseline, parseOk(slower), 0.35).ok);
 }
 
-TEST(SelfprofHost, ProfilerDegradesGracefully)
+TEST(SelfprofCheck, MissingBaselineLaneFails)
 {
-    // Whatever the kernel allows, the contract holds: either real
-    // counters (then instructions > 0 for any nonempty region) or a
-    // clean available == false fallback. Never garbage.
-    HostProfiler profiler;
-    profiler.begin();
-    volatile u64 sink = 0;
-    for (u64 i = 0; i < 10000; i++)
-        sink = sink + i;
-    const HostCounters counters = profiler.end();
-    EXPECT_EQ(counters.available, profiler.perfAvailable());
-    if (counters.available)
-        EXPECT_GT(counters.instructions, 0u);
-    else
-        EXPECT_EQ(counters.instructions, 0u);
+    // A baseline lane the current report lacks (renamed or dropped)
+    // fails the gate instead of passing unchecked.
+    const JsonValue baseline = parseOk(kValidReport);
+    std::string renamed = kValidReport;
+    renamed.replace(renamed.find("boom_large_mix"), 14, "boom_mix");
+    const SelfprofComparison missing =
+        compareSelfprofReports(baseline, parseOk(renamed), 0.20);
+    EXPECT_FALSE(missing.ok) << missing.report;
+    EXPECT_NE(missing.report.find("boom_large_mix: missing"),
+              std::string::npos)
+        << missing.report;
+
+    // A lane found only in the current report is noted, not failed.
+    std::string extended = kValidReport;
+    extended.replace(extended.find("\"lanes\": ["), 10,
+                     R"("lanes": [
+    {"name": "boom_large_traced", "sim_cycles": 1000000,
+     "wall_seconds": 0.5, "sim_cycles_per_sec": 2.0e6},)");
+    const SelfprofComparison added =
+        compareSelfprofReports(baseline, parseOk(extended), 0.20);
+    EXPECT_TRUE(added.ok) << added.report;
+    EXPECT_NE(added.report.find("boom_large_traced: not in baseline"),
+              std::string::npos)
+        << added.report;
 }
 
 TEST(SelfprofHost, CalibrationIsPositive)

@@ -22,6 +22,7 @@
 
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/lockorder.hh"
@@ -747,6 +748,44 @@ TEST(ServeEndToEnd, CachedRepliesAreByteIdentical)
         client.shutdown();
     }
     daemon.join();
+}
+
+TEST(ServeEndToEnd, BenchServeMissesOnEveryColdKeyOfEveryRun)
+{
+    // Regression: icicle-bench-serve restarted its cold seeds at the
+    // same value on every run, so a second run against one daemon
+    // found every "cold" key already cached and read no misses.
+    TempDir dir("serve_bench_runs");
+    const std::string socket = dir.path + "/icicled.sock";
+    LiveDaemon daemon(socket, dir.path + "/cache");
+    const std::string command = std::string(ICICLE_BENCH_SERVE_BIN) +
+                                " --socket '" + socket +
+                                "' --clients 2 --requests 12";
+    for (int run = 0; run < 2; run++) {
+        FILE *pipe = ::popen(command.c_str(), "r");
+        ASSERT_NE(pipe, nullptr);
+        std::string out;
+        char buf[256];
+        while (std::fgets(buf, sizeof(buf), pipe))
+            out += buf;
+        const int status = ::pclose(pipe);
+        // The speedup gate reads host timing, so a loaded host may
+        // fail it (exit 1); a usage or connection error (2) is a bug.
+        ASSERT_TRUE(WIFEXITED(status)) << out;
+        EXPECT_LE(WEXITSTATUS(status), 1) << out;
+        unsigned long long requests = 0, hot = 0, cold = 0, hits = 0,
+                           misses = 0;
+        ASSERT_EQ(std::sscanf(out.c_str(),
+                              "%llu requests (%llu hot / %llu cold): "
+                              "%llu hits, %llu misses",
+                              &requests, &hot, &cold, &hits, &misses),
+                  5)
+            << out;
+        EXPECT_EQ(requests, 24u) << out;
+        EXPECT_GT(cold, 0u) << out;
+        EXPECT_EQ(hits, hot) << "run " << run << ": " << out;
+        EXPECT_EQ(misses, cold) << "run " << run << ": " << out;
+    }
 }
 
 TEST(ServeEndToEnd, ColdRunsFillEveryArchFromOneWorkerJob)
