@@ -27,9 +27,9 @@ main()
         EventId::Recovering,
     };
 
+    bool add_wires_exact = true;
+    bool distributed_exact = true;
     bool raw_never_overcounts = true;
-    bool corrected_always_exact = true;
-    u64 worst_bound_violations = 0;
 
     for (const std::string &name : suite) {
         BoomConfig aw_cfg = BoomConfig::large();
@@ -59,31 +59,24 @@ main()
                         static_cast<unsigned long long>(dc_value),
                         static_cast<unsigned long long>(exact));
             if (aw_value != exact)
-                corrected_always_exact = false;
+                add_wires_exact = false;
             // The two runs are identical simulations: the corrected
             // distributed value must also match its own exact total.
             if (dc_value != dc_core.total(event))
-                corrected_always_exact = false;
+                distributed_exact = false;
             if (dc_value > dc_core.total(event))
                 raw_never_overcounts = false;
         }
-        // Worst-case raw undercount bound: sources x 2^width.
-        const u32 sources =
-            dc_core.bus().sourcesOf(EventId::FetchBubbles);
-        u32 width = 1;
-        while ((1u << width) < sources)
-            width++;
-        const u64 bound = static_cast<u64>(sources) << width;
-        (void)bound;
-        (void)worst_bound_violations;
     }
 
     std::printf("\nchecks:\n");
     std::printf("  add-wires counts are exact .................. %s\n",
-                corrected_always_exact ? "OK" : "MISS");
+                add_wires_exact ? "OK" : "MISS");
     std::printf("  distributed post-processing recovers exact "
                 "counts (artifact workflow) %s\n",
-                corrected_always_exact ? "OK" : "MISS");
+                distributed_exact ? "OK" : "MISS");
+    std::printf("  distributed counts never overcount .......... %s\n",
+                raw_never_overcounts ? "OK" : "MISS");
     std::printf("  (paper worked example: 4 sources x 2^2 = worst "
                 "undercount 16; on a 929-bubble run that is 1.28%%)\n");
     return 0;

@@ -91,10 +91,12 @@ namespace icicle
  * Outermost (acquired first) to innermost:
  *
  *   kServeConn     icicled connection-liveness count/condvar
- *   kServeAdmission icicled admission gate (per-shard queue depth,
- *                  taken by connection threads before shard locks)
- *   kServeShard    per-shard single-flight dispatch (cache miss path)
- *   kServeWorker   per-worker pipe dispatch (under its shard's lock)
+ *   kServeAdmission icicled admission gate (runs on the miss path,
+ *                  taken by connection threads before a flight)
+ *   kServeFlights  in-flight run table (single-flight per run; held
+ *                  only to claim or end a flight, never across a job)
+ *   kServePool     worker pool's idle set and FIFO tickets (held only
+ *                  to check a worker out or in)
  *   kSweepCallback sweep engine journal+callback serialization
  *   kServeReaders  shared StoreReader map (released before queries)
  *   kStoreIo       StoreReader file handle + block-decode cache
@@ -105,8 +107,8 @@ namespace lockrank
 {
 constexpr u32 kServeConn = 10;
 constexpr u32 kServeAdmission = 15;
-constexpr u32 kServeShard = 20;
-constexpr u32 kServeWorker = 30;
+constexpr u32 kServeFlights = 20;
+constexpr u32 kServePool = 30;
 constexpr u32 kSweepCallback = 40;
 constexpr u32 kServeReaders = 50;
 constexpr u32 kStoreIo = 60;
@@ -117,9 +119,9 @@ constexpr u32 kTestBase = 1000;
 
 /**
  * A named, ranked std::mutex. The (name, rank) pair identifies the
- * lock *class*: instances that play the same role (the per-shard
- * dispatch mutexes, every StoreReader's ioMutex) share one name and
- * appear as one node in the lock-order graph.
+ * lock *class*: instances that play the same role (every
+ * StoreReader's ioMutex) share one name and appear as one node in
+ * the lock-order graph.
  */
 class ICICLE_CAPABILITY("mutex") Mutex
 {

@@ -220,8 +220,8 @@ class FaultPlan
   private:
     /**
      * Innermost lock in the global order (lockrank::kFaultPlan): the
-     * hooks fire under the journal callback lock, the serve shard
-     * locks, and the store writer paths, never the other way around.
+     * hooks fire under the journal callback lock and the store
+     * writer paths, never the other way around.
      */
     mutable Mutex mutex{"fault.plan", lockrank::kFaultPlan};
     std::atomic<bool> enabled{false};

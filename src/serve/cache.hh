@@ -63,10 +63,10 @@ struct ServeKey
 ServeKey serveCacheKey(const SweepPoint &point, u64 seed);
 
 /**
- * The shard-routing hash of a point's run: the hash of the run's
- * Scalar point's cache key, so it ignores the counter architecture
- * and every architecture of one (core, workload) routes to one shard
- * and is filled by one worker job.
+ * The hash of a point's run: the hash of the run's Scalar point's
+ * cache key, so it ignores the counter architecture. Every
+ * architecture of one (core, workload) shares one in-flight entry
+ * and one preferred worker, and is filled by one worker job.
  */
 u64 serveRunHash(const SweepPoint &point, u64 seed);
 

@@ -58,7 +58,7 @@ struct ChaosOptions
     u32 requestsPerClient = 3;
     /** Simulated cycles per sweep point (small = fast episodes). */
     u64 maxCycles = 50'000;
-    /** Daemon worker processes / cache shards. */
+    /** Daemon worker processes. */
     u32 shards = 2;
     /** Daemon admission gate (0 = unbounded). */
     u32 maxConns = 0;

@@ -1,5 +1,6 @@
 #include "serve/pool.hh"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 
@@ -14,18 +15,16 @@
 namespace icicle
 {
 
-WorkerPool::WorkerPool(u32 shards, u32 jobTimeoutMs)
-    : jobTimeoutMs(jobTimeoutMs)
+WorkerPool::WorkerPool(u32 count, u32 jobTimeoutMs)
+    : workers(std::max<u32>(count, 1)), jobTimeoutMs(jobTimeoutMs)
 {
     // A worker death must surface as EPIPE on the dispatch write,
     // not a fatal signal to the daemon.
     std::signal(SIGPIPE, SIG_IGN);
-    if (shards == 0)
-        shards = 1;
-    for (u32 s = 0; s < shards; s++) {
-        workers.push_back(std::make_unique<Worker>());
-        spawn(*workers.back());
-    }
+    for (Worker &worker : workers)
+        spawn(worker);
+    LockGuard lock(mutex);
+    idle.assign(workers.size(), true);
 }
 
 WorkerPool::~WorkerPool()
@@ -34,19 +33,17 @@ WorkerPool::~WorkerPool()
     // wedged after a respawn fork) would stall shutdown for as long
     // as its job runs; nothing a worker holds needs a clean exit —
     // the daemon owns all cache publishes.
-    for (auto &worker : workers)
-        reap(*worker);
+    for (Worker &worker : workers)
+        reap(worker);
 }
 
 void
 WorkerPool::spawn(Worker &worker)
 {
     // The PR-8 wedged-worker class, made checkable: record a
-    // SYNC-003 violation if this thread holds any icicle lock other
-    // than the dispatch pair across the fork (see pool.hh).
-    lockorder::checkForkSafety(
-        "WorkerPool::spawn",
-        {"serve.shard", "serve.pool.worker"});
+    // SYNC-003 violation if this thread holds any icicle lock across
+    // the fork (see pool.hh).
+    lockorder::checkForkSafety("WorkerPool::spawn", {});
     int to_child[2], from_child[2];
     if (::pipe(to_child) != 0 || ::pipe(from_child) != 0)
         fatal("cannot create worker pipes");
@@ -158,15 +155,56 @@ WorkerPool::childLoop(int rfd, int wfd)
     }
 }
 
-bool
-WorkerPool::runJob(u32 shard, const JobRequest &request,
-                   JobReply &reply, std::string &error)
+u32
+WorkerPool::firstIdle() const
 {
-    Worker &worker = *workers.at(shard % workers.size());
-    LockGuard lock(worker.mutex);
+    return static_cast<u32>(std::find(idle.begin(), idle.end(), true) -
+                            idle.begin());
+}
+
+u32
+WorkerPool::claim(u32 preferred, bool &waited)
+{
+    UniqueLock lock(mutex);
+    const u64 ticket = nextTicket++;
+    waited = false;
+    // First come, first served: a job claims a worker only once every
+    // earlier waiter has one.
+    while (ticket != servingTicket || firstIdle() == size()) {
+        waited = true;
+        changed.wait(lock);
+    }
+    servingTicket++;
+    u32 index = preferred % size();
+    if (!idle[index])
+        index = firstIdle();
+    idle[index] = false;
+    // The next ticket holder may find another worker idle.
+    changed.notifyAll();
+    return index;
+}
+
+void
+WorkerPool::release(u32 index)
+{
+    LockGuard lock(mutex);
+    idle[index] = true;
+    changed.notifyAll();
+}
+
+bool
+WorkerPool::runJob(u32 preferred, const JobRequest &request,
+                   JobReply &reply, std::string &error, bool *waited)
+{
+    bool queued = false;
+    const u32 index = claim(preferred, queued);
+    if (waited)
+        *waited = queued;
+    Worker &worker = workers[index];
     jobCount.fetch_add(1, std::memory_order_relaxed);
     // Two tries: the second lands on a freshly respawned worker if
     // the first found (or left) a corpse.
+    bool answered = false;
     const char *failure = " died";
     for (int attempt = 0; attempt < 2; attempt++) {
         if (worker.pid < 0) {
@@ -191,18 +229,24 @@ WorkerPool::runJob(u32 shard, const JobRequest &request,
         const bool decoded = got == FrameRead::Ok &&
                              type == MsgType::JobResponse &&
                              decodeJobReply(payload, reply);
-        if (decoded && jobReplyAnswers(request, reply))
-            return true;
+        answered = decoded && jobReplyAnswers(request, reply);
+        if (answered)
+            break;
         // A Timeout means the worker is alive but wedged (e.g. a
         // respawn fork that landed on a held heap lock); reap()
-        // SIGKILLs it so the shard recovers instead of hanging.
+        // SIGKILLs it so the worker recovers instead of hanging.
         if (got == FrameRead::Timeout)
             failure = " timed out";
         else if (decoded)
             failure = " answered the wrong number of points";
         reap(worker);
     }
-    error = "worker for shard " + std::to_string(shard) + failure +
+    // Checked back in before the caller publishes: no other job
+    // should wait behind the fsyncs of a cache publish.
+    release(index);
+    if (answered)
+        return true;
+    error = "worker " + std::to_string(index) + failure +
             " twice running " + sweepPointLabel(request.point);
     if (!request.moreArchs.empty())
         error += " and " + std::to_string(request.moreArchs.size()) +

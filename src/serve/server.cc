@@ -25,14 +25,6 @@ IcicleServer::IcicleServer(const ServerOptions &options)
       // exists and before run() spawns connection threads.
       pool(options.shards, options.jobTimeoutMs)
 {
-    for (u32 s = 0; s < pool.shards(); s++) {
-        shardMutexes.push_back(std::make_unique<Mutex>(
-            "serve.shard", lockrank::kServeShard));
-    }
-    {
-        LockGuard lock(admissionMutex);
-        shardQueue.assign(pool.shards(), 0);
-    }
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     if (opts.socketPath.empty() ||
@@ -264,31 +256,53 @@ IcicleServer::sendOverloaded(int fd, const std::string &reason)
 }
 
 bool
-IcicleServer::admitShard(u32 shard)
+IcicleServer::admitMiss()
 {
     if (opts.maxQueue == 0)
         return true;
+    const u64 cap = u64{opts.maxQueue} * pool.size();
     UniqueLock lock(admissionMutex);
-    if (shardQueue[shard] >= opts.maxQueue) {
-        // One bounded grace wait absorbs a momentary burst; a shard
+    if (missRuns >= cap) {
+        // One bounded grace wait absorbs a momentary burst; a gate
         // still full afterwards is genuine overload and the request
         // is shed.
         admissionCv.waitFor(lock, opts.retryAfterMs);
-        if (shardQueue[shard] >= opts.maxQueue)
+        if (missRuns >= cap)
             return false;
     }
-    shardQueue[shard]++;
+    missRuns++;
     return true;
 }
 
 void
-IcicleServer::releaseShard(u32 shard)
+IcicleServer::releaseMiss()
 {
     if (opts.maxQueue == 0)
         return;
     LockGuard lock(admissionMutex);
-    shardQueue[shard]--;
+    missRuns--;
     admissionCv.notifyAll();
+}
+
+bool
+IcicleServer::beginFlight(u64 run)
+{
+    UniqueLock lock(flightsMutex);
+    bool waited = false;
+    while (flights.contains(run)) {
+        waited = true;
+        flightsCv.wait(lock);
+    }
+    flights.insert(run);
+    return waited;
+}
+
+void
+IcicleServer::endFlight(u64 run)
+{
+    LockGuard lock(flightsMutex);
+    flights.erase(run);
+    flightsCv.notifyAll();
 }
 
 void
@@ -332,64 +346,67 @@ IcicleServer::runResults(std::span<const SweepPoint> run, u64 seed,
             missing.push_back(i);
     }
     if (!missing.empty()) {
-        // Every architecture of the run routes to one shard, so the
-        // admission slot, the shard lock and the re-check below are
-        // per run.
-        const u32 shard =
-            static_cast<u32>(serveRunHash(run[0], seed) % pool.shards());
-        // Admission gate, stage 2: reserve a miss-queue slot before
-        // contending on the shard mutex, so saturation becomes an
-        // explicit shed instead of an unbounded lock convoy.
-        if (!admitShard(shard)) {
+        // Admission gate, stage 2: reserve a miss-path slot before
+        // waiting on a flight or a worker, so saturation becomes an
+        // explicit shed instead of an unbounded queue.
+        if (!admitMiss()) {
             shed = true;
             return false;
         }
-        // Miss path: serialize on the shard, then re-check — a
-        // second requester blocked here finds the entries the first
-        // one published and dispatches only what is still missing
-        // (single-flight). releaseShard stays outside the shard-lock
-        // scope on every path: it takes the admission mutex, which
-        // ranks above (outside) the shard mutexes.
+        // Single-flight per run: every architecture of a run shares
+        // its serveRunHash. A request that finds the run in flight
+        // waits for that flight to end (after its publishes), then
+        // re-checks here and dispatches only what is still missing.
+        // The leader re-checks too: a flight may have ended between
+        // its lookup and its claim.
+        const u64 run_hash = serveRunHash(run[0], seed);
+        if (beginFlight(run_hash))
+            stats.flightWaits.fetch_add(1, std::memory_order_relaxed);
+        std::vector<size_t> still_missing;
+        for (size_t i : missing) {
+            if (!cache.lookup(keys[i], results[i]))
+                still_missing.push_back(i);
+        }
+        missing = std::move(still_missing);
         bool job_ok = true;
-        {
-            LockGuard lock(*shardMutexes[shard]);
-            std::vector<size_t> still_missing;
-            for (size_t i : missing) {
-                if (!cache.lookup(keys[i], results[i]))
-                    still_missing.push_back(i);
-            }
-            missing = std::move(still_missing);
-            if (!missing.empty()) {
-                JobRequest request;
-                request.point = run[missing[0]];
-                request.seed = seed;
-                for (size_t m = 1; m < missing.size(); m++)
-                    request.moreArchs.push_back(
-                        run[missing[m]].counterArch);
-                JobReply reply;
-                std::string job_error;
-                if (!pool.runJob(shard, request, reply, job_error) ||
-                    !reply.ok) {
-                    error = job_error.empty() ? reply.error
-                                              : job_error;
-                    job_ok = false;
-                } else {
-                    for (size_t m = 0; m < missing.size(); m++) {
-                        SweepResult &result = results[missing[m]];
-                        result = m == 0 ? reply.result
-                                        : reply.moreResults[m - 1];
-                        // Only Ok results are memoised: failures and
-                        // timeouts must re-run, not stick.
-                        // Publication failures degrade to
-                        // compute-only, never error the request (the
-                        // result in hand is still correct).
-                        if (result.status == SweepStatus::Ok)
-                            publishGuarded(keys[missing[m]], result);
-                    }
+        if (!missing.empty()) {
+            JobRequest request;
+            request.point = run[missing[0]];
+            request.seed = seed;
+            for (size_t m = 1; m < missing.size(); m++)
+                request.moreArchs.push_back(run[missing[m]].counterArch);
+            JobReply reply;
+            std::string job_error;
+            bool waited = false;
+            // The run's hash picks its preferred worker; any idle
+            // worker takes the job when that one is busy.
+            const bool ran = pool.runJob(
+                static_cast<u32>(run_hash % pool.size()), request,
+                reply, job_error, &waited);
+            if (waited)
+                stats.workerWaits.fetch_add(1, std::memory_order_relaxed);
+            if (!ran || !reply.ok) {
+                error = job_error.empty() ? reply.error : job_error;
+                job_ok = false;
+            } else {
+                for (size_t m = 0; m < missing.size(); m++) {
+                    SweepResult &result = results[missing[m]];
+                    result = m == 0 ? reply.result
+                                    : reply.moreResults[m - 1];
+                    // Only Ok results are memoised: failures and
+                    // timeouts must re-run, not stick. Publication
+                    // failures degrade to compute-only, never error
+                    // the request (the result in hand is still
+                    // correct).
+                    if (result.status == SweepStatus::Ok)
+                        publishGuarded(keys[missing[m]], result);
                 }
             }
         }
-        releaseShard(shard);
+        endFlight(run_hash);
+        // After the flight mutex drops, on every path: the admission
+        // mutex ranks above (outside) it.
+        releaseMiss();
         if (!job_ok)
             return false;
     }
@@ -562,12 +579,14 @@ IcicleServer::statsText()
        << "shed_requests: " << snap.shedRequests << "\n"
        << "publish_failures: " << snap.publishFailures << "\n"
        << "degraded_points: " << snap.degradedPoints << "\n"
+       << "flight_waits: " << snap.flightWaits << "\n"
+       << "worker_waits: " << snap.workerWaits << "\n"
        << "degraded: " << (degraded.load() ? 1 : 0) << "\n"
        << "max_conns: " << opts.maxConns << "\n"
        << "max_queue: " << opts.maxQueue << "\n"
        << "worker_restarts: " << pool.restarts() << "\n"
        << "worker_jobs: " << pool.jobs() << "\n"
-       << "shards: " << pool.shards() << "\n"
+       << "shards: " << pool.size() << "\n"
        << "cache_entries: " << cache.entriesOnDisk() << "\n";
     return os.str();
 }

@@ -3,7 +3,7 @@
  * IcicleServer: the long-running experiment service behind icicled.
  *
  * Listens on a Unix-domain stream socket and serves protocol.hh
- * frames: sweep grids (sharded across the worker process pool,
+ * frames: sweep grids (simulated on the worker process pool,
  * memoised in the content-addressed ResultCache), windowed TMA
  * queries over .icst stores (served from one shared thread-safe
  * StoreReader per store — footer counts, no block decodes for
@@ -14,10 +14,11 @@
  * starts (see pool.hh). run() then accepts connections and handles
  * each on its own thread. A sweep is served one run at a time — the
  * points of one (core, workload), which differ only in counter
- * architecture — and a run's misses are filled by one worker job,
- * serialized per shard, so N concurrent clients asking for the same
- * cold run simulate it once and N-1 of them hit the freshly
- * published cache entries.
+ * architecture — and a run's misses are filled by one worker job on
+ * the first idle worker. Single-flight is per run: N concurrent
+ * clients asking for the same cold run simulate it once, and N-1 of
+ * them wait for that flight and then hit its published cache
+ * entries.
  *
  * Request handling never takes the daemon down: malformed frames
  * drop the connection, invalid requests get an Error reply, worker
@@ -32,6 +33,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -55,12 +57,12 @@ struct ServerOptions
     std::string socketPath;
     /** ResultCache directory (created if needed). */
     std::string cacheDir;
-    /** Worker processes / cache shards. */
+    /** Worker processes (`--shards`). */
     u32 shards = 2;
     /**
      * Deadline on each worker's reply frame (0 = wait forever). A
      * worker that misses it is SIGKILLed and respawned, so a wedged
-     * child degrades to one retried job instead of a dead shard.
+     * child degrades to one retried job instead of a dead worker.
      */
     u32 jobTimeoutMs = 300'000;
     /**
@@ -70,9 +72,10 @@ struct ServerOptions
      */
     u32 maxConns = 0;
     /**
-     * Admission gate: max runs queued-or-executing on one shard's
-     * miss path (0 = unbounded). A full shard gets one bounded grace
-     * wait, then the request is shed with Overloaded.
+     * Admission gate: max runs on the miss path per worker (0 =
+     * unbounded), so at most maxQueue x shards runs wait for or hold
+     * a flight at once. A full gate gets one bounded grace wait, then
+     * the request is shed with Overloaded.
      */
     u32 maxQueue = 0;
     /**
@@ -96,7 +99,7 @@ struct ServerOptions
  * connection thread.
  *
  * Snapshot semantics are a documented torn-snapshot contract, not a
- * consistent read — taking a lock around eight counters on every
+ * consistent read — taking a lock around the counters on every
  * request would serialize the whole serving surface to count it:
  *
  *  - Each counter individually is exact and monotonic: a snapshot
@@ -125,12 +128,16 @@ struct ServeStats
     std::atomic<u64> errors{0};
     /** Connections shed at accept (max-conns). */
     std::atomic<u64> shedConns{0};
-    /** Requests shed at a full shard queue (max-queue). */
+    /** Requests shed at a full miss path (max-queue). */
     std::atomic<u64> shedRequests{0};
     /** Cache publications that failed (ENOSPC and friends). */
     std::atomic<u64> publishFailures{0};
     /** Points served compute-only while degraded. */
     std::atomic<u64> degradedPoints{0};
+    /** Requests that waited on another request's in-flight run. */
+    std::atomic<u64> flightWaits{0};
+    /** Worker jobs that found every worker busy. */
+    std::atomic<u64> workerWaits{0};
 
     /** Plain-integer copy taken by snapshot(). */
     struct Snapshot
@@ -147,6 +154,8 @@ struct ServeStats
         u64 shedRequests = 0;
         u64 publishFailures = 0;
         u64 degradedPoints = 0;
+        u64 flightWaits = 0;
+        u64 workerWaits = 0;
     };
 
     /**
@@ -189,6 +198,8 @@ struct ServeStats
             publishFailures.load(std::memory_order_relaxed);
         s.degradedPoints =
             degradedPoints.load(std::memory_order_relaxed);
+        s.flightWaits = flightWaits.load(std::memory_order_relaxed);
+        s.workerWaits = workerWaits.load(std::memory_order_relaxed);
         return s;
     }
 };
@@ -230,10 +241,10 @@ class IcicleServer
     /**
      * Serve one run — adjacent grid points of one (core, workload),
      * differing only in counter architecture — through cache + pool:
-     * look up every point, then send the misses to the run's shard
-     * as one job. Fills one result per point (index left to the
-     * caller) and `hits`; false on worker failure (error filled) or
-     * shed (shed set, error empty).
+     * look up every point, then fill the misses with one job on an
+     * idle worker, single-flight per run. Fills one result per point
+     * (index left to the caller) and `hits`; false on worker failure
+     * (error filled) or shed (shed set, error empty).
      */
     bool runResults(std::span<const SweepPoint> run, u64 seed,
                     std::span<SweepResult> results, u32 &hits,
@@ -250,11 +261,18 @@ class IcicleServer
      * fault hooks so shed traffic does not perturb schedules. */
     void sendOverloaded(int fd, const std::string &reason);
     /**
-     * Reserve a slot for one run on `shard`'s miss queue: one
-     * bounded grace wait when full, then false = shed.
+     * Reserve a miss-path slot for one run: one bounded grace wait
+     * when the gate is full, then false = shed.
      */
-    bool admitShard(u32 shard);
-    void releaseShard(u32 shard);
+    bool admitMiss();
+    void releaseMiss();
+    /**
+     * Claim the flight of run `run` (a serveRunHash), first waiting
+     * for any flight already holding it. True when it waited.
+     */
+    bool beginFlight(u64 run);
+    /** End the flight and wake the requests waiting for it. */
+    void endFlight(u64 run);
     /** Try to publish `result`; tolerates failure by counting a
      * strike and flipping degraded mode at the threshold. */
     void publishGuarded(const ServeKey &key,
@@ -265,18 +283,6 @@ class IcicleServer
     ServerOptions opts;
     ResultCache cache;
     WorkerPool pool;
-    /**
-     * One mutex per shard, taken around the miss path's re-check +
-     * dispatch + publish: concurrent requests for one run serialize
-     * here, and each later one finds what the earlier ones published
-     * and dispatches only what is still missing (single-flight per
-     * run). One lock class
-     * ("serve.shard"): instances of the same role share a node in
-     * the lock-order graph, and the per-shard state they guard (the
-     * cache entry and worker pipe of a dynamic shard index) is
-     * outside what static capability analysis can express.
-     */
-    std::vector<std::unique_ptr<Mutex>> shardMutexes;
     int listenFd = -1;
     std::atomic<bool> stopping{false};
 
@@ -292,18 +298,29 @@ class IcicleServer
     u64 liveClients ICICLE_GUARDED_BY(connMutex) = 0;
 
     /**
-     * Admission gate: per-shard miss-queue depth, in runs.
-     * Connection threads take this (rank between serve.conn and
-     * serve.shard) to reserve a slot before contending on the shard
-     * mutex, so overload is shed with an explicit Overloaded reply
-     * instead of an unbounded convoy on the shard lock. The condvar
-     * is notified on every release; a full shard gets one bounded
-     * grace wait.
+     * Admission gate: runs on the miss path, from admission until
+     * their flight ends. Connection threads take this (rank between
+     * serve.conn and serve.flights) to reserve a slot before waiting
+     * on a flight or a worker, so overload is shed with an explicit
+     * Overloaded reply instead of an unbounded queue. The condvar is
+     * notified on every release; a full gate gets one bounded grace
+     * wait.
      */
     Mutex admissionMutex{"serve.admission",
                          lockrank::kServeAdmission};
     CondVar admissionCv;
-    std::vector<u32> shardQueue ICICLE_GUARDED_BY(admissionMutex);
+    u64 missRuns ICICLE_GUARDED_BY(admissionMutex) = 0;
+
+    /**
+     * Single-flight per run: the serveRunHash of every run whose
+     * misses some request is filling. The leader holds its entry
+     * through the re-check, the job and the publishes, but holds the
+     * mutex only to add or erase it; a request that finds its run
+     * here waits on the condvar, then re-checks the cache.
+     */
+    Mutex flightsMutex{"serve.flights", lockrank::kServeFlights};
+    CondVar flightsCv;
+    std::set<u64> flights ICICLE_GUARDED_BY(flightsMutex);
 
     /** Sticky compute-only flag (see ServerOptions::degradedAfter). */
     std::atomic<bool> degraded{false};

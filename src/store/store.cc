@@ -821,6 +821,17 @@ StoreReader::decodeBlock(u32 block_index) const
     return decoded;
 }
 
+std::shared_ptr<const StoreReader::DecodedBlock>
+StoreReader::decodeBlock(u32 block_index, BlockMemo &memo) const
+{
+    for (const auto &decoded : memo) {
+        if (decoded->blockIndex == block_index)
+            return decoded;
+    }
+    memo.push_back(decodeBlock(block_index));
+    return memo.back();
+}
+
 u64
 StoreReader::countPlaneInRange(const std::vector<SetInterval> &plane,
                                u32 lo, u32 hi) const
@@ -903,6 +914,14 @@ StoreReader::countAllLanes(EventId event) const
 u64
 StoreReader::countInWindow(EventId event, u64 begin, u64 end) const
 {
+    BlockMemo memo;
+    return countInWindow(event, begin, end, memo);
+}
+
+u64
+StoreReader::countInWindow(EventId event, u64 begin, u64 end,
+                           BlockMemo &memo) const
+{
     end = std::min(end, totalCycles);
     if (begin >= end)
         return 0;
@@ -938,7 +957,7 @@ StoreReader::countInWindow(EventId event, u64 begin, u64 end) const
             }
         }
         if (decode) {
-            const auto decoded = decodeBlock(b);
+            const auto decoded = decodeBlock(b, memo);
             for (u32 f : fields) {
                 const FieldMeta &fm = block.fields[f];
                 if (fm.popcount == 0 ||
@@ -957,10 +976,15 @@ StoreReader::countInWindow(EventId event, u64 begin, u64 end) const
 TmaResult
 StoreReader::windowTma(u64 begin, u64 end, u32 core_width) const
 {
+    // Every event of the query counts over the same window, so they
+    // share one memo: each boundary block decodes once, instead of
+    // once per event as the reader's one-block cache alternates
+    // between the low and the high boundary.
+    BlockMemo memo;
     return windowTmaOf(totalCycles, begin, end, core_width,
                        "StoreReader::windowTma",
-                       [this](EventId event, u64 lo, u64 hi) {
-                           return countInWindow(event, lo, hi);
+                       [this, &memo](EventId event, u64 lo, u64 hi) {
+                           return countInWindow(event, lo, hi, memo);
                        });
 }
 

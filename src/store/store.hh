@@ -266,7 +266,8 @@ class StoreReader
     /**
      * Temporal TMA over a window, matching
      * TraceAnalyzer::windowTma exactly (both go through
-     * windowTmaOf) while decoding only boundary blocks.
+     * windowTmaOf) while decoding only boundary blocks, each at most
+     * once per query.
      */
     TmaResult windowTma(u64 begin, u64 end, u32 core_width) const;
 
@@ -321,6 +322,12 @@ class StoreReader
         bool valid = false;
         std::vector<std::vector<SetInterval>> planes;
     };
+    /**
+     * The blocks one query has decoded so far (a window's at most two
+     * boundary blocks). Owned by the query, not the reader, so
+     * concurrent queries on a shared reader never see each other's.
+     */
+    using BlockMemo = std::vector<std::shared_ptr<const DecodedBlock>>;
 
     // The open path runs inside the constructor, before the reader
     // can be shared: it reads `in` without ioMutex on purpose, which
@@ -340,6 +347,11 @@ class StoreReader
 
     std::shared_ptr<const DecodedBlock>
     decodeBlock(u32 block_index) const;
+    /** decodeBlock through the query's memo. */
+    std::shared_ptr<const DecodedBlock>
+    decodeBlock(u32 block_index, BlockMemo &memo) const;
+    u64 countInWindow(EventId event, u64 begin, u64 end,
+                      BlockMemo &memo) const;
     u64 countPlaneInRange(const std::vector<SetInterval> &plane,
                           u32 lo, u32 hi) const;
     /** Block index containing the cycle (binary search). */

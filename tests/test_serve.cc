@@ -113,7 +113,7 @@ directCsv(const SweepQuery &query)
     return formatSweepCsv(runSweep(grid, SweepOptions{}), false);
 }
 
-/** An in-process daemon (two shards) serving until destroyed. */
+/** An in-process daemon (two workers) serving until destroyed. */
 class LiveDaemon
 {
   public:
@@ -503,8 +503,9 @@ TEST(ServeCache, KeyIsDeterministicAndCoversEveryAxis)
 
 TEST(ServeCache, EveryArchOfARunRoutesToOneShard)
 {
-    // The daemon fills a run's missing archs from one job on the
-    // run's shard, so the route must ignore the arch — for every core
+    // The daemon fills a run's missing archs from one job under one
+    // flight keyed by the run hash, which also picks the preferred
+    // worker, so the hash must ignore the arch — for every core
     // config, workload and seed — while distinct runs still spread.
     const std::vector<std::string> cores = sweepCoreNames();
     ASSERT_EQ(cores.size(), 6u);
@@ -630,7 +631,7 @@ TEST(ServePool, WedgedWorkerIsKilledNotWaitedOn)
     // hang@job#0 makes the worker's first job stall (200ms in the
     // unbounded child) — long past the 100ms dispatch deadline. The
     // pool must SIGKILL and respawn the wedged worker instead of
-    // blocking in readFrame forever with the shard mutex held; the
+    // blocking in readFrame forever with the worker checked out; the
     // fresh worker hangs again (its own fault plan copy), so the job
     // fails after exactly one restart.
     setFaultSpec("hang@job#0");
@@ -879,6 +880,109 @@ TEST(ServeEndToEnd, RunFillsWriteTheCacheBytesOfArchByArchFills)
     EXPECT_TRUE(by_run == cacheFiles(dir.path + "/archs"));
 }
 
+/** The first point of `query`'s grid: its run's serveRunHash. */
+SweepPoint
+firstPoint(const SweepQuery &query)
+{
+    GridSpec grid;
+    grid.cores = query.cores;
+    grid.workloads = query.workloads;
+    grid.counterArchs = query.archs;
+    grid.maxCycles = query.maxCycles;
+    return grid.expand().at(0);
+}
+
+TEST(ServeEndToEnd, ConcurrentClientsOfOneColdRunShareOneFlight)
+{
+    // Single-flight per run: four clients ask for one cold run while
+    // the leader's job is held in its worker — a ~200 ms injected
+    // stall (hang@job, armed before the fork so the workers inherit
+    // it) and then a 1.6M-cycle simulation. One worker job fills the
+    // run; the other three requests wait on the leader's flight, then
+    // find its published entries.
+    TempDir dir("serve_flight");
+    setFaultSpec("hang@job#0");
+    ServerOptions options;
+    options.socketPath = dir.path + "/icicled.sock";
+    options.cacheDir = dir.path + "/cache";
+    options.shards = 2;
+    IcicleServer server(options);
+    setFaultSpec("");
+    std::thread daemon([&] { server.run(); });
+
+    SweepQuery query;
+    query.cores = {"rocket"};
+    query.workloads = {"523.xalancbmk_r"};
+    query.archs = {std::begin(kAllArchs), std::end(kAllArchs)};
+    query.maxCycles = 2'000'000;
+    query.format = "csv";
+    constexpr size_t kClients = 4;
+    std::vector<std::string> reports(kClients);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; c++) {
+        clients.emplace_back([&, c] {
+            reports[c] = ServeClient(options.socketPath).sweep(query).report;
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+
+    const std::string direct = directCsv(query);
+    for (const std::string &report : reports)
+        EXPECT_EQ(report, direct);
+    ServeClient client(options.socketPath);
+    const std::string stats = client.stats();
+    EXPECT_EQ(statsValue(stats, "worker_jobs"), 1u) << stats;
+    EXPECT_EQ(statsValue(stats, "flight_waits"), kClients - 1) << stats;
+    EXPECT_EQ(statsValue(stats, "cache_hits"), 3 * (kClients - 1))
+        << stats;
+    client.shutdown();
+    daemon.join();
+}
+
+TEST(ServeEndToEnd, ColdRunTakesAnIdleWorkerWhenItsPreferredOneIsBusy)
+{
+    // Work-conserving dispatch on two workers: a long cold run holds
+    // one worker when a short cold run whose run hash prefers the
+    // same worker arrives. The short run takes the idle worker and
+    // finishes first, without waiting for a worker.
+    TempDir dir("serve_any_idle");
+    const std::string socket = dir.path + "/icicled.sock";
+    LiveDaemon daemon(socket, dir.path + "/cache");
+
+    SweepQuery slow;
+    slow.cores = {"boom-large"};
+    slow.workloads = {"523.xalancbmk_r"};
+    slow.archs = {CounterArch::AddWires};
+    slow.maxCycles = 3'000'000;
+    slow.format = "csv";
+    SweepQuery quick = slow;
+    quick.cores = {"rocket"};
+    quick.workloads = {"vvadd"};
+    quick.maxCycles = 20'000;
+    const u64 preferred = serveRunHash(firstPoint(slow), slow.seed) % 2;
+    while (serveRunHash(firstPoint(quick), quick.seed) % 2 != preferred)
+        quick.seed++;
+
+    std::atomic<bool> slow_done{false};
+    std::thread occupant([&] {
+        EXPECT_TRUE(ServeClient(socket).sweep(slow).allOk);
+        slow_done = true;
+    });
+    // The job counter moves once the long run holds its worker.
+    ServeClient client(socket);
+    while (statsValue(client.stats(), "worker_jobs") == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const SweepReply reply = client.sweep(quick);
+    EXPECT_FALSE(slow_done.load());
+    EXPECT_EQ(reply.simulated, 1u);
+    EXPECT_EQ(reply.report, directCsv(quick));
+    occupant.join();
+    const std::string stats = client.stats();
+    EXPECT_EQ(statsValue(stats, "worker_jobs"), 2u) << stats;
+    EXPECT_EQ(statsValue(stats, "worker_waits"), 0u) << stats;
+}
+
 TEST(ServeEndToEnd, ZeroWidthWindowIsAnErrorAndTheDaemonKeepsServing)
 {
     // Regression: a window query with core width 0 was answered with
@@ -1007,10 +1111,11 @@ TEST(ServeEndToEnd, ConnectionCapShedsThenRecovers)
 }
 
 /**
- * Admission gate, stage 2: with one shard and a one-deep miss queue,
- * a second concurrent miss is shed with a retry hint instead of
- * convoying on the shard mutex — and the shed client's retry/backoff
- * absorbs it, succeeding once the shard drains.
+ * Admission gate, stage 2: with one worker and a miss-path cap of
+ * one run, a second concurrent miss is shed with a retry hint
+ * instead of queueing for the worker — and the shed client's
+ * retry/backoff absorbs it, succeeding once the first run's flight
+ * ends.
  */
 TEST(ServeEndToEnd, QueueCapShedsMissesUntilTheShardDrains)
 {
@@ -1045,11 +1150,11 @@ TEST(ServeEndToEnd, QueueCapShedsMissesUntilTheShardDrains)
         ServeClient a(options.socketPath);
         // The job stalls in the worker for its ~200ms hang beat and
         // then completes — well inside the 500ms deadline, but long
-        // enough to hold the single queue slot while B knocks.
+        // enough to hold the single miss-path slot while B knocks.
         const SweepReply reply = a.sweep(slow);
         EXPECT_TRUE(reply.allOk);
     });
-    // Let the stalled miss take the single queue slot, then disarm
+    // Let the stalled miss take the single miss-path slot, then disarm
     // so any worker forked from here on starts from the clean plan.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     setFaultSpec("");
@@ -1124,10 +1229,11 @@ TEST(ServeEndToEnd, PersistentPublishFailureDegradesToComputeOnly)
 
 /**
  * The hammer behind server.hh's documented contract: counters are
- * individually monotonic, every mid-flight snapshot satisfies
- * cacheHits + cacheMisses >= points, and a quiescent snapshot is
- * exact. A failed pin here means someone weakened the release/acquire
- * pairing in countPoint()/snapshot().
+ * individually monotonic (the dispatch wait counters included),
+ * every mid-flight snapshot satisfies cacheHits + cacheMisses >=
+ * points, and a quiescent snapshot is exact. A failed pin here means
+ * someone weakened the release/acquire pairing in
+ * countPoint()/snapshot().
  */
 TEST(ServeStats, SnapshotsAreMonotonicAndPinned)
 {
@@ -1140,6 +1246,12 @@ TEST(ServeStats, SnapshotsAreMonotonicAndPinned)
             for (u64 i = 0; i < kPerThread; i++) {
                 stats.requests.fetch_add(
                     1, std::memory_order_relaxed);
+                if (i % 4 == t)
+                    stats.flightWaits.fetch_add(
+                        1, std::memory_order_relaxed);
+                if (i % 8 == t)
+                    stats.workerWaits.fetch_add(
+                        1, std::memory_order_relaxed);
                 stats.countPoint(/*hit=*/(i + t) % 2 == 0);
             }
         });
@@ -1153,6 +1265,8 @@ TEST(ServeStats, SnapshotsAreMonotonicAndPinned)
         EXPECT_GE(snap.cacheHits, last.cacheHits);
         EXPECT_GE(snap.cacheMisses, last.cacheMisses);
         EXPECT_GE(snap.requests, last.requests);
+        EXPECT_GE(snap.flightWaits, last.flightWaits);
+        EXPECT_GE(snap.workerWaits, last.workerWaits);
         // The pinned cross-counter relation, valid mid-flight.
         EXPECT_GE(snap.cacheHits + snap.cacheMisses, snap.points);
         last = snap;
@@ -1167,6 +1281,8 @@ TEST(ServeStats, SnapshotsAreMonotonicAndPinned)
     EXPECT_EQ(done.cacheHits + done.cacheMisses, done.points);
     EXPECT_EQ(done.cacheHits, kThreads * kPerThread / 2);
     EXPECT_EQ(done.simulated, done.cacheMisses);
+    EXPECT_EQ(done.flightWaits, kThreads * kPerThread / 4);
+    EXPECT_EQ(done.workerWaits, kThreads * kPerThread / 8);
 }
 
 // ---- fork safety -----------------------------------------------------

@@ -354,6 +354,23 @@ expectTmaEqual(const TmaResult &a, const TmaResult &b)
     EXPECT_EQ(a.totalSlots, b.totalSlots);
 }
 
+TEST(StoreReader, WindowTmaDecodesEachBoundaryBlockOnce)
+{
+    // Every TMA event needs both partial boundary blocks of this
+    // window; the covered block between them comes from its footer.
+    // One query must decode each boundary block once, not once per
+    // event.
+    ScratchFile file("window_once");
+    const Trace trace = randomBurstyTrace(31, 8 * 1024);
+    trace.toStore(file.path(), 1024);
+    StoreReader reader(file.path());
+    const u64 begin = 1024 * 3 + 100, end = 1024 * 5 + 900;
+    const u64 before = reader.blocksDecoded();
+    expectTmaEqual(reader.windowTma(begin, end, 2),
+                   TraceAnalyzer(trace).windowTma(begin, end, 2));
+    EXPECT_LE(reader.blocksDecoded() - before, 2u);
+}
+
 TEST(StoreReader, MatchesInMemoryAnalyzerOverRandomizedSeeds)
 {
     for (u64 seed = 0; seed < 110; seed++) {

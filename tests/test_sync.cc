@@ -431,11 +431,13 @@ TEST_F(SyncTest, MutantHookIsFatalWithoutTheMutantBuild)
 /**
  * A miniature chaos drive (clean lane, admission gate armed) run
  * under this fixture's lock-order runtime: every lock nesting the
- * serving path exercises — conn bookkeeping, admission, shard,
- * worker, stats — lands in the graph, and the graph must come back
- * cycle-free with the admission class registered at its declared
- * place. This is the executable form of DESIGN.md's rank table for
- * the overload-protection locks.
+ * serving path exercises — conn bookkeeping, admission, the flight
+ * table, the worker pool, stats — lands in the graph, and the graph
+ * must come back cycle-free with the admission and dispatch classes
+ * registered. The flight table and the pool are held only to claim
+ * or end a flight and to check a worker out or in, so neither ever
+ * nests inside the other. This is the executable form of
+ * DESIGN.md's rank table for the serving locks.
  */
 TEST_F(SyncTest, ChaosDriveKeepsTheServeLockGraphCycleFree)
 {
@@ -459,6 +461,12 @@ TEST_F(SyncTest, ChaosDriveKeepsTheServeLockGraphCycleFree)
     const LockOrderReport report = lockorder::lockOrderReport();
     EXPECT_TRUE(report.clean()) << report.format();
     EXPECT_TRUE(hasNode(report, "serve.admission"));
+    EXPECT_TRUE(hasNode(report, "serve.flights"));
+    EXPECT_TRUE(hasNode(report, "serve.pool"));
+    EXPECT_EQ(findEdge(report, "serve.flights", "serve.pool"), nullptr)
+        << report.format();
+    EXPECT_EQ(findEdge(report, "serve.pool", "serve.flights"), nullptr)
+        << report.format();
 
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
@@ -466,12 +474,13 @@ TEST_F(SyncTest, ChaosDriveKeepsTheServeLockGraphCycleFree)
 
 /**
  * Regression for the failure-path admission release: a failed job
- * under an armed miss queue must give back its queue slot AFTER the
- * shard mutex drops, never under it — serve.admission (rank 15) is
- * an outer lock relative to the shards (rank 20), so releasing
- * inside the shard scope is a rank inversion the runtime flags.
+ * under an armed miss-path cap must give back its slot AFTER the
+ * dispatch locks drop, never under them — serve.admission (rank 15)
+ * is an outer lock relative to the flight table (rank 20) and the
+ * worker pool (rank 30), so releasing under either is a rank
+ * inversion the runtime flags.
  */
-TEST_F(SyncTest, FailedJobReleasesAdmissionSlotOutsideShardLock)
+TEST_F(SyncTest, FailedJobReleasesAdmissionSlotAfterItsFlightEnds)
 {
     const std::string dir =
         std::string(::testing::TempDir()) + "sync_admission";
@@ -487,8 +496,8 @@ TEST_F(SyncTest, FailedJobReleasesAdmissionSlotOutsideShardLock)
     std::thread daemon([&] { server.run(); });
     // Both dispatch attempts of the first job SIGKILL their worker
     // (runJob retries once on a respawned worker): runJob fails, and
-    // pointResult walks the error path while a queue slot is
-    // reserved.
+    // runResults walks the error path while a miss-path slot is
+    // reserved and the run's flight is held.
     setFaultSpec("kill@worker#0, kill@worker#1");
 
     ClientOptions copts;
@@ -503,12 +512,26 @@ TEST_F(SyncTest, FailedJobReleasesAdmissionSlotOutsideShardLock)
     // The daemon answers with a typed Error frame (not retriable).
     EXPECT_THROW(client.sweep(query), FatalError);
     setFaultSpec("");
+    // The failed run gave back its slot and ended its flight: the
+    // same run is admitted (not shed) and filled on a fresh worker.
+    try {
+        EXPECT_TRUE(client.sweep(query).allOk);
+    } catch (const FatalError &err) {
+        // ADD_FAILURE, not FAIL: the daemon must still be joined.
+        ADD_FAILURE() << "retry of the failed run: " << err.what();
+    }
     client.shutdown();
     daemon.join();
 
     const LockOrderReport report = lockorder::lockOrderReport();
     EXPECT_EQ(findViolation(report, "rank-inversion",
                             "serve.admission"),
+              nullptr)
+        << report.format();
+    EXPECT_EQ(findEdge(report, "serve.flights", "serve.admission"),
+              nullptr)
+        << report.format();
+    EXPECT_EQ(findEdge(report, "serve.pool", "serve.admission"),
               nullptr)
         << report.format();
     EXPECT_TRUE(report.clean()) << report.format();

@@ -52,9 +52,10 @@ constexpr char kUsage[] =
     "  --requests R       sweep requests per client per episode\n"
     "                     (default 3)\n"
     "  --cycles N         simulated cycles per point (default 50000)\n"
-    "  --shards S         daemon workers/shards (default 2)\n"
+    "  --shards S         daemon worker processes (default 2)\n"
     "  --max-conns N      daemon connection cap (default 0 = off)\n"
-    "  --max-queue N      daemon per-shard queue cap (default 0)\n"
+    "  --max-queue N      daemon miss-path cap, N x S runs\n"
+    "                     (default 0 = off)\n"
     "  --attempt-timeout MS  client per-attempt deadline (default\n"
     "                     2000)\n"
     "  --deadline MS      client total deadline per request\n"
@@ -132,8 +133,8 @@ main(int argc, char **argv)
         }
 
         // The chaos drive doubles as a lock-order witness: every
-        // admission/conn/shard/fault lock nesting it exercises lands
-        // in the graph, and a chaos-only cycle fails the run.
+        // admission/conn/flight/pool/fault lock nesting it exercises
+        // lands in the graph, and a chaos-only cycle fails the run.
         lockorder::setLockOrderEnabled(true);
         lockorder::resetLockOrder();
 

@@ -15,10 +15,10 @@
  *   3. runs a live icicled daemon end to end over its Unix socket —
  *      serve, cold sweep, warm (cached) sweep, windowed-TMA query on
  *      the captured store, stats, shutdown — covering the connection
- *      condvar, the per-shard single-flight locks, the worker-pool
- *      dispatch locks, the shared-reader map, and StoreReader's
- *      ioMutex, with the fault plan armed (benignly) so its
- *      innermost lock shows up under every outer lock,
+ *      condvar, the in-flight run table, the worker pool's idle
+ *      set, the shared-reader map, and StoreReader's ioMutex, with
+ *      the fault plan armed (benignly) so its innermost lock shows
+ *      up under every outer lock,
  *
  * and dumps the observed lock-acquisition-order graph. Exit 0 when
  * the graph is cycle-free with no rank inversions and no
@@ -143,7 +143,7 @@ runDrive(const Args &args)
         query.workloads = {"vvadd", "towers"};
         query.maxCycles = args.cycles;
         query.format = "csv";
-        client.sweep(query); // cold: shard lock -> pool -> publish
+        client.sweep(query); // cold: flight -> pool -> publish
         client.sweep(query); // warm: the lock-free cache-hit path
         WindowQuery window;
         window.storePath = store_path;

@@ -12,8 +12,8 @@
  *   $ icicled ping --socket /tmp/ic.sock
  *   $ icicled shutdown --socket /tmp/ic.sock
  *
- * `serve` runs the daemon in the foreground: simulation jobs shard
- * across a forked worker-process pool and results memoise in a
+ * `serve` runs the daemon in the foreground: simulation jobs run on
+ * a forked worker-process pool and results memoise in a
  * content-addressed disk cache, so repeated grids are served without
  * simulating. `sweep` submits a grid and prints the daemon's report,
  * byte-identical to what a direct `icicle-sweep` run of the same
@@ -49,15 +49,16 @@ constexpr char kUsage[] =
     "\n"
     "  serve [--cache-dir DIR] [--shards N] [--job-timeout MS]\n"
     "        [--max-conns N] [--max-queue N] [--idle-timeout MS]\n"
-    "      run the daemon in the foreground: jobs shard across N\n"
-    "      worker processes (default 2), results memoise in the\n"
-    "      content-addressed cache under DIR (default\n"
-    "      icicled-cache next to the socket); a worker that sends\n"
-    "      no reply within MS (default 300000, 0 = forever) is\n"
-    "      killed and respawned; --max-conns/--max-queue bound the\n"
-    "      admission gate (excess load is shed with an Overloaded\n"
-    "      retry hint, default 0 = unbounded); --idle-timeout drops\n"
-    "      connections with no complete frame within MS (default 0)\n"
+    "      run the daemon in the foreground: each cold run goes to\n"
+    "      the first idle one of N worker processes (default 2),\n"
+    "      results memoise in the content-addressed cache under DIR\n"
+    "      (default icicled-cache next to the socket); a worker that\n"
+    "      sends no reply within MS (default 300000, 0 = forever) is\n"
+    "      killed and respawned; --max-conns caps connections and\n"
+    "      --max-queue caps runs on the miss path at N x workers\n"
+    "      (excess load is shed with an Overloaded retry hint,\n"
+    "      default 0 = unbounded); --idle-timeout drops connections\n"
+    "      with no complete frame within MS (default 0)\n"
     "  sweep [--cores A,B] [--workloads A,B] [--archs A,B]\n"
     "        [--cycles N] [--seed N] [--format text|csv|json]\n"
     "      submit a sweep grid; the printed report is\n"
@@ -228,7 +229,7 @@ cmdServe(const Args &args)
     options.idleTimeoutMs = args.idleTimeoutMs;
     IcicleServer server(options);
     std::fprintf(stderr,
-                 "icicled: serving on %s (%u shards, cache %s)\n",
+                 "icicled: serving on %s (%u workers, cache %s)\n",
                  options.socketPath.c_str(), options.shards,
                  options.cacheDir.c_str());
     server.run();
