@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "analysis/lint.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace icicle
@@ -528,27 +529,6 @@ ConstraintSet::format(bool with_provenance) const
     }
     return os.str();
 }
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    out.reserve(in.size() + 8);
-    for (char ch : in) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default: out += ch;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 ConstraintSet::toJson() const

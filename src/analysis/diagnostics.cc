@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace icicle
 {
 
@@ -75,34 +77,6 @@ LintReport::format() const
     return os.str();
 }
 
-namespace
-{
-
-void
-appendJsonString(std::ostringstream &os, const std::string &text)
-{
-    os << '"';
-    for (char c : text) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
 std::string
 LintReport::toJson() const
 {
@@ -116,12 +90,12 @@ LintReport::toJson() const
             os << ",";
         first = false;
         os << "{\"rule\":";
-        appendJsonString(os, diag.rule);
+        os << jsonQuote(diag.rule);
         os << ",\"severity\":\"" << severityName(diag.severity)
            << "\",\"subject\":";
-        appendJsonString(os, diag.subject);
+        os << jsonQuote(diag.subject);
         os << ",\"message\":";
-        appendJsonString(os, diag.message);
+        os << jsonQuote(diag.message);
         os << "}";
     }
     os << "]}";

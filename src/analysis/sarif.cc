@@ -1,10 +1,10 @@
 #include "analysis/sarif.hh"
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace icicle
@@ -12,29 +12,6 @@ namespace icicle
 
 namespace
 {
-
-void
-appendJsonString(std::ostringstream &os, const std::string &text)
-{
-    os << '"';
-    for (char c : text) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
 
 /** SARIF "level" for a severity. */
 const char *
@@ -94,7 +71,7 @@ toSarif(const std::string &tool_name,
     os << "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0."
           "json\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":"
           "{\"driver\":{\"name\":";
-    appendJsonString(os, tool_name);
+    os << jsonQuote(tool_name);
     os << ",\"informationUri\":\"https://github.com/icicle\","
           "\"rules\":[";
     bool first = true;
@@ -103,7 +80,7 @@ toSarif(const std::string &tool_name,
             os << ",";
         first = false;
         os << "{\"id\":";
-        appendJsonString(os, rule);
+        os << jsonQuote(rule);
         os << "}";
     }
     os << "]}},\"results\":[";
@@ -123,13 +100,13 @@ toSarif(const std::string &tool_name,
             if (!context.empty())
                 message = "[" + context + "] " + message;
             os << "{\"ruleId\":";
-            appendJsonString(os, diag.rule);
+            os << jsonQuote(diag.rule);
             os << ",\"level\":\"" << sarifLevel(diag.severity)
                << "\",\"message\":{\"text\":";
-            appendJsonString(os, message);
+            os << jsonQuote(message);
             os << "},\"locations\":[{\"physicalLocation\":"
                   "{\"artifactLocation\":{\"uri\":";
-            appendJsonString(os, ruleUri(diag.rule));
+            os << jsonQuote(ruleUri(diag.rule));
             os << ",\"uriBaseId\":\"SRCROOT\"},\"region\":{"
                   "\"startLine\":1}}}]}";
         }

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -48,6 +49,12 @@ int unknownOption(const std::string &arg, const char *text);
 
 /** "FLAG needs a value" + usage on stderr; returns 2. */
 int missingValue(const std::string &flag, const char *text);
+
+/**
+ * Split a comma-separated flag value ("rocket, boom-small") into its
+ * items, each trimmed of spaces and tabs; empty items are dropped.
+ */
+std::vector<std::string> splitList(const std::string &text);
 
 /**
  * Parse `text`, the value of `flag` (a CLI flag or a spec-file key),

@@ -2,10 +2,11 @@
  * @file
  * CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over byte buffers.
  *
- * Both trace containers use it: the legacy raw format guards its
- * cycle-record payload and every icestore block and footer index
- * carries a checksum, so truncation and bit-rot surface as clean
- * fatal() errors instead of silently corrupt analysis results.
+ * Every checksummed byte format in the tree uses it: the icestore
+ * trace header, blocks and footer index, sweep journal records,
+ * icicled protocol frames and cache entries. Truncation and bit-rot
+ * therefore surface as clean fatal() errors (or, in the cache, as
+ * misses) instead of silently corrupt results.
  */
 
 #ifndef ICICLE_COMMON_CRC32_HH

@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "analysis/diagnostics.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/sync.hh"
 
@@ -322,18 +323,6 @@ findCycles(const std::vector<LockNode> &nodes,
 }
 
 void
-appendJsonString(std::ostringstream &os, const std::string &text)
-{
-    os << '"';
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
-void
 appendJsonStrings(std::ostringstream &os,
                   const std::vector<std::string> &items)
 {
@@ -341,7 +330,7 @@ appendJsonStrings(std::ostringstream &os,
     for (u64 i = 0; i < items.size(); i++) {
         if (i)
             os << ",";
-        appendJsonString(os, items[i]);
+        os << jsonQuote(items[i]);
     }
     os << "]";
 }
@@ -424,7 +413,7 @@ LockOrderReport::toJson() const
         if (i)
             os << ",";
         os << "{\"name\":";
-        appendJsonString(os, nodes[i].name);
+        os << jsonQuote(nodes[i].name);
         os << ",\"rank\":" << nodes[i].rank << "}";
     }
     os << "],\"edges\":[";
@@ -432,9 +421,9 @@ LockOrderReport::toJson() const
         if (i)
             os << ",";
         os << "{\"from\":";
-        appendJsonString(os, edges[i].from);
+        os << jsonQuote(edges[i].from);
         os << ",\"to\":";
-        appendJsonString(os, edges[i].to);
+        os << jsonQuote(edges[i].to);
         os << ",\"count\":" << edges[i].count << ",\"witness\":";
         appendJsonStrings(os, edges[i].witness);
         os << "}";
@@ -444,9 +433,9 @@ LockOrderReport::toJson() const
         if (i)
             os << ",";
         os << "{\"kind\":";
-        appendJsonString(os, violations[i].kind);
+        os << jsonQuote(violations[i].kind);
         os << ",\"message\":";
-        appendJsonString(os, violations[i].message);
+        os << jsonQuote(violations[i].message);
         os << ",\"classes\":";
         appendJsonStrings(os, violations[i].classes);
         os << ",\"witnesses\":[";

@@ -90,11 +90,12 @@ namespace icicle
  *
  * Outermost (acquired first) to innermost:
  *
- *   kServeConn     icicled connection-liveness count/condvar
- *   kServeAdmission icicled admission gate (runs on the miss path,
- *                  taken by connection threads before a flight)
- *   kServeFlights  in-flight run table (single-flight per run; held
- *                  only to claim or end a flight, never across a job)
+ *   kServeConn     icicled connection-liveness count/condvar (and
+ *                  the --max-conns gate)
+ *   kServeFlights  icicled miss path: the in-flight run table
+ *                  (single-flight per run) and the --max-queue slot
+ *                  count; held only to admit, claim or end a flight,
+ *                  never across a job
  *   kServePool     worker pool's idle set and FIFO tickets (held only
  *                  to check a worker out or in)
  *   kSweepCallback sweep engine journal+callback serialization
@@ -106,7 +107,6 @@ namespace icicle
 namespace lockrank
 {
 constexpr u32 kServeConn = 10;
-constexpr u32 kServeAdmission = 15;
 constexpr u32 kServeFlights = 20;
 constexpr u32 kServePool = 30;
 constexpr u32 kSweepCallback = 40;

@@ -5,12 +5,11 @@
 #include <thread>
 #include <utility>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/sync.hh"
 #include "fault/fault.hh"
-#include "serve/client.hh"
-#include "serve/server.hh"
 #include "sweep/sweep.hh"
 
 namespace icicle
@@ -102,7 +101,7 @@ episodeSpec(const ChaosOptions &opts, u32 episode)
     spec << ",stall@read#" << rng.below(replies) << "="
          << (100 + rng.below(200));
     spec << ",stall@write#" << rng.below(replies) << "="
-         << (opts.attemptTimeoutMs + 500);
+         << (opts.client.attemptTimeoutMs + 500);
     // Only cache misses dispatch jobs, one per run, and the query
     // set holds two distinct runs (rocket/vvadd and rocket/towers) —
     // target the first dispatches so the clause actually fires on the
@@ -126,10 +125,7 @@ clientThread(const ChaosOptions &opts, u32 episode, u32 thread_index,
 {
     Rng rng(opts.seed ^ ((episode + 1) * 0x100000001b3ull) ^
             (thread_index * 0x9e3779b97f4a7c15ull));
-    ClientOptions copts;
-    copts.attemptTimeoutMs = opts.attemptTimeoutMs;
-    copts.totalDeadlineMs = opts.totalDeadlineMs;
-    copts.maxRetries = opts.maxRetries;
+    ClientOptions copts = opts.client;
     copts.jitterSeed = opts.seed ^ thread_index;
 
     u64 issued = 0, ok = 0, wrong = 0, failed = 0;
@@ -239,13 +235,9 @@ runChaos(const ChaosOptions &opts)
 
     // One daemon across every episode: recovery means the SAME
     // process keeps serving, not that a restart would.
-    ServerOptions server_options;
+    ServerOptions server_options = opts.server;
     server_options.socketPath = opts.dir + "/chaos.sock";
     server_options.cacheDir = opts.dir + "/cache";
-    server_options.shards = opts.shards;
-    server_options.maxConns = opts.maxConns;
-    server_options.maxQueue = opts.maxQueue;
-    server_options.idleTimeoutMs = opts.idleTimeoutMs;
     IcicleServer server(server_options);
     std::thread daemon([&server] { server.run(); });
 
@@ -341,7 +333,7 @@ runChaos(const ChaosOptions &opts)
             "CHAOS-004: overload drill saw zero sheds — the "
             "admission gate never engaged (clients=" +
             std::to_string(opts.clients) +
-            " max_conns=" + std::to_string(opts.maxConns) + ")");
+            " max_conns=" + std::to_string(opts.server.maxConns) + ")");
     }
     return tally.verdict;
 }
@@ -380,7 +372,7 @@ ChaosVerdict::toJson() const
        << (overloadDrill ? "overload" : "chaos") << "\",\n"
        << "  \"episode_specs\": [";
     for (size_t i = 0; i < episodeSpecs.size(); i++)
-        os << (i ? ", " : "") << "\"" << episodeSpecs[i] << "\"";
+        os << (i ? ", " : "") << jsonQuote(episodeSpecs[i]);
     os << "],\n"
        << "  \"requests_issued\": " << requestsIssued << ",\n"
        << "  \"requests_ok\": " << requestsOk << ",\n"
@@ -397,17 +389,8 @@ ChaosVerdict::toJson() const
        << "  \"server_worker_restarts\": " << serverWorkerRestarts
        << ",\n"
        << "  \"failures\": [";
-    for (size_t i = 0; i < failures.size(); i++) {
-        // The failure strings contain no quotes or backslashes by
-        // construction except what() text; escape minimally.
-        std::string escaped;
-        for (char c : failures[i]) {
-            if (c == '"' || c == '\\')
-                escaped += '\\';
-            escaped += c == '\n' ? ' ' : c;
-        }
-        os << (i ? ", " : "") << "\"" << escaped << "\"";
-    }
+    for (size_t i = 0; i < failures.size(); i++)
+        os << (i ? ", " : "") << jsonQuote(failures[i]);
     os << "],\n"
        << "  \"pass\": " << (pass() ? "true" : "false") << "\n"
        << "}\n";

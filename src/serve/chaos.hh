@@ -28,7 +28,7 @@
  * lands on; the invariants are interleaving-independent on purpose.
  *
  * Exposed as a library so test_sync can run a miniature chaos drive
- * under the lock-order runtime and pin the admission gate's place in
+ * under the lock-order runtime and pin the serving locks' place in
  * the lock graph.
  */
 
@@ -40,6 +40,8 @@
 
 #include "analysis/diagnostics.hh"
 #include "common/types.hh"
+#include "serve/client.hh"
+#include "serve/server.hh"
 
 namespace icicle
 {
@@ -58,19 +60,20 @@ struct ChaosOptions
     u32 requestsPerClient = 3;
     /** Simulated cycles per sweep point (small = fast episodes). */
     u64 maxCycles = 50'000;
-    /** Daemon worker processes. */
-    u32 shards = 2;
-    /** Daemon admission gate (0 = unbounded). */
-    u32 maxConns = 0;
-    u32 maxQueue = 0;
-    /** Daemon per-connection read deadline. */
-    u32 idleTimeoutMs = 5'000;
-    /** Client per-attempt reply deadline. */
-    u32 attemptTimeoutMs = 2'000;
-    /** Client total deadline across retries of one request. */
-    u32 totalDeadlineMs = 60'000;
-    /** Client retry budget. */
-    u32 maxRetries = 10;
+    /**
+     * The daemon's settings; its socket and cache go under `dir`.
+     * Unlike icicled's, a connection that sends no complete frame
+     * within 5 s is dropped.
+     */
+    ServerOptions server{.idleTimeoutMs = 5'000};
+    /**
+     * Every load client's retry policy; its jitter seed derives from
+     * `seed`. Chaos's defaults: 2 s per attempt, 60 s per request,
+     * 10 retries.
+     */
+    ClientOptions client{.attemptTimeoutMs = 2'000,
+                         .totalDeadlineMs = 60'000,
+                         .maxRetries = 10};
     /**
      * Run with no faults armed (baseline lane: the harness itself
      * must pass clean before its verdicts on faulty lanes count).

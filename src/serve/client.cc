@@ -25,6 +25,10 @@ using ClientClock = std::chrono::steady_clock;
 /** How long a failed request write waits for a pending shed notice. */
 constexpr u32 kShedNoticeMs = 100;
 
+/** First retry backoff; doubles per retry up to kBackoffCapMs. */
+constexpr u64 kBackoffBaseMs = 25;
+constexpr u64 kBackoffCapMs = 1'000;
+
 } // namespace
 
 ServeClient::ServeClient(const std::string &socket_path,
@@ -87,10 +91,10 @@ u32
 ServeClient::backoffDelayMs(u32 retry_index, u32 retry_after_hint)
 {
     // Exponential growth, capped; retry_index 0 is the first retry.
-    u64 base = opts.backoffBaseMs;
-    for (u32 i = 0; i < retry_index && base < opts.backoffCapMs; i++)
+    u64 base = kBackoffBaseMs;
+    for (u32 i = 0; i < retry_index && base < kBackoffCapMs; i++)
         base *= 2;
-    base = std::min<u64>(base, opts.backoffCapMs);
+    base = std::min(base, kBackoffCapMs);
     // Deterministic jitter in [base/2, base]: seeded per (client,
     // retry), so a replayed run backs off identically while
     // concurrent clients still decorrelate.

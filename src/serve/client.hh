@@ -45,9 +45,6 @@ struct ClientOptions
     u32 totalDeadlineMs = 120'000;
     /** Retry attempts after the first try. */
     u32 maxRetries = 4;
-    /** First backoff delay; doubles per retry up to the cap. */
-    u32 backoffBaseMs = 25;
-    u32 backoffCapMs = 1'000;
     /**
      * Seed for the deterministic backoff jitter (folded with the
      * attempt number), so replayed runs sleep identically.

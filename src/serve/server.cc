@@ -19,6 +19,22 @@
 namespace icicle
 {
 
+namespace
+{
+
+/** Retry-after hint carried in Overloaded replies, and the queue
+ * gate's grace-wait bound. */
+constexpr u32 kRetryAfterMs = 50;
+
+/**
+ * Consecutive cache-publish failures before the daemon flips to
+ * degraded compute-only serving (results still correct, nothing
+ * memoised; `degraded: 1` in stats).
+ */
+constexpr u32 kDegradedAfter = 3;
+
+} // namespace
+
 IcicleServer::IcicleServer(const ServerOptions &options)
     : opts(options), cache(options.cacheDir),
       // The pool constructor forks: it must run before listenFd
@@ -131,7 +147,7 @@ IcicleServer::run()
                 liveClients++;
         }
         if (shed) {
-            stats.shedConns.fetch_add(1, std::memory_order_relaxed);
+            stats.add(ServeStat::ShedConns);
             sendOverloaded(cfd, "conns");
             ::close(cfd);
             continue;
@@ -171,7 +187,7 @@ IcicleServer::handleClient(int fd)
         // reclaiming the thread.
         if (got != FrameRead::Ok)
             break;
-        stats.requests.fetch_add(1, std::memory_order_relaxed);
+        stats.add(ServeStat::Requests);
         if (!dispatch(fd, type, payload))
             break;
         if (stopping.load())
@@ -201,7 +217,6 @@ IcicleServer::dispatch(int fd, MsgType type,
         stop();
         return false;
       default:
-        stats.errors.fetch_add(1, std::memory_order_relaxed);
         sendError(fd, std::string("unexpected ") +
                           msgTypeName(type) + " frame");
         return false;
@@ -211,6 +226,7 @@ IcicleServer::dispatch(int fd, MsgType type,
 void
 IcicleServer::sendError(int fd, const std::string &message)
 {
+    stats.add(ServeStat::Errors);
     sendReply(fd, MsgType::Error, message);
 }
 
@@ -246,7 +262,7 @@ void
 IcicleServer::sendOverloaded(int fd, const std::string &reason)
 {
     OverloadNotice notice;
-    notice.retryAfterMs = opts.retryAfterMs;
+    notice.retryAfterMs = kRetryAfterMs;
     notice.reason = reason;
     // Deliberately not sendReply: shed notices must not consume
     // reply-fault ordinals, or load timing would perturb a seeded
@@ -255,46 +271,27 @@ IcicleServer::sendOverloaded(int fd, const std::string &reason)
                encodeOverloadNotice(notice));
 }
 
-bool
-IcicleServer::admitMiss()
+IcicleServer::Flight
+IcicleServer::beginFlight(u64 run)
 {
-    if (opts.maxQueue == 0)
-        return true;
     const u64 cap = u64{opts.maxQueue} * pool.size();
-    UniqueLock lock(admissionMutex);
-    if (missRuns >= cap) {
+    UniqueLock lock(flightsMutex);
+    if (opts.maxQueue != 0 && missRuns >= cap) {
         // One bounded grace wait absorbs a momentary burst; a gate
         // still full afterwards is genuine overload and the request
         // is shed.
-        admissionCv.waitFor(lock, opts.retryAfterMs);
+        flightsCv.waitFor(lock, kRetryAfterMs);
         if (missRuns >= cap)
-            return false;
+            return Flight::Shed;
     }
     missRuns++;
-    return true;
-}
-
-void
-IcicleServer::releaseMiss()
-{
-    if (opts.maxQueue == 0)
-        return;
-    LockGuard lock(admissionMutex);
-    missRuns--;
-    admissionCv.notifyAll();
-}
-
-bool
-IcicleServer::beginFlight(u64 run)
-{
-    UniqueLock lock(flightsMutex);
     bool waited = false;
     while (flights.contains(run)) {
         waited = true;
         flightsCv.wait(lock);
     }
     flights.insert(run);
-    return waited;
+    return waited ? Flight::Waited : Flight::Led;
 }
 
 void
@@ -302,6 +299,7 @@ IcicleServer::endFlight(u64 run)
 {
     LockGuard lock(flightsMutex);
     flights.erase(run);
+    missRuns--;
     flightsCv.notifyAll();
 }
 
@@ -310,20 +308,18 @@ IcicleServer::publishGuarded(const ServeKey &key,
                              const SweepResult &result)
 {
     if (degraded.load(std::memory_order_relaxed)) {
-        stats.degradedPoints.fetch_add(1,
-                                       std::memory_order_relaxed);
+        stats.add(ServeStat::DegradedPoints);
         return;
     }
     try {
         cache.publish(key, result);
         publishStrikes.store(0, std::memory_order_relaxed);
     } catch (const FatalError &err) {
-        stats.publishFailures.fetch_add(1,
-                                        std::memory_order_relaxed);
+        stats.add(ServeStat::PublishFailures);
         const u32 strikes =
             publishStrikes.fetch_add(1, std::memory_order_relaxed) +
             1;
-        if (strikes >= opts.degradedAfter &&
+        if (strikes >= kDegradedAfter &&
             !degraded.exchange(true)) {
             warn("cache publication failed ", strikes,
                  " times in a row (", err.what(),
@@ -346,13 +342,9 @@ IcicleServer::runResults(std::span<const SweepPoint> run, u64 seed,
             missing.push_back(i);
     }
     if (!missing.empty()) {
-        // Admission gate, stage 2: reserve a miss-path slot before
-        // waiting on a flight or a worker, so saturation becomes an
-        // explicit shed instead of an unbounded queue.
-        if (!admitMiss()) {
-            shed = true;
-            return false;
-        }
+        // beginFlight reserves a miss-path slot before waiting on a
+        // flight or a worker (admission gate, stage 2), so saturation
+        // becomes an explicit shed instead of an unbounded queue.
         // Single-flight per run: every architecture of a run shares
         // its serveRunHash. A request that finds the run in flight
         // waits for that flight to end (after its publishes), then
@@ -360,8 +352,13 @@ IcicleServer::runResults(std::span<const SweepPoint> run, u64 seed,
         // The leader re-checks too: a flight may have ended between
         // its lookup and its claim.
         const u64 run_hash = serveRunHash(run[0], seed);
-        if (beginFlight(run_hash))
-            stats.flightWaits.fetch_add(1, std::memory_order_relaxed);
+        const Flight flight = beginFlight(run_hash);
+        if (flight == Flight::Shed) {
+            shed = true;
+            return false;
+        }
+        if (flight == Flight::Waited)
+            stats.add(ServeStat::FlightWaits);
         std::vector<size_t> still_missing;
         for (size_t i : missing) {
             if (!cache.lookup(keys[i], results[i]))
@@ -384,7 +381,7 @@ IcicleServer::runResults(std::span<const SweepPoint> run, u64 seed,
                 static_cast<u32>(run_hash % pool.size()), request,
                 reply, job_error, &waited);
             if (waited)
-                stats.workerWaits.fetch_add(1, std::memory_order_relaxed);
+                stats.add(ServeStat::WorkerWaits);
             if (!ran || !reply.ok) {
                 error = job_error.empty() ? reply.error : job_error;
                 job_ok = false;
@@ -404,9 +401,6 @@ IcicleServer::runResults(std::span<const SweepPoint> run, u64 seed,
             }
         }
         endFlight(run_hash);
-        // After the flight mutex drops, on every path: the admission
-        // mutex ranks above (outside) it.
-        releaseMiss();
         if (!job_ok)
             return false;
     }
@@ -423,22 +417,18 @@ IcicleServer::runResults(std::span<const SweepPoint> run, u64 seed,
 void
 IcicleServer::handleSweep(int fd, const std::string &payload)
 {
-    stats.sweepRequests.fetch_add(1, std::memory_order_relaxed);
+    stats.add(ServeStat::SweepRequests);
     SweepQuery query;
     if (!decodeSweepQuery(payload, query)) {
-        stats.errors.fetch_add(1, std::memory_order_relaxed);
         sendError(fd, "malformed sweep request");
         return;
     }
     if (query.cores.empty() || query.workloads.empty() ||
         query.archs.empty()) {
-        stats.errors.fetch_add(1, std::memory_order_relaxed);
         sendError(fd, "sweep request selects an empty grid");
         return;
     }
-    if (query.format != "text" && query.format != "csv" &&
-        query.format != "json") {
-        stats.errors.fetch_add(1, std::memory_order_relaxed);
+    if (!isSweepFormat(query.format)) {
         sendError(fd, "unknown format: " + query.format);
         return;
     }
@@ -454,7 +444,6 @@ IcicleServer::handleSweep(int fd, const std::string &payload)
         for (const std::string &workload : query.workloads)
             buildWorkload(workload);
     } catch (const FatalError &err) {
-        stats.errors.fetch_add(1, std::memory_order_relaxed);
         sendError(fd, err.what());
         return;
     }
@@ -493,11 +482,9 @@ IcicleServer::handleSweep(int fd, const std::string &payload)
                 // already served stay cached, so retrying the whole
                 // (deterministic, content-addressed) query is safe
                 // and cheap.
-                stats.shedRequests.fetch_add(
-                    1, std::memory_order_relaxed);
+                stats.add(ServeStat::ShedRequests);
                 sendOverloaded(fd, "queue");
             } else {
-                stats.errors.fetch_add(1, std::memory_order_relaxed);
                 sendError(fd, error);
             }
             return;
@@ -515,12 +502,7 @@ IcicleServer::handleSweep(int fd, const std::string &payload)
 
     // timing=false always: wall-times are nondeterministic and would
     // break both caching and byte-identity with the CLI.
-    if (query.format == "csv")
-        reply.report = formatSweepCsv(results, false);
-    else if (query.format == "json")
-        reply.report = formatSweepJson(results, false);
-    else
-        reply.report = formatSweepTable(results, false);
+    reply.report = formatSweepReport(results, query.format, false);
 
     sendReply(fd, MsgType::SweepResponse, encodeSweepReply(reply));
 }
@@ -541,10 +523,9 @@ IcicleServer::readerFor(const std::string &path)
 void
 IcicleServer::handleWindow(int fd, const std::string &payload)
 {
-    stats.windowRequests.fetch_add(1, std::memory_order_relaxed);
+    stats.add(ServeStat::WindowRequests);
     WindowQuery query;
     if (!decodeWindowQuery(payload, query)) {
-        stats.errors.fetch_add(1, std::memory_order_relaxed);
         sendError(fd, "malformed window-tma request");
         return;
     }
@@ -557,7 +538,6 @@ IcicleServer::handleWindow(int fd, const std::string &payload)
         sendReply(fd, MsgType::WindowTmaResponse,
                   encodeWindowReply(reply));
     } catch (const FatalError &err) {
-        stats.errors.fetch_add(1, std::memory_order_relaxed);
         sendError(fd, err.what());
     }
 }
@@ -567,21 +547,9 @@ IcicleServer::statsText()
 {
     const ServeStats::Snapshot snap = stats.snapshot();
     std::ostringstream os;
-    os << "requests: " << snap.requests << "\n"
-       << "sweep_requests: " << snap.sweepRequests << "\n"
-       << "window_requests: " << snap.windowRequests << "\n"
-       << "points: " << snap.points << "\n"
-       << "cache_hits: " << snap.cacheHits << "\n"
-       << "cache_misses: " << snap.cacheMisses << "\n"
-       << "jobs_simulated: " << snap.simulated << "\n"
-       << "errors: " << snap.errors << "\n"
-       << "shed_conns: " << snap.shedConns << "\n"
-       << "shed_requests: " << snap.shedRequests << "\n"
-       << "publish_failures: " << snap.publishFailures << "\n"
-       << "degraded_points: " << snap.degradedPoints << "\n"
-       << "flight_waits: " << snap.flightWaits << "\n"
-       << "worker_waits: " << snap.workerWaits << "\n"
-       << "degraded: " << (degraded.load() ? 1 : 0) << "\n"
+    for (size_t i = 0; i < kServeStatCount; i++)
+        os << kServeStatNames[i] << ": " << snap.values[i] << "\n";
+    os << "degraded: " << (degraded.load() ? 1 : 0) << "\n"
        << "max_conns: " << opts.maxConns << "\n"
        << "max_queue: " << opts.maxQueue << "\n"
        << "worker_restarts: " << pool.restarts() << "\n"

@@ -30,7 +30,9 @@
 #ifndef ICICLE_SERVE_SERVER_HH
 #define ICICLE_SERVE_SERVER_HH
 
+#include <array>
 #include <atomic>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -54,9 +56,9 @@ struct ServerOptions
      * connect probe) is reclaimed; a path a live daemon answers on
      * is refused at construction.
      */
-    std::string socketPath;
+    std::string socketPath{};
     /** ResultCache directory (created if needed). */
-    std::string cacheDir;
+    std::string cacheDir{};
     /** Worker processes (`--shards`). */
     u32 shards = 2;
     /**
@@ -83,16 +85,50 @@ struct ServerOptions
      * byte-trickling client is dropped, reclaiming its thread.
      */
     u32 idleTimeoutMs = 0;
-    /** Retry-after hint carried in Overloaded replies, and the
-     * admission gate's grace-wait bound. */
-    u32 retryAfterMs = 50;
-    /**
-     * Consecutive cache-publish failures before the daemon flips to
-     * degraded compute-only serving (results still correct, nothing
-     * memoised; `degraded: 1` in stats).
-     */
-    u32 degradedAfter = 3;
 };
+
+/**
+ * The daemon's monotonic counters, in the order `icicled stats`
+ * prints them. The enum is the one list: ServeStats, snapshot() and
+ * statsText() are all driven by it and kServeStatNames.
+ */
+enum class ServeStat : u8
+{
+    Requests,
+    SweepRequests,
+    WindowRequests,
+    Points,
+    CacheHits,
+    CacheMisses,
+    /** Points simulated by a worker. */
+    Simulated,
+    Errors,
+    /** Connections shed at accept (max-conns). */
+    ShedConns,
+    /** Requests shed at a full miss path (max-queue). */
+    ShedRequests,
+    /** Cache publications that failed (ENOSPC and friends). */
+    PublishFailures,
+    /** Points served compute-only while degraded. */
+    DegradedPoints,
+    /** Requests that waited on another request's in-flight run. */
+    FlightWaits,
+    /** Worker jobs that found every worker busy. */
+    WorkerWaits,
+};
+
+/** The `icicled stats` key of each ServeStat, in enum order. */
+constexpr const char *kServeStatNames[] = {
+    "requests",       "sweep_requests",   "window_requests",
+    "points",         "cache_hits",       "cache_misses",
+    "jobs_simulated", "errors",           "shed_conns",
+    "shed_requests",  "publish_failures", "degraded_points",
+    "flight_waits",   "worker_waits"};
+
+constexpr size_t kServeStatCount = std::size(kServeStatNames);
+static_assert(kServeStatCount ==
+                  static_cast<size_t>(ServeStat::WorkerWaits) + 1,
+              "one stats key per ServeStat");
 
 /**
  * Monotonic service counters, updated lock-free from every
@@ -106,72 +142,51 @@ struct ServerOptions
  *    never observes a counter going backwards, and once the service
  *    is quiescent a snapshot is exact.
  *  - Counters are NOT mutually consistent mid-flight, with one
- *    pinned exception: `points` is incremented with release order
+ *    pinned exception: `Points` is incremented with release order
  *    *after* its hit/miss accounting (countPoint), and snapshot()
- *    reads `points` first with acquire order — so every snapshot
- *    satisfies cacheHits + cacheMisses >= points. Any other
- *    cross-counter relation (e.g. cacheMisses == simulated) holds
+ *    reads `Points` first with acquire order — so every snapshot
+ *    satisfies CacheHits + CacheMisses >= Points. Any other
+ *    cross-counter relation (e.g. CacheMisses == Simulated) holds
  *    only at quiescence.
  *
  * test_serve's ServeStats suite pins both guarantees under a
  * multi-threaded hammer.
  */
-struct ServeStats
+class ServeStats
 {
-    std::atomic<u64> requests{0};
-    std::atomic<u64> sweepRequests{0};
-    std::atomic<u64> windowRequests{0};
-    std::atomic<u64> points{0};
-    std::atomic<u64> cacheHits{0};
-    std::atomic<u64> cacheMisses{0};
-    std::atomic<u64> simulated{0};
-    std::atomic<u64> errors{0};
-    /** Connections shed at accept (max-conns). */
-    std::atomic<u64> shedConns{0};
-    /** Requests shed at a full miss path (max-queue). */
-    std::atomic<u64> shedRequests{0};
-    /** Cache publications that failed (ENOSPC and friends). */
-    std::atomic<u64> publishFailures{0};
-    /** Points served compute-only while degraded. */
-    std::atomic<u64> degradedPoints{0};
-    /** Requests that waited on another request's in-flight run. */
-    std::atomic<u64> flightWaits{0};
-    /** Worker jobs that found every worker busy. */
-    std::atomic<u64> workerWaits{0};
-
+  public:
     /** Plain-integer copy taken by snapshot(). */
     struct Snapshot
     {
-        u64 requests = 0;
-        u64 sweepRequests = 0;
-        u64 windowRequests = 0;
-        u64 points = 0;
-        u64 cacheHits = 0;
-        u64 cacheMisses = 0;
-        u64 simulated = 0;
-        u64 errors = 0;
-        u64 shedConns = 0;
-        u64 shedRequests = 0;
-        u64 publishFailures = 0;
-        u64 degradedPoints = 0;
-        u64 flightWaits = 0;
-        u64 workerWaits = 0;
+        std::array<u64, kServeStatCount> values{};
+
+        u64
+        operator[](ServeStat stat) const
+        {
+            return values[static_cast<size_t>(stat)];
+        }
     };
+
+    void
+    add(ServeStat stat)
+    {
+        at(stat).fetch_add(1, std::memory_order_relaxed);
+    }
 
     /**
      * Account one served point. The hit/miss counters land before
-     * `points` (release): see the snapshot contract above.
+     * `Points` (release): see the snapshot contract above.
      */
     void
     countPoint(bool hit)
     {
         if (hit) {
-            cacheHits.fetch_add(1, std::memory_order_relaxed);
+            add(ServeStat::CacheHits);
         } else {
-            cacheMisses.fetch_add(1, std::memory_order_relaxed);
-            simulated.fetch_add(1, std::memory_order_relaxed);
+            add(ServeStat::CacheMisses);
+            add(ServeStat::Simulated);
         }
-        points.fetch_add(1, std::memory_order_release);
+        at(ServeStat::Points).fetch_add(1, std::memory_order_release);
     }
 
     /** Torn-snapshot read honouring the contract above. */
@@ -179,29 +194,27 @@ struct ServeStats
     snapshot() const
     {
         Snapshot s;
-        // `points` first, acquire: the accounting of every counted
+        // `Points` first, acquire: the accounting of every counted
         // point happened-before the loads below.
-        s.points = points.load(std::memory_order_acquire);
-        s.requests = requests.load(std::memory_order_relaxed);
-        s.sweepRequests =
-            sweepRequests.load(std::memory_order_relaxed);
-        s.windowRequests =
-            windowRequests.load(std::memory_order_relaxed);
-        s.cacheHits = cacheHits.load(std::memory_order_relaxed);
-        s.cacheMisses = cacheMisses.load(std::memory_order_relaxed);
-        s.simulated = simulated.load(std::memory_order_relaxed);
-        s.errors = errors.load(std::memory_order_relaxed);
-        s.shedConns = shedConns.load(std::memory_order_relaxed);
-        s.shedRequests =
-            shedRequests.load(std::memory_order_relaxed);
-        s.publishFailures =
-            publishFailures.load(std::memory_order_relaxed);
-        s.degradedPoints =
-            degradedPoints.load(std::memory_order_relaxed);
-        s.flightWaits = flightWaits.load(std::memory_order_relaxed);
-        s.workerWaits = workerWaits.load(std::memory_order_relaxed);
+        const size_t points = static_cast<size_t>(ServeStat::Points);
+        s.values[points] =
+            counters[points].load(std::memory_order_acquire);
+        for (size_t i = 0; i < kServeStatCount; i++) {
+            if (i != points)
+                s.values[i] =
+                    counters[i].load(std::memory_order_relaxed);
+        }
         return s;
     }
+
+  private:
+    std::atomic<u64> &
+    at(ServeStat stat)
+    {
+        return counters[static_cast<size_t>(stat)];
+    }
+
+    std::array<std::atomic<u64>, kServeStatCount> counters{};
 };
 
 class IcicleServer
@@ -260,18 +273,22 @@ class IcicleServer
     /** Shed notice (accept- or queue-level). Bypasses the reply
      * fault hooks so shed traffic does not perturb schedules. */
     void sendOverloaded(int fd, const std::string &reason);
+    /** How beginFlight() left a run. */
+    enum class Flight : u8
+    {
+        Led,    ///< claimed the run's flight
+        Waited, ///< waited for another flight, then claimed it
+        Shed,   ///< the queue gate stayed full: nothing held
+    };
     /**
-     * Reserve a miss-path slot for one run: one bounded grace wait
-     * when the gate is full, then false = shed.
+     * Take run `run` (a serveRunHash) onto the miss path: reserve a
+     * miss-path slot — one bounded grace wait when the queue gate is
+     * full, then Shed — then wait for any flight already holding the
+     * run and claim it. Led and Waited hold the slot and the flight
+     * until endFlight().
      */
-    bool admitMiss();
-    void releaseMiss();
-    /**
-     * Claim the flight of run `run` (a serveRunHash), first waiting
-     * for any flight already holding it. True when it waited.
-     */
-    bool beginFlight(u64 run);
-    /** End the flight and wake the requests waiting for it. */
+    Flight beginFlight(u64 run);
+    /** End the flight, free its slot, wake every waiter. */
     void endFlight(u64 run);
     /** Try to publish `result`; tolerates failure by counting a
      * strike and flipping degraded mode at the threshold. */
@@ -298,31 +315,21 @@ class IcicleServer
     u64 liveClients ICICLE_GUARDED_BY(connMutex) = 0;
 
     /**
-     * Admission gate: runs on the miss path, from admission until
-     * their flight ends. Connection threads take this (rank between
-     * serve.conn and serve.flights) to reserve a slot before waiting
-     * on a flight or a worker, so overload is shed with an explicit
-     * Overloaded reply instead of an unbounded queue. The condvar is
-     * notified on every release; a full gate gets one bounded grace
-     * wait.
-     */
-    Mutex admissionMutex{"serve.admission",
-                         lockrank::kServeAdmission};
-    CondVar admissionCv;
-    u64 missRuns ICICLE_GUARDED_BY(admissionMutex) = 0;
-
-    /**
-     * Single-flight per run: the serveRunHash of every run whose
-     * misses some request is filling. The leader holds its entry
+     * The miss path: the serveRunHash of every run whose misses some
+     * request is filling (single-flight per run), and the count of
+     * runs holding a miss-path slot, from admission until their
+     * flight ends (the --max-queue gate). The leader holds its entry
      * through the re-check, the job and the publishes, but holds the
-     * mutex only to add or erase it; a request that finds its run
-     * here waits on the condvar, then re-checks the cache.
+     * mutex only to admit, claim or end; a request that finds its
+     * run here, or the gate full, waits on the condvar, which every
+     * endFlight() notifies.
      */
     Mutex flightsMutex{"serve.flights", lockrank::kServeFlights};
     CondVar flightsCv;
     std::set<u64> flights ICICLE_GUARDED_BY(flightsMutex);
+    u64 missRuns ICICLE_GUARDED_BY(flightsMutex) = 0;
 
-    /** Sticky compute-only flag (see ServerOptions::degradedAfter). */
+    /** Sticky compute-only flag (see kDegradedAfter in server.cc). */
     std::atomic<bool> degraded{false};
     /** Consecutive publish failures (reset on success). */
     std::atomic<u32> publishStrikes{0};

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/crc32.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/dispatch.hh"
 #include "fault/fault.hh"
@@ -135,27 +136,6 @@ readExact(std::ifstream &in, u64 offset, void *dst, u64 len)
     return ok;
 }
 
-void
-jsonEscapeTo(std::ostringstream &os, const std::string &text)
-{
-    for (const char c : text) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                os << hex;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
 } // namespace
 
 const char *
@@ -176,9 +156,8 @@ std::string
 StoreDamage::toJson(const std::string &path) const
 {
     std::ostringstream os;
-    os << "{\n  \"file\": \"";
-    jsonEscapeTo(os, path);
-    os << "\",\n  \"salvaged\": " << (salvaged ? "true" : "false")
+    os << "{\n  \"file\": " << jsonQuote(path)
+       << ",\n  \"salvaged\": " << (salvaged ? "true" : "false")
        << ",\n  \"clean\": " << (clean() ? "true" : "false")
        << ",\n  \"index_valid\": " << (indexValid ? "true" : "false")
        << ",\n  \"recovered_blocks\": " << recoveredBlocks

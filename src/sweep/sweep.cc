@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "boom/boom.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/sync.hh"
 #include "core/session.hh"
@@ -545,22 +546,6 @@ csvEscape(const std::string &text)
     return escaped;
 }
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string escaped;
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            escaped += '\\';
-        if (c == '\n') {
-            escaped += "\\n";
-            continue;
-        }
-        escaped += c;
-    }
-    return escaped;
-}
-
 } // namespace
 
 std::string
@@ -676,6 +661,25 @@ formatSweepJson(const std::vector<SweepResult> &results, bool timing)
     }
     os << "]\n";
     return os.str();
+}
+
+bool
+isSweepFormat(const std::string &format)
+{
+    return format == "text" || format == "csv" || format == "json";
+}
+
+std::string
+formatSweepReport(const std::vector<SweepResult> &results,
+                  const std::string &format, bool timing)
+{
+    if (format == "text")
+        return formatSweepTable(results, timing);
+    if (format == "csv")
+        return formatSweepCsv(results, timing);
+    if (format == "json")
+        return formatSweepJson(results, timing);
+    fatal("unknown format: ", format);
 }
 
 } // namespace icicle

@@ -255,6 +255,17 @@ std::string formatSweepCsv(const std::vector<SweepResult> &results,
 std::string formatSweepJson(const std::vector<SweepResult> &results,
                             bool timing = false);
 
+/** True for the report formats "text", "csv" and "json". */
+bool isSweepFormat(const std::string &format);
+
+/**
+ * The report in `format`, one of isSweepFormat()'s names — the one
+ * switch icicle-sweep and icicled both print through. fatal() on any
+ * other name.
+ */
+std::string formatSweepReport(const std::vector<SweepResult> &results,
+                              const std::string &format, bool timing);
+
 } // namespace icicle
 
 #endif // ICICLE_SWEEP_SWEEP_HH

@@ -349,6 +349,39 @@ TEST(SweepFormat, CsvEscapesAndJsonIsWellFormedish)
               std::string::npos);
 }
 
+TEST(SweepFormat, JsonEscapesEveryControlCharacter)
+{
+    // Regression: sweep's JSON rows escaped only '"', '\' and
+    // newline, so a tab or other control byte in an error message
+    // landed raw inside a JSON string, which JSON forbids.
+    SweepResult r;
+    r.index = 0;
+    r.label = "rocket/vvadd/addwires";
+    r.status = SweepStatus::Failed;
+    r.error = std::string("tab\there, soh\x01here");
+    const std::string json = formatSweepJson({r});
+    EXPECT_NE(json.find("\"error\": \"tab\\there, soh\\u0001here\""),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.find('\t'), std::string::npos) << json;
+    EXPECT_EQ(json.find('\x01'), std::string::npos) << json;
+}
+
+TEST(SweepFormat, ReportSwitchesOnTheFormatName)
+{
+    const std::vector<SweepResult> rows = {SweepResult{}};
+    for (const char *format : {"text", "csv", "json"})
+        EXPECT_TRUE(isSweepFormat(format)) << format;
+    EXPECT_FALSE(isSweepFormat("xml"));
+    EXPECT_EQ(formatSweepReport(rows, "text", false),
+              formatSweepTable(rows, false));
+    EXPECT_EQ(formatSweepReport(rows, "csv", true),
+              formatSweepCsv(rows, true));
+    EXPECT_EQ(formatSweepReport(rows, "json", false),
+              formatSweepJson(rows, false));
+    EXPECT_THROW(formatSweepReport(rows, "xml", false), FatalError);
+}
+
 TEST(SweepEngine, TimedOutTracedJobSkipIsVisibleNotSilent)
 {
     // Regression: a traced job that timed out under --trace-out used

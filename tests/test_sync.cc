@@ -429,15 +429,15 @@ TEST_F(SyncTest, MutantHookIsFatalWithoutTheMutantBuild)
 // ---- the serving path's lock graph ----------------------------------
 
 /**
- * A miniature chaos drive (clean lane, admission gate armed) run
- * under this fixture's lock-order runtime: every lock nesting the
- * serving path exercises — conn bookkeeping, admission, the flight
- * table, the worker pool, stats — lands in the graph, and the graph
- * must come back cycle-free with the admission and dispatch classes
- * registered. The flight table and the pool are held only to claim
- * or end a flight and to check a worker out or in, so neither ever
- * nests inside the other. This is the executable form of
- * DESIGN.md's rank table for the serving locks.
+ * A miniature chaos drive (clean lane, both overload gates armed)
+ * run under this fixture's lock-order runtime: every lock nesting
+ * the serving path exercises — conn bookkeeping, the miss path
+ * (queue gate and flight table), the worker pool, stats — lands in
+ * the graph, and the graph must come back cycle-free with the
+ * dispatch classes registered. The flight table and the pool are
+ * held only to admit, claim or end a flight and to check a worker
+ * out or in, so neither ever nests inside the other. This is the
+ * executable form of DESIGN.md's rank table for the serving locks.
  */
 TEST_F(SyncTest, ChaosDriveKeepsTheServeLockGraphCycleFree)
 {
@@ -452,15 +452,14 @@ TEST_F(SyncTest, ChaosDriveKeepsTheServeLockGraphCycleFree)
     opts.clients = 2;
     opts.requestsPerClient = 1;
     opts.maxCycles = 20'000;
-    opts.shards = 1;
-    opts.maxConns = 8;
-    opts.maxQueue = 2;
+    opts.server.shards = 1;
+    opts.server.maxConns = 8;
+    opts.server.maxQueue = 2;
     const ChaosVerdict verdict = runChaos(opts);
     EXPECT_TRUE(verdict.pass()) << verdict.format();
 
     const LockOrderReport report = lockorder::lockOrderReport();
     EXPECT_TRUE(report.clean()) << report.format();
-    EXPECT_TRUE(hasNode(report, "serve.admission"));
     EXPECT_TRUE(hasNode(report, "serve.flights"));
     EXPECT_TRUE(hasNode(report, "serve.pool"));
     EXPECT_EQ(findEdge(report, "serve.flights", "serve.pool"), nullptr)
@@ -473,12 +472,11 @@ TEST_F(SyncTest, ChaosDriveKeepsTheServeLockGraphCycleFree)
 }
 
 /**
- * Regression for the failure-path admission release: a failed job
- * under an armed miss-path cap must give back its slot AFTER the
- * dispatch locks drop, never under them — serve.admission (rank 15)
- * is an outer lock relative to the flight table (rank 20) and the
- * worker pool (rank 30), so releasing under either is a rank
- * inversion the runtime flags.
+ * Regression for the failure-path slot release: a failed job under
+ * an armed miss-path cap must give back its slot when its flight
+ * ends, or the same run would be shed forever after. The slot and
+ * the flight live under one lock (serve.flights), so the release is
+ * part of endFlight(); the lock graph must stay clean on this path.
  */
 TEST_F(SyncTest, FailedJobReleasesAdmissionSlotAfterItsFlightEnds)
 {
@@ -524,16 +522,6 @@ TEST_F(SyncTest, FailedJobReleasesAdmissionSlotAfterItsFlightEnds)
     daemon.join();
 
     const LockOrderReport report = lockorder::lockOrderReport();
-    EXPECT_EQ(findViolation(report, "rank-inversion",
-                            "serve.admission"),
-              nullptr)
-        << report.format();
-    EXPECT_EQ(findEdge(report, "serve.flights", "serve.admission"),
-              nullptr)
-        << report.format();
-    EXPECT_EQ(findEdge(report, "serve.pool", "serve.admission"),
-              nullptr)
-        << report.format();
     EXPECT_TRUE(report.clean()) << report.format();
 
     std::error_code ec;

@@ -103,16 +103,19 @@ main(int argc, char **argv)
             } else if (arg == "--cycles") {
                 opts.maxCycles = cli::parseNumber<u64>(arg, value());
             } else if (arg == "--shards") {
-                opts.shards = cli::parseNumber<u32>(arg, value());
+                opts.server.shards =
+                    cli::parseNumber<u32>(arg, value());
             } else if (arg == "--max-conns") {
-                opts.maxConns = cli::parseNumber<u32>(arg, value());
+                opts.server.maxConns =
+                    cli::parseNumber<u32>(arg, value());
             } else if (arg == "--max-queue") {
-                opts.maxQueue = cli::parseNumber<u32>(arg, value());
+                opts.server.maxQueue =
+                    cli::parseNumber<u32>(arg, value());
             } else if (arg == "--attempt-timeout") {
-                opts.attemptTimeoutMs =
+                opts.client.attemptTimeoutMs =
                     cli::parseNumber<u32>(arg, value());
             } else if (arg == "--deadline") {
-                opts.totalDeadlineMs =
+                opts.client.totalDeadlineMs =
                     cli::parseNumber<u32>(arg, value());
             } else if (arg == "--clean") {
                 opts.clean = true;
@@ -126,14 +129,14 @@ main(int argc, char **argv)
                 return cli::unknownOption(arg, kUsage);
             }
         }
-        if (opts.overloadDrill && opts.maxConns == 0) {
+        if (opts.overloadDrill && opts.server.maxConns == 0) {
             std::fprintf(stderr, "fatal: --overload needs --max-conns "
                                  "(clients must exceed the cap)\n");
             return 2;
         }
 
         // The chaos drive doubles as a lock-order witness: every
-        // admission/conn/flight/pool/fault lock nesting it exercises
+        // conn/flight/pool/fault lock nesting it exercises
         // lands in the graph, and a chaos-only cycle fails the run.
         lockorder::setLockOrderEnabled(true);
         lockorder::resetLockOrder();

@@ -36,6 +36,7 @@
 #include "analysis/constraints.hh"
 #include "analysis/sarif.hh"
 #include "common/argparse.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "pmu/mutants.hh"
 #include "prove/prove.hh"
@@ -138,31 +139,6 @@ parseArgs(int argc, char **argv, int first)
             args.positional.push_back(arg);
     }
     return args;
-}
-
-/** Quote + escape a string for embedding in JSON output. */
-std::string
-jsonQuote(const std::string &text)
-{
-    std::string out = "\"";
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
 }
 
 CounterArch

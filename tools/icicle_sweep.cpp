@@ -30,7 +30,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -90,22 +89,6 @@ usage(FILE *out)
     return cli::usageExit(out, kUsage);
 }
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> items;
-    std::string item;
-    std::istringstream is(text);
-    while (std::getline(is, item, ',')) {
-        // Trim surrounding whitespace.
-        const auto begin = item.find_first_not_of(" \t");
-        const auto end = item.find_last_not_of(" \t");
-        if (begin != std::string::npos)
-            items.push_back(item.substr(begin, end - begin + 1));
-    }
-    return items;
-}
-
 /** Repeats are kept here: GridSpec::expand() drops them. */
 void
 append(std::vector<std::string> &list,
@@ -143,15 +126,15 @@ loadSpecFile(const std::string &path, GridSpec &grid)
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
         if (key == "cores") {
-            append(grid.cores, splitList(value));
+            append(grid.cores, cli::splitList(value));
         } else if (key == "workloads") {
-            append(grid.workloads, splitList(value));
+            append(grid.workloads, cli::splitList(value));
         } else if (key == "suite") {
-            for (const std::string &suite : splitList(value))
+            for (const std::string &suite : cli::splitList(value))
                 append(grid.workloads, workloadNames(suite));
         } else if (key == "archs") {
             grid.counterArchs.clear();
-            for (const std::string &arch : splitList(value))
+            for (const std::string &arch : cli::splitList(value))
                 grid.counterArchs.push_back(parseCounterArch(arch));
         } else if (key == "cycles") {
             grid.maxCycles = cli::parseNumber<u64>(
@@ -232,13 +215,13 @@ main(int argc, char **argv)
                 return argv[++i];
             };
             if (arg == "--cores") {
-                append(flag_cores, splitList(value()));
+                append(flag_cores, cli::splitList(value()));
             } else if (arg == "--workloads") {
-                append(flag_workloads, splitList(value()));
+                append(flag_workloads, cli::splitList(value()));
             } else if (arg == "--suite") {
-                append(flag_suites, splitList(value()));
+                append(flag_suites, cli::splitList(value()));
             } else if (arg == "--archs") {
-                append(flag_archs, splitList(value()));
+                append(flag_archs, cli::splitList(value()));
                 archs_set = true;
             } else if (arg == "--cycles") {
                 grid.maxCycles = cli::parseNumber<u64>(arg, value());
@@ -278,7 +261,7 @@ main(int argc, char **argv)
                 return cli::unknownOption(arg, kUsage);
             }
         }
-        if (format != "text" && format != "csv" && format != "json") {
+        if (!isSweepFormat(format)) {
             std::fprintf(stderr, "unknown format: %s\n", format.c_str());
             return usage(stderr);
         }
@@ -329,13 +312,8 @@ main(int argc, char **argv)
         const std::vector<SweepResult> results =
             runSweep(grid, options);
 
-        std::string report;
-        if (format == "csv")
-            report = formatSweepCsv(results, timing);
-        else if (format == "json")
-            report = formatSweepJson(results, timing);
-        else
-            report = formatSweepTable(results, timing);
+        const std::string report =
+            formatSweepReport(results, format, timing);
 
         if (out_path.empty()) {
             std::fputs(report.c_str(), stdout);

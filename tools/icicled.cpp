@@ -52,13 +52,13 @@ constexpr char kUsage[] =
     "      run the daemon in the foreground: each cold run goes to\n"
     "      the first idle one of N worker processes (default 2),\n"
     "      results memoise in the content-addressed cache under DIR\n"
-    "      (default icicled-cache next to the socket); a worker that\n"
-    "      sends no reply within MS (default 300000, 0 = forever) is\n"
-    "      killed and respawned; --max-conns caps connections and\n"
-    "      --max-queue caps runs on the miss path at N x workers\n"
-    "      (excess load is shed with an Overloaded retry hint,\n"
-    "      default 0 = unbounded); --idle-timeout drops connections\n"
-    "      with no complete frame within MS (default 0)\n"
+    "      (default <socket>.cache); a worker that sends no reply\n"
+    "      within MS (default 300000, 0 = forever) is killed and\n"
+    "      respawned; --max-conns caps connections and --max-queue\n"
+    "      caps runs on the miss path at N x workers (excess load\n"
+    "      is shed with an Overloaded retry hint, default 0 =\n"
+    "      unbounded); --idle-timeout drops connections with no\n"
+    "      complete frame within MS (default 0 = wait forever)\n"
     "  sweep [--cores A,B] [--workloads A,B] [--archs A,B]\n"
     "        [--cycles N] [--seed N] [--format text|csv|json]\n"
     "      submit a sweep grid; the printed report is\n"
@@ -83,31 +83,11 @@ constexpr char kUsage[] =
     "                    reset, attempt timeout (default 4;\n"
     "                    shutdown never retries)\n";
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> items;
-    std::string item;
-    std::istringstream is(text);
-    while (std::getline(is, item, ',')) {
-        const auto begin = item.find_first_not_of(" \t");
-        const auto end = item.find_last_not_of(" \t");
-        if (begin != std::string::npos)
-            items.push_back(item.substr(begin, end - begin + 1));
-    }
-    return items;
-}
-
 /** Common flag state across subcommands. */
 struct Args
 {
     std::string socket;
-    std::string cacheDir;
-    u32 shards = 2;
-    u32 jobTimeoutMs = 300'000;
-    u32 maxConns = 0;
-    u32 maxQueue = 0;
-    u32 idleTimeoutMs = 0;
+    ServerOptions server;
     ClientOptions client;
     SweepQuery query;
     std::string store;
@@ -139,17 +119,18 @@ parseArgs(int argc, char **argv, int first, Args &args, int *status)
         } else if (arg == "--socket") {
             args.socket = value();
         } else if (arg == "--cache-dir") {
-            args.cacheDir = value();
+            args.server.cacheDir = value();
         } else if (arg == "--shards") {
-            args.shards = cli::parseNumber<u32>(arg, value());
+            args.server.shards = cli::parseNumber<u32>(arg, value());
         } else if (arg == "--job-timeout") {
-            args.jobTimeoutMs = cli::parseNumber<u32>(arg, value());
+            args.server.jobTimeoutMs =
+                cli::parseNumber<u32>(arg, value());
         } else if (arg == "--max-conns") {
-            args.maxConns = cli::parseNumber<u32>(arg, value());
+            args.server.maxConns = cli::parseNumber<u32>(arg, value());
         } else if (arg == "--max-queue") {
-            args.maxQueue = cli::parseNumber<u32>(arg, value());
+            args.server.maxQueue = cli::parseNumber<u32>(arg, value());
         } else if (arg == "--idle-timeout") {
-            args.idleTimeoutMs =
+            args.server.idleTimeoutMs =
                 cli::parseNumber<u32>(arg, value());
         } else if (arg == "--timeout") {
             args.client.attemptTimeoutMs =
@@ -161,16 +142,16 @@ parseArgs(int argc, char **argv, int first, Args &args, int *status)
             args.client.maxRetries =
                 cli::parseNumber<u32>(arg, value());
         } else if (arg == "--cores") {
-            for (const std::string &core : splitList(value()))
+            for (const std::string &core : cli::splitList(value()))
                 args.query.cores.push_back(core);
         } else if (arg == "--workloads") {
-            for (const std::string &w : splitList(value()))
+            for (const std::string &w : cli::splitList(value()))
                 args.query.workloads.push_back(w);
         } else if (arg == "--archs") {
             if (!archs_set)
                 args.query.archs.clear();
             archs_set = true;
-            for (const std::string &a : splitList(value()))
+            for (const std::string &a : cli::splitList(value()))
                 args.query.archs.push_back(parseCounterArch(a));
         } else if (arg == "--cycles") {
             args.query.maxCycles = cli::parseNumber<u64>(arg, value());
@@ -217,16 +198,10 @@ parseArgs(int argc, char **argv, int first, Args &args, int *status)
 int
 cmdServe(const Args &args)
 {
-    ServerOptions options;
+    ServerOptions options = args.server;
     options.socketPath = args.socket;
-    options.cacheDir = args.cacheDir.empty()
-                           ? args.socket + ".cache"
-                           : args.cacheDir;
-    options.shards = args.shards;
-    options.jobTimeoutMs = args.jobTimeoutMs;
-    options.maxConns = args.maxConns;
-    options.maxQueue = args.maxQueue;
-    options.idleTimeoutMs = args.idleTimeoutMs;
+    if (options.cacheDir.empty())
+        options.cacheDir = args.socket + ".cache";
     IcicleServer server(options);
     std::fprintf(stderr,
                  "icicled: serving on %s (%u workers, cache %s)\n",
