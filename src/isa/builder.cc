@@ -1,5 +1,6 @@
 #include "isa/builder.hh"
 
+#include <bit>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -80,12 +81,12 @@ ProgramBuilder::dword(u64 value)
 Label
 ProgramBuilder::dwords(const std::vector<u64> &values)
 {
+    static_assert(std::endian::native == std::endian::little,
+                  "dwords copies host words as little-endian bytes");
     alignData(8);
     Label l = dataLabelHere();
-    for (u64 v : values) {
-        for (int i = 0; i < 8; i++)
-            dataBytes.push_back(static_cast<u8>(v >> (8 * i)));
-    }
+    const auto *first = reinterpret_cast<const u8 *>(values.data());
+    dataBytes.insert(dataBytes.end(), first, first + values.size() * 8);
     return l;
 }
 

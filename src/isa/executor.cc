@@ -1,5 +1,8 @@
 #include "isa/executor.hh"
 
+#include <sys/mman.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -7,29 +10,50 @@
 namespace icicle
 {
 
-Executor::Executor(const Program &program)
-    : prog(program), mem(program.memSize, 0)
+void
+Executor::Unmap::operator()(u8 *image) const
 {
-    if (prog.codeBase + prog.codeBytes() > prog.memSize)
+    munmap(image, bytes);
+}
+
+Executor::Executor(const Program &program)
+    : codeBase(program.codeBase), memSize(program.memSize),
+      code(program.code)
+{
+    if (codeBase + program.codeBytes() > memSize)
         fatal("code segment does not fit in memory");
-    if (prog.dataBase + prog.data.size() > prog.memSize)
+    if (program.dataBase + program.data.size() > memSize)
         fatal("data segment does not fit in memory");
 
-    for (u64 i = 0; i < prog.code.size(); i++) {
-        const u32 word = prog.code[i];
-        std::memcpy(&mem[prog.codeBase + i * 4], &word, 4);
+    // No memset: a fresh anonymous mapping reads as zeros, and only
+    // the pages written below or by the program become resident.
+    void *image = mmap(nullptr, memSize, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (image == MAP_FAILED) {
+        fatal("cannot map a ", memSize, "-byte memory image: ",
+              std::strerror(errno));
     }
-    if (!prog.data.empty()) {
-        std::memcpy(&mem[prog.dataBase], prog.data.data(),
-                    prog.data.size());
+    mem = std::unique_ptr<u8[], Unmap>(static_cast<u8 *>(image),
+                                       Unmap{memSize});
+    // Keep first touch at base-page size where transparent huge pages
+    // are on for every mapping: the code, data and stack pages would
+    // otherwise each fault in 2 MiB. Advice only; a kernel without
+    // THP rejects it and has nothing to turn off.
+    madvise(image, memSize, MADV_NOHUGEPAGE);
+
+    if (!code.empty())
+        std::memcpy(&mem[codeBase], code.data(), program.codeBytes());
+    if (!program.data.empty()) {
+        std::memcpy(&mem[program.dataBase], program.data.data(),
+                    program.data.size());
     }
 
-    decodeCache.resize(prog.code.size());
-    decodeCacheValid.resize(prog.code.size(), false);
+    decodeCache.resize(code.size());
+    decodeCacheValid.resize(code.size(), false);
 
-    pcReg = prog.entry;
+    pcReg = program.entry;
     // ABI-style environment: stack at the top of memory.
-    regs[reg::sp] = prog.memSize - 64;
+    regs[reg::sp] = memSize - 64;
 }
 
 void
@@ -43,7 +67,7 @@ Executor::setReg(u8 index, u64 value)
 u32
 Executor::fetchRaw(Addr addr) const
 {
-    if (addr >= mem.size() || 4 > mem.size() - addr)
+    if (addr >= memSize || 4 > memSize - addr)
         fatal("instruction fetch out of bounds at 0x", std::hex, addr);
     u32 word;
     std::memcpy(&word, &mem[addr], 4);
@@ -53,11 +77,11 @@ Executor::fetchRaw(Addr addr) const
 const DecodedInst &
 Executor::fetchDecoded(Addr addr)
 {
-    if (addr >= prog.codeBase &&
-        addr < prog.codeBase + prog.codeBytes() && (addr & 3) == 0) {
-        const u64 index = (addr - prog.codeBase) / 4;
+    if (addr >= codeBase && addr < codeBase + code.size() * 4 &&
+        (addr & 3) == 0) {
+        const u64 index = (addr - codeBase) / 4;
         if (!decodeCacheValid[index]) {
-            decodeCache[index] = decode(prog.code[index]);
+            decodeCache[index] = decode(code[index]);
             decodeCacheValid[index] = true;
         }
         return decodeCache[index];
@@ -72,7 +96,7 @@ Executor::fetchDecoded(Addr addr)
 u64
 Executor::loadMem(Addr addr, u8 size) const
 {
-    if (addr >= mem.size() || size > mem.size() - addr)
+    if (addr >= memSize || size > memSize - addr)
         fatal("load out of bounds at 0x", std::hex, addr);
     u64 value = 0;
     std::memcpy(&value, &mem[addr], size);
@@ -82,7 +106,7 @@ Executor::loadMem(Addr addr, u8 size) const
 void
 Executor::storeMem(Addr addr, u64 value, u8 size)
 {
-    if (addr >= mem.size() || size > mem.size() - addr)
+    if (addr >= memSize || size > memSize - addr)
         fatal("store out of bounds at 0x", std::hex, addr);
     std::memcpy(&mem[addr], &value, size);
 }

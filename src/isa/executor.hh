@@ -13,6 +13,7 @@
 #ifndef ICICLE_ISA_EXECUTOR_HH
 #define ICICLE_ISA_EXECUTOR_HH
 
+#include <memory>
 #include <vector>
 
 #include "isa/encoding.hh"
@@ -66,11 +67,19 @@ struct Retired
 /**
  * Executes a Program against a flat physical memory. Little-endian,
  * x0 hard-wired to zero, ECALL halts with the exit code in a0.
+ *
+ * The memory is a private anonymous mapping of Program::memSize bytes:
+ * the kernel zeroes it and backs a page only when it is first written,
+ * so an executor's resident cost is the pages its program touches.
+ * The executor owns the mapping and is move-only.
  */
 class Executor
 {
   public:
     explicit Executor(const Program &program);
+
+    Executor(Executor &&) = default;
+    Executor &operator=(Executor &&) = default;
 
     /** Attach a CSR backend (e.g. a core's CSR file). May be null. */
     void setCsrBackend(CsrBackend *backend) { csrBackend = backend; }
@@ -94,14 +103,23 @@ class Executor
     u64 loadMem(Addr addr, u8 size) const;
     void storeMem(Addr addr, u64 value, u8 size);
 
-    const Program &program() const { return prog; }
-
   private:
+    /** Unmaps the memory image. */
+    struct Unmap
+    {
+        u64 bytes;
+        void operator()(u8 *image) const;
+    };
+
     u32 fetchRaw(Addr addr) const;
     const DecodedInst &fetchDecoded(Addr addr);
 
-    Program prog;
-    std::vector<u8> mem;
+    /** Layout: the code segment's base and the memory size. */
+    Addr codeBase = 0;
+    u64 memSize = 0;
+    /** The code words, decoded on first fetch into decodeCache. */
+    std::vector<u32> code;
+    std::unique_ptr<u8[], Unmap> mem;
     std::vector<DecodedInst> decodeCache;
     std::vector<bool> decodeCacheValid;
     u64 regs[32] = {};

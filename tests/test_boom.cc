@@ -7,9 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <vector>
+
+#include <unistd.h>
+
 #include "boom/boom.hh"
 #include "common/logging.hh"
 #include "isa/builder.hh"
+#include "workloads/workloads.hh"
 
 namespace icicle
 {
@@ -400,6 +407,36 @@ TEST(Boom, RejectsRobTooLargeForCompletionHandles)
     config.robEntries = (1u << 16) + 1;
     EXPECT_THROW(BoomCore core(config, countdownLoop(1)), FatalError);
 }
+
+#ifdef __linux__
+/** This process's resident set, from /proc/self/statm. */
+u64
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    u64 size = 0;
+    u64 resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<u64>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(Boom, ResidentCostIsThePagesTheProgramTouches)
+{
+    // Each core's memory image is 16 MiB of demand-zero mapping: only
+    // the code, data and stack pages coremark writes become resident.
+    const Program program = buildWorkload("coremark");
+    const u64 before = residentBytes();
+    std::vector<std::unique_ptr<BoomCore>> cores;
+    for (int i = 0; i < 8; i++) {
+        cores.push_back(
+            std::make_unique<BoomCore>(BoomConfig::large(), program));
+        cores.back()->run(20000);
+    }
+    const u64 added = residentBytes() - before;
+    EXPECT_LT(added, 16ull << 20) << "8 cores added " << added
+                                  << " resident bytes";
+}
+#endif
 
 } // namespace
 } // namespace icicle

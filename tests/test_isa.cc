@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "common/logging.hh"
 #include "isa/builder.hh"
 #include "isa/encoding.hh"
@@ -338,6 +341,71 @@ TEST(Executor, OutOfBoundsAccessIsFatal)
     b.halt();
     Executor exec(b.build());
     EXPECT_THROW(exec.run(10), FatalError);
+}
+
+TEST(Executor, UntouchedMemoryReadsZero)
+{
+    ProgramBuilder b("untouched");
+    b.dwords({~0ull, ~0ull});
+    b.halt();
+    const Program prog = b.build();
+    Executor exec(prog);
+
+    const Addr data_end = prog.dataBase + prog.data.size();
+    EXPECT_EQ(exec.loadMem(data_end - 1, 1), 0xffu);
+    EXPECT_EQ(exec.loadMem(data_end, 1), 0u);
+    EXPECT_EQ(exec.loadMem(prog.memSize - 8, 8), 0u);
+    const Addr middle = prog.memSize / 2;
+    for (Addr addr = middle; addr < middle + 4096; addr += 8)
+        ASSERT_EQ(exec.loadMem(addr, 8), 0u) << std::hex << addr;
+}
+
+TEST(Executor, AccessesStopAtTheTopOfMemory)
+{
+    ProgramBuilder b("top");
+    b.halt();
+    const Program prog = b.build();
+    Executor exec(prog);
+    const Addr top = prog.memSize;
+
+    EXPECT_EQ(exec.loadMem(top - 8, 8), 0u);
+    EXPECT_THROW(exec.loadMem(top - 7, 8), FatalError);
+    exec.storeMem(top - 1, 0xab, 1);
+    EXPECT_EQ(exec.loadMem(top - 1, 1), 0xabu);
+    EXPECT_THROW(exec.storeMem(top, 0xab, 1), FatalError);
+}
+
+TEST(Executor, FailedMappingNamesTheSize)
+{
+    ProgramBuilder b("huge");
+    b.halt();
+    Program prog = b.build();
+    prog.memSize = 1ull << 62; // beyond any user address space
+    try {
+        Executor exec(prog);
+        FAIL() << "a 2^62-byte image was mapped";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("4611686018427387904"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Executor, MoveKeepsTheImage)
+{
+    static_assert(!std::is_copy_constructible_v<Executor>);
+    ProgramBuilder b("move");
+    Label value = b.dword(42);
+    b.la(t0, value);
+    b.ld(a0, t0, 0);
+    b.halt();
+    Executor first(b.build());
+    first.storeMem(0x300000, 7, 8);
+
+    Executor moved(std::move(first));
+    moved.run();
+    EXPECT_EQ(moved.exitCode(), 42u);
+    EXPECT_EQ(moved.loadMem(0x300000, 8), 7u);
 }
 
 TEST(Executor, DivisionEdgeCases)
