@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -180,6 +181,23 @@ writeFileAtomic(const std::string &path, const std::string &bytes,
 {
     AtomicFile file(path, site);
     file.append(bytes);
+    file.commit();
+}
+
+void
+copyFileAtomic(const std::string &from, const std::string &path,
+               FaultSite site)
+{
+    std::ifstream in(from, std::ios::binary);
+    if (!in)
+        fatal("cannot open '", from, "'");
+    AtomicFile file(path, site);
+    std::string chunk(1u << 16, '\0');
+    const auto size = static_cast<std::streamsize>(chunk.size());
+    while (in.read(chunk.data(), size) || in.gcount() > 0)
+        file.append(chunk.data(), static_cast<size_t>(in.gcount()));
+    if (in.bad())
+        fatal("reading '", from, "' failed");
     file.commit();
 }
 

@@ -87,6 +87,10 @@ class AtomicFile
 void writeFileAtomic(const std::string &path, const std::string &bytes,
                      FaultSite site);
 
+/** Copy the file at `from` to `path` atomically, a chunk at a time. */
+void copyFileAtomic(const std::string &from, const std::string &path,
+                    FaultSite site);
+
 } // namespace icicle
 
 #endif // ICICLE_FAULT_ATOMIC_FILE_HH

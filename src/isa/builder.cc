@@ -91,6 +91,27 @@ ProgramBuilder::dwords(const std::vector<u64> &values)
 }
 
 Label
+ProgramBuilder::dwordSpace(u64 count)
+{
+    alignData(8);
+    return space(count * 8);
+}
+
+void
+ProgramBuilder::setDword(Label array, u64 index, u64 value)
+{
+    static_assert(std::endian::native == std::endian::little,
+                  "setDword stores host words as little-endian bytes");
+    ICICLE_ASSERT(array.valid() && array.id < labels.size() &&
+                      labels[array.id].isData,
+                  "setDword on a non-data label");
+    const u64 offset = labels[array.id].offset + index * 8;
+    ICICLE_ASSERT(offset + 8 <= dataBytes.size(),
+                  "setDword past the end of the data segment");
+    std::memcpy(dataBytes.data() + offset, &value, 8);
+}
+
+Label
 ProgramBuilder::word(u32 value)
 {
     alignData(4);
@@ -385,12 +406,15 @@ void ProgramBuilder::halt() { ecall(); }
 Program
 ProgramBuilder::build()
 {
+    if (built)
+        fatal("program '", name, "' built twice");
+    built = true;
     Program prog;
     prog.name = name;
     prog.codeBase = codeBase;
     prog.dataBase = dataBase;
     prog.entry = codeBase;
-    prog.data = dataBytes;
+    prog.data = std::move(dataBytes);
 
     for (const Fixup &fixup : fixups) {
         const LabelInfo &info = labels[fixup.labelId];

@@ -56,6 +56,15 @@ class ProgramBuilder
     Label dword(u64 value);
     /** Emit an array of 64-bit values; returns label of element 0. */
     Label dwords(const std::vector<u64> &values);
+    /**
+     * Reserve `count` zeroed 64-bit words; returns the label of element
+     * 0. Fill them in place with setDword(), so a large image is never
+     * built in a second buffer and copied.
+     */
+    Label dwordSpace(u64 count);
+    /** Store a 64-bit little-endian value at element `index` of a
+     * dwordSpace() array. */
+    void setDword(Label array, u64 index, u64 value);
     /** Emit a 32-bit value; returns its label. */
     Label word(u32 value);
     /** Emit raw bytes; returns label of the first. */
@@ -170,7 +179,9 @@ class ProgramBuilder
 
     /**
      * Resolve all fixups and produce the final image. fatal()s on
-     * unbound labels or out-of-range branch offsets.
+     * unbound labels or out-of-range branch offsets. The data segment
+     * moves into the Program, so a builder builds once; a second
+     * build() is fatal.
      */
     Program build();
 
@@ -200,6 +211,7 @@ class ProgramBuilder
     std::vector<Fixup> fixups;
     Addr codeBase;
     Addr dataBase;
+    bool built = false;
 };
 
 } // namespace icicle

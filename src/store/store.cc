@@ -217,7 +217,7 @@ StoreWriter::append(u64 word)
 {
     if (sealed)
         fatal("trace store ", filePath,
-              ": append after finish()");
+              ": append after finish() or abandon()");
     buffer.push_back(word);
     peakBuffered =
         std::max(peakBuffered, static_cast<u32>(buffer.size()));
@@ -337,6 +337,16 @@ StoreWriter::finish()
     put32(tail, kStoreTrailerMagic);
     out.append(tail);
     out.commit();
+}
+
+void
+StoreWriter::abandon()
+{
+    if (sealed)
+        return;
+    sealed = true;
+    out.discard();
+    buffer = {};
 }
 
 // --------------------------------------------------------- StoreReader
@@ -1053,17 +1063,35 @@ Trace::fromStore(const std::string &path)
     return StoreReader(path).readAll();
 }
 
+TraceSink::TraceSink(const TraceSpec &spec, const std::string &store_path,
+                     u32 block_cycles)
+    : packer(spec), online(spec)
+{
+    if (!store_path.empty())
+        writer.emplace(spec, store_path, block_cycles);
+}
+
+void
+TraceSink::finish()
+{
+    if (writer)
+        writer->finish();
+}
+
+void
+TraceSink::abandon()
+{
+    if (writer)
+        writer->abandon();
+}
+
 u64
 streamTraceToStore(Core &core, const TraceSpec &spec, u64 max_cycles,
                    const std::string &path, u32 block_cycles)
 {
-    StoreWriter writer(spec, path, block_cycles);
-    const TracePacker packer(spec);
-    const u64 cycles = runCoreLoop(
-        core, max_cycles, [&](Cycle, const EventBus &bus) {
-            writer.append(packer.pack(bus));
-        });
-    writer.finish();
+    TraceSink sink(spec, path, block_cycles);
+    const u64 cycles = runCoreLoop(core, max_cycles, sink);
+    sink.finish();
     return cycles;
 }
 

@@ -17,12 +17,18 @@
  * O(cycles).
  *
  * Writer side: StoreWriter takes one packed word per cycle, from a
- * finished Trace (Trace::toStore) or straight from a running core
- * (streamTraceToStore). Peak memory is one block buffer
- * (blockCycles * 8 bytes) regardless of trace length — billion-cycle
- * captures run in bounded memory. Output lands via AtomicFile (tmp +
- * fsync + rename), so a crashed capture never leaves a half-written
- * .icst behind.
+ * finished Trace (Trace::toStore) or straight from a running core.
+ * A live capture goes through TraceSink, the one per-cycle consumer:
+ * it packs each cycle once, feeds the OnlineAnalyzer and appends the
+ * word to the writer's block buffer. The sweep engine's traced points
+ * and streamTraceToStore (icicle-trace capture, icicle-sync) both
+ * capture this way, so peak memory is one block buffer (blockCycles *
+ * 8 bytes) plus the analyzer's pad-cycle delay line, regardless of
+ * trace length. Output lands via AtomicFile (tmp + fsync + rename), so
+ * a crashed capture never leaves a half-written .icst behind. A writer
+ * destroyed unfinished seals what it holds (the CLI keeps a partial
+ * capture); abandon() instead removes the tmp and seals nothing, which
+ * is what a failed or timed-out sweep attempt wants.
  *
  * Reader side: corruption raises typed StoreErrors (a FatalError
  * subclass, so embedders and the CLI keep their existing handling),
@@ -54,6 +60,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,7 +123,8 @@ enum class StoreOpen : u8
  * no timestamps or platform state, so stores from identical runs are
  * byte-identical — the property the sweep engine's determinism
  * guarantee extends to `--trace-out`. The file is committed
- * atomically on finish(); a crash mid-capture leaves only a `.tmp`.
+ * atomically on finish(); a crash mid-capture leaves only a `.tmp`,
+ * and abandon() leaves nothing.
  */
 class StoreWriter
 {
@@ -130,6 +138,12 @@ class StoreWriter
     void append(u64 word);
     /** Flush buffered cycles and seal the output. Idempotent. */
     void finish();
+    /**
+     * Drop the output: remove the tmp and seal nothing. A later
+     * finish() does nothing and append() is fatal; no effect once
+     * finished.
+     */
+    void abandon();
 
     u64 cyclesWritten() const { return totalCycles; }
     /** Cycles currently buffered (always <= blockCycles()). */
@@ -377,9 +391,45 @@ class StoreReader
 };
 
 /**
+ * The per-cycle trace consumer: packs the bus state once per cycle,
+ * feeds the word to an OnlineAnalyzer and, when a store path was
+ * given, to a StoreWriter. Call it as a core's per-cycle hook. A
+ * capture holds one block buffer and a pad-cycle delay line, whatever
+ * its length.
+ */
+class TraceSink
+{
+  public:
+    /** An empty store_path analyzes without writing a store. */
+    TraceSink(const TraceSpec &spec, const std::string &store_path,
+              u32 block_cycles = kStoreDefaultBlockCycles);
+
+    void
+    operator()(Cycle, const EventBus &bus)
+    {
+        const u64 word = packer.pack(bus);
+        online.feed(word);
+        if (writer)
+            writer->append(word);
+    }
+
+    const OnlineAnalyzer &analyzer() const { return online; }
+    /** Seal the store (StoreWriter::finish); no-op without one. */
+    void finish();
+    /** Drop the store (StoreWriter::abandon); no-op without one. */
+    void abandon();
+
+  private:
+    TracePacker packer;
+    OnlineAnalyzer online;
+    std::optional<StoreWriter> writer;
+};
+
+/**
  * Convenience: run a core while streaming the given bundle straight
- * into an .icst file. The in-memory trace is never materialized;
- * peak capture memory is one block buffer. Returns cycles simulated.
+ * into an .icst file through a TraceSink. The in-memory trace is never
+ * materialized; peak capture memory is one block buffer. Returns
+ * cycles simulated.
  */
 u64 streamTraceToStore(Core &core, const TraceSpec &spec,
                        u64 max_cycles, const std::string &path,

@@ -14,10 +14,10 @@
 #include "common/logging.hh"
 #include "common/sync.hh"
 #include "core/session.hh"
-#include "fault/fault.hh"
+#include "fault/atomic_file.hh"
 #include "rocket/rocket.hh"
+#include "store/store.hh"
 #include "sweep/journal.hh"
-#include "trace/trace.hh"
 #include "workloads/workloads.hh"
 
 namespace icicle
@@ -199,9 +199,21 @@ groupRuns(const std::vector<SweepJob> &jobs)
 using Clock = std::chrono::steady_clock;
 
 /**
- * One attempt of a run: build the first member's core, run it in
- * chunks against the deadline, analyze, and write each answered
- * member's store. `members` are the run's pending job indices in
+ * A traced attempt's sink. Destroyed with its store unsealed (the
+ * attempt timed out or threw), it abandons the store: a StoreWriter
+ * would seal it.
+ */
+struct AttemptSink : TraceSink
+{
+    using TraceSink::TraceSink;
+    ~AttemptSink() { abandon(); }
+};
+
+/**
+ * One attempt of a run: build the first member's core and run it in
+ * chunks against the deadline (a traced run analyzes and streams its
+ * store as it goes), then seal the store and copy it to each other
+ * answered member. `members` are the run's pending job indices in
  * ascending order. Returns one result per member answered: all of
  * them, or only the first when the program read a configured counter
  * in-band (the architecture could then have steered it). Throws
@@ -242,14 +254,16 @@ runAttempt(const std::vector<SweepJob> &jobs,
     if (!core)
         fatal("sweep job '", job.label, "': factory returned null");
 
-    std::unique_ptr<Trace> trace;
+    // A traced run analyzes as it simulates and streams into the
+    // first member's store; every exit that does not seal that store
+    // (a timeout, a throw) abandons it.
+    const bool storing = job.withTrace && !options.traceOutDir.empty();
+    const std::string store_path =
+        storing ? sweepTracePath(options.traceOutDir, job.label) : "";
+    std::optional<AttemptSink> sink;
     std::function<void(Cycle, const EventBus &)> hook;
-    if (job.withTrace) {
-        trace = std::make_unique<Trace>(TraceSpec::tmaBundle(*core));
-        hook = [&trace](Cycle, const EventBus &bus) {
-            trace->capture(bus);
-        };
-    }
+    if (job.withTrace)
+        hook = std::ref(sink.emplace(TraceSpec::tmaBundle(*core), store_path));
 
     // Run in chunkCycles slices so a pathological config hits the
     // deadline between slices instead of hanging the worker.
@@ -291,11 +305,10 @@ runAttempt(const std::vector<SweepJob> &jobs,
                      ? static_cast<double>(shared.counters.retiredUops) /
                            static_cast<double>(shared.cycles)
                      : 0.0;
-    if (trace) {
-        TraceAnalyzer analyzer(*trace);
-        shared.recoverySequences = analyzer.recoveryCdf().sequences();
+    if (sink) {
+        shared.recoverySequences = sink->analyzer().recoverySequences();
         shared.overlapFraction =
-            analyzer.overlapUpperBound(core->coreWidth())
+            sink->analyzer().overlapBound(core->coreWidth())
                 .overlapFraction;
     }
     shared.status = timed_out ? SweepStatus::Timeout : SweepStatus::Ok;
@@ -305,23 +318,23 @@ runAttempt(const std::vector<SweepJob> &jobs,
     const u64 answered =
         core->csrs().configuredHpmRead() ? 1 : members.size();
     std::vector<SweepResult> results(answered, shared);
-    if (trace && !options.traceOutDir.empty()) {
+    if (storing && timed_out) {
+        // Timed-out traces are wall-clock dependent; sealing them
+        // would break the byte-identical guarantee across workers, so
+        // the sink abandons the store. The skip is recorded, not
+        // silent.
+        for (SweepResult &result : results)
+            result.traceSkipped = "timeout: partial trace not stored";
+    } else if (storing) {
+        // One compression per run: the other members' stores are
+        // byte copies of the first.
+        sink->finish();
         for (u64 m = 0; m < answered; m++) {
-            if (timed_out) {
-                // Timed-out traces are wall-clock dependent; writing
-                // them would break the byte-identical guarantee
-                // across workers. The skip is recorded, not silent.
-                results[m].traceSkipped =
-                    "timeout: partial trace not stored";
-                continue;
-            }
             const std::string path = sweepTracePath(
                 options.traceOutDir, jobs[members[m]].label);
-            trace->toStore(path);
-            const auto slash = path.find_last_of('/');
-            results[m].traceStore = slash == std::string::npos
-                                        ? path
-                                        : path.substr(slash + 1);
+            if (m > 0)
+                copyFileAtomic(store_path, path, FaultSite::StoreWrite);
+            results[m].traceStore = path.substr(path.find_last_of('/') + 1);
         }
     }
     return results;

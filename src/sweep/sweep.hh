@@ -17,7 +17,7 @@
  * simulated on their own.
  *
  * Threading model: each run owns its core, program, and (optional)
- * trace — no mutable state is shared between runs. Workers pull run
+ * trace sink — no mutable state is shared between runs. Workers pull run
  * indices from a single atomic cursor and write each member's
  * SweepResult into a pre-sized slot vector at the job's grid index,
  * so the aggregated output is in grid order and byte-identical
@@ -27,8 +27,9 @@
  * Run lifecycle: claim -> build (the first pending member's
  * SweepJob::make) -> run in chunkCycles slices, checking the
  * wall-clock deadline between slices (cooperative per-job timeout; a
- * pathological config cannot hang the campaign) -> analyze -> store
- * -> fan out. A run that throws FatalError is retried up to
+ * pathological config cannot hang the campaign; a traced run analyzes
+ * and streams its store as it simulates) -> seal the store -> fan
+ * out. A run that throws FatalError is retried up to
  * SweepOptions::maxAttempts times before its members are recorded as
  * Failed; the campaign always runs to completion and failures are
  * visible in the result rows rather than aborting the sweep. If the
@@ -175,8 +176,10 @@ struct SweepOptions
      * captured bundle as a compressed .icst store into this
      * directory, named after the job label ('/' becomes '_'). The
      * store writer is deterministic, so the files are byte-identical
-     * across worker counts, like the CSV output. Timed-out jobs skip
-     * the write: their partial traces are wall-clock dependent.
+     * across worker counts, like the CSV output. A run streams into
+     * its first member's store and the other members get byte
+     * copies. Timed-out and failed attempts abandon their store
+     * (no file, no `.tmp`): a partial trace is wall-clock dependent.
      */
     std::string traceOutDir;
     /**

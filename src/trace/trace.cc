@@ -51,6 +51,16 @@ runsOfMask(const std::vector<u64> &words, u64 mask)
     return runs;
 }
 
+/** An OnlineAnalyzer fed every word of a trace. */
+OnlineAnalyzer
+analyzeWords(const Trace &trace, u32 pad)
+{
+    OnlineAnalyzer analyzer(trace.spec(), pad);
+    for (u64 word : trace.raw())
+        analyzer.feed(word);
+    return analyzer;
+}
+
 /** Single-bit mask of a traced (event, lane), or 0 if untraced. */
 u64
 laneMask(const TraceSpec &spec, EventId event, u8 lane)
@@ -248,75 +258,39 @@ TraceAnalyzer::runsOf(EventId event, u8 lane) const
     return runsOfMask(trace.raw(), laneMask(trace.spec(), event, lane));
 }
 
-std::vector<SignalRun>
-TraceAnalyzer::runsOfAny(EventId event) const
+OnlineAnalyzer::OnlineAnalyzer(const TraceSpec &spec, u32 pad_cycles)
+    : bubbleMask(spec.fieldMask(EventId::FetchBubbles)),
+      refillMask(spec.fieldMask(EventId::ICacheBlocked)),
+      recoveringMask(spec.fieldMask(EventId::Recovering)),
+      pad(pad_cycles)
 {
-    return runsOfMask(trace.raw(), trace.spec().fieldMask(event));
 }
 
 OverlapBound
-TraceAnalyzer::overlapUpperBound(u32 core_width, u32 pad) const
+OnlineAnalyzer::overlapBound(u32 core_width) const
 {
     OverlapBound result;
-    const u64 cycles = trace.numCycles();
-    result.cycles = cycles;
-    if (cycles == 0)
+    result.cycles = fed;
+    if (fed == 0)
         return result;
-
-    // I$-refill activity: the I$-blocked signal (refill in progress),
-    // seeded by I$-miss edges. OR across every traced lane so
-    // multi-lane bundles are not undercounted.
-    std::vector<SignalRun> refills = runsOfAny(EventId::ICacheBlocked);
-    std::vector<SignalRun> recoveries = runsOfAny(EventId::Recovering);
-
-    // Mark cycles inside a padded refill window and inside a padded
-    // recovery window; overlap cycles are where both hold.
-    std::vector<u8> in_refill(cycles, 0);
-    std::vector<u8> in_recovery(cycles, 0);
-    auto mark = [&](const std::vector<SignalRun> &runs,
-                    std::vector<u8> &flags) {
-        for (const SignalRun &run : runs) {
-            const u64 begin = run.start > pad ? run.start - pad : 0;
-            const u64 end =
-                std::min(cycles, run.start + run.length + pad);
-            for (u64 c = begin; c < end; c++)
-                flags[c] = 1;
-        }
-    };
-    mark(refills, in_refill);
-    mark(recoveries, in_recovery);
-
-    // Any fetch-bubble slot inside an overlap window could count
-    // toward either Frontend or Bad Speculation. Field masks are
-    // resolved once; the loop scans the packed words directly.
-    const u64 bubble_mask =
-        trace.spec().fieldMask(EventId::FetchBubbles);
-    const u64 recovering_mask =
-        trace.spec().fieldMask(EventId::Recovering);
-    const std::vector<u64> &words = trace.raw();
-    u64 overlap_slots = 0;
-    u64 bubble_slots = 0;
-    u64 recovering_cycles = 0;
-    for (u64 c = 0; c < cycles; c++) {
-        const u64 word = words[c];
-        const u32 bubbles =
-            static_cast<u32>(std::popcount(word & bubble_mask));
-        bubble_slots += bubbles;
-        if (word & recovering_mask)
-            recovering_cycles++;
-        if (in_refill[c] && in_recovery[c])
-            overlap_slots += bubbles;
+    // Settle the last pad cycles: every cycle they could reach has
+    // been fed.
+    u64 overlap_slots = overlapSlots;
+    for (u64 c = fed > pad ? fed - pad : 0; c < fed; c++) {
+        if (inBothWindows(static_cast<i64>(c)))
+            overlap_slots += delay[c % (pad + 1)];
     }
 
-    const double total_slots =
-        static_cast<double>(cycles) * core_width;
+    // Any fetch-bubble slot inside an overlap window could count
+    // toward either Frontend or Bad Speculation.
+    const double total_slots = static_cast<double>(fed) * core_width;
     result.overlapSlots = overlap_slots;
     result.overlapFraction =
         static_cast<double>(overlap_slots) / total_slots;
     result.frontendFraction =
-        static_cast<double>(bubble_slots) / total_slots;
+        static_cast<double>(bubbleSlots) / total_slots;
     result.badSpecFraction =
-        static_cast<double>(recovering_cycles) * core_width /
+        static_cast<double>(recoveringCycles) * core_width /
         total_slots;
     if (result.frontendFraction > 0) {
         result.frontendPerturbation =
@@ -330,13 +304,36 @@ TraceAnalyzer::overlapUpperBound(u32 core_width, u32 pad) const
 }
 
 RecoveryCdf
+OnlineAnalyzer::recoveryCdf() const
+{
+    std::map<u64, u64> lengths = runLengths;
+    if (runOpen())
+        lengths[fed - runStart]++;
+    RecoveryCdf cdf;
+    for (const auto &[length, count] : lengths)
+        cdf.lengths.insert(cdf.lengths.end(), count, length);
+    return cdf;
+}
+
+u64
+OnlineAnalyzer::recoverySequences() const
+{
+    u64 sequences = runOpen() ? 1 : 0;
+    for (const auto &[length, count] : runLengths)
+        sequences += count;
+    return sequences;
+}
+
+OverlapBound
+TraceAnalyzer::overlapUpperBound(u32 core_width, u32 pad) const
+{
+    return analyzeWords(trace, pad).overlapBound(core_width);
+}
+
+RecoveryCdf
 TraceAnalyzer::recoveryCdf() const
 {
-    RecoveryCdf cdf;
-    for (const SignalRun &run : runsOfAny(EventId::Recovering))
-        cdf.lengths.push_back(run.length);
-    std::sort(cdf.lengths.begin(), cdf.lengths.end());
-    return cdf;
+    return analyzeWords(trace, 0).recoveryCdf();
 }
 
 u64

@@ -9,13 +9,17 @@
  * instead of instruction data. Traces are kept in memory or written
  * to an .icst store (src/store/), and the analyzer recomputes
  * counter values, temporal TMA windows, class-overlap upper bounds
- * (Table VI), and recovery-sequence CDFs (Fig. 8b).
+ * (Table VI), and recovery-sequence CDFs (Fig. 8b). The last two are
+ * computed online (OnlineAnalyzer), so a live capture can analyze
+ * without keeping its trace.
  */
 
 #ifndef ICICLE_TRACE_TRACE_HH
 #define ICICLE_TRACE_TRACE_HH
 
+#include <bit>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -72,8 +76,8 @@ struct TraceSpec
  * case — addEvent() adds lanes 0..n-1 in order) collapse into one
  * shift-and-mask segment, so packing a cycle costs a few ALU ops per
  * *event* instead of a branch per *field*. Shared by in-memory
- * capture and the streaming store path (src/store/), so both record
- * identical bits.
+ * capture and the streaming consumer (TraceSink, src/store/), so both
+ * record identical bits.
  */
 class TracePacker
 {
@@ -236,6 +240,105 @@ struct RecoveryCdf
     u64 max() const { return lengths.empty() ? 0 : lengths.back(); }
 };
 
+/** Table VI's rolling-window pad, in cycles. */
+constexpr u32 kOverlapPad = 50;
+
+/**
+ * The Table VI overlap bound and the Fig. 8b recovery lengths,
+ * computed exactly from a stream of packed words, one per cycle, in
+ * memory that does not grow with the trace. TraceAnalyzer feeds it a
+ * Trace's words; TraceSink (src/store/) feeds it live.
+ *
+ * Recovery runs (Recovering high on any traced lane) are counted, and
+ * their lengths recorded, when each run closes. For the overlap
+ * bound, cycle c lies inside a padded refill window exactly when some
+ * I$-blocked cycle (any lane) lies in [c - pad, c + pad], and inside
+ * a padded recovery window likewise, so both of c's flags are final
+ * once cycle c + pad has been fed. The analyzer keeps the last refill
+ * and recovery cycles seen and a delay line of the last pad + 1
+ * fetch-bubble popcounts, and settles cycle c when cycle c + pad
+ * arrives. Queries settle the last pad cycles on the fly, so they
+ * answer for whatever prefix has been fed.
+ */
+class OnlineAnalyzer
+{
+  public:
+    explicit OnlineAnalyzer(const TraceSpec &spec,
+                            u32 pad_cycles = kOverlapPad);
+
+    /** Consume the next cycle's packed word. */
+    void
+    feed(u64 word)
+    {
+        const i64 now = static_cast<i64>(fed);
+        const u8 bubbles =
+            static_cast<u8>(std::popcount(word & bubbleMask));
+        bubbleSlots += bubbles;
+        if (word & refillMask)
+            lastRefill = now;
+        if (word & recoveringMask) {
+            recoveringCycles++;
+            if (lastRecovery != now - 1)
+                runStart = fed;
+            lastRecovery = now;
+        } else if (lastRecovery == now - 1) {
+            runLengths[fed - runStart]++;
+        }
+        if (delay.size() <= pad)
+            delay.push_back(bubbles);
+        else
+            delay[head] = bubbles;
+        head = head == pad ? 0 : head + 1;
+        // delay[head] now holds cycle now - pad, whose windows are
+        // final: settle it.
+        const i64 settled = now - static_cast<i64>(pad);
+        if (settled >= 0 && inBothWindows(settled))
+            overlapSlots += delay[head];
+        fed++;
+    }
+
+    /** Table VI bound over the cycles fed so far. */
+    OverlapBound overlapBound(u32 core_width) const;
+    /** Fig. 8b: every recovery sequence, sorted by length. */
+    RecoveryCdf recoveryCdf() const;
+    /** Recovery sequences so far (recoveryCdf().sequences()). */
+    u64 recoverySequences() const;
+
+  private:
+    /** Is cycle c inside a padded refill and a padded recovery window,
+     * given every cycle up to min(c + pad, fed - 1)? */
+    bool
+    inBothWindows(i64 c) const
+    {
+        const i64 reach = static_cast<i64>(pad);
+        return lastRefill + reach >= c && lastRecovery + reach >= c;
+    }
+    /** A recovery run is open at the last fed cycle. */
+    bool runOpen() const
+    { return fed > 0 && lastRecovery == static_cast<i64>(fed) - 1; }
+
+    /** Before any refill or recovery cycle: out of every window. */
+    static constexpr i64 kNever = INT64_MIN / 2;
+
+    u64 bubbleMask;
+    u64 refillMask;
+    u64 recoveringMask;
+    u64 pad;
+    u64 fed = 0;
+    i64 lastRefill = kNever;
+    i64 lastRecovery = kNever;
+    u64 runStart = 0;
+    /** Closed recovery runs: length -> count. */
+    std::map<u64, u64> runLengths;
+    /** Fetch-bubble popcounts of the last pad + 1 cycles. */
+    std::vector<u8> delay;
+    u64 head = 0;
+    u64 bubbleSlots = 0;
+    u64 recoveringCycles = 0;
+    /** Overlap slots of the settled cycles [0, fed - pad). */
+    u64 overlapSlots = 0;
+};
+
 /** The trace analyzer: applies temporal TMA to raw trace data. */
 class TraceAnalyzer
 {
@@ -245,22 +348,11 @@ class TraceAnalyzer
     /** Contiguous high-runs of a signal. */
     std::vector<SignalRun> runsOf(EventId event, u8 lane = 0) const;
 
-    /**
-     * Contiguous runs where *any* traced lane of the event is high.
-     * Multi-lane bundles (e.g. Recovering traced per decode lane)
-     * must use this rather than lane 0 alone, or sequences that only
-     * assert on other lanes are silently dropped.
-     */
-    std::vector<SignalRun> runsOfAny(EventId event) const;
+    /** Table VI: OnlineAnalyzer::overlapBound over the trace. */
+    OverlapBound overlapUpperBound(u32 core_width,
+                                   u32 pad = kOverlapPad) const;
 
-    /**
-     * Table VI: scan for overlaps between I$-refill activity and
-     * Recovering using a rolling window padded by `pad` cycles; any
-     * fetch bubble inside such a window could belong to either class.
-     */
-    OverlapBound overlapUpperBound(u32 core_width, u32 pad = 50) const;
-
-    /** Fig. 8b: lengths of all Recovering sequences. */
+    /** Fig. 8b: OnlineAnalyzer::recoveryCdf over the trace. */
     RecoveryCdf recoveryCdf() const;
 
     /**

@@ -698,16 +698,15 @@ pointerChase(u64 nodes, u64 hops)
     for (u64 i = nodes - 1; i > 0; i--)
         std::swap(perm[i], perm[rng.below(i + 1)]);
     const u64 stride = 64;
-    std::vector<u64> image(nodes * stride / 8, 0);
+    Label list = b.dwordSpace(nodes * stride / 8);
     for (u64 i = 0; i < nodes; i++) {
-        image[perm[i] * stride / 8] =
-            perm[(i + 1) % nodes] * stride;
+        b.setDword(list, perm[i] * stride / 8,
+                   perm[(i + 1) % nodes] * stride);
     }
-    // Host-side expected final offset.
-    u64 off = perm[0] * stride;
-    for (u64 h = 0; h < hops; h++)
-        off = image[off / 8];
-    Label list = b.dwords(image);
+    // Host-side expected final offset: node perm[i] links to
+    // perm[i + 1], so `hops` hops from perm[0] end at
+    // perm[hops % nodes].
+    const u64 off = perm[hops % nodes] * stride;
 
     b.la(s0, list);
     b.li(t1, static_cast<i64>(perm[0] * stride));

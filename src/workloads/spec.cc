@@ -73,12 +73,13 @@ spec505McfR()
     for (u64 i = nodes - 1; i > 0; i--)
         std::swap(perm[i], perm[rng.below(i + 1)]);
     const u64 stride = 64;
-    std::vector<u64> image(nodes * stride / 8, 0);
+    Label list = b.dwordSpace(nodes * stride / 8);
     for (u64 i = 0; i < nodes; i++) {
-        image[perm[i] * stride / 8] = perm[(i + 1) % nodes] * stride;
-        image[perm[i] * stride / 8 + 1] = rng.next() & 0xffff; // cost
+        b.setDword(list, perm[i] * stride / 8,
+                   perm[(i + 1) % nodes] * stride);
+        b.setDword(list, perm[i] * stride / 8 + 1,
+                   rng.next() & 0xffff); // cost
     }
-    Label list = b.dwords(image);
 
     b.la(s0, list);
     b.li(t1, static_cast<i64>(perm[0] * stride));
@@ -113,14 +114,13 @@ spec523XalancbmkR()
     Rng rng(523);
     const u64 node_count = 32768; // x 32 B = 1 MiB
     // Node: [key, left_off, right_off, payload]
-    std::vector<u64> image(node_count * 4);
+    Label tree = b.dwordSpace(node_count * 4);
     for (u64 i = 0; i < node_count; i++) {
-        image[i * 4] = rng.next() & 0xffffffffull;
-        image[i * 4 + 1] = rng.below(node_count) * 32;
-        image[i * 4 + 2] = rng.below(node_count) * 32;
-        image[i * 4 + 3] = rng.next() & 0xff;
+        b.setDword(tree, i * 4, rng.next() & 0xffffffffull);
+        b.setDword(tree, i * 4 + 1, rng.below(node_count) * 32);
+        b.setDword(tree, i * 4 + 2, rng.below(node_count) * 32);
+        b.setDword(tree, i * 4 + 3, rng.next() & 0xff);
     }
-    Label tree = b.dwords(image);
 
     b.la(s0, tree);
     b.li(s1, 2500);        // descents

@@ -193,12 +193,13 @@ TEST(EventCoverage, JalrTargetMispredictFires)
     b.li(a0, 0);
     b.halt();
 
-    RocketCore rocket(RocketConfig{}, b.build());
+    const Program program = b.build();
+    RocketCore rocket(RocketConfig{}, program);
     rocket.run(1'000'000);
     ASSERT_TRUE(rocket.done());
     EXPECT_GT(rocket.total(EventId::CtrlFlowTargetMispredict), 100u);
 
-    BoomCore boom(BoomConfig::large(), b.build());
+    BoomCore boom(BoomConfig::large(), program);
     boom.run(1'000'000);
     ASSERT_TRUE(boom.done());
     EXPECT_GT(boom.total(EventId::CtrlFlowTargetMispredict), 100u);

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <thread>
@@ -535,6 +536,41 @@ TEST(StoreWriter, ZeroBlockCyclesSelectsDefault)
     writer.finish();
     EXPECT_EQ(StoreReader(file.path()).blockCycles(),
               kStoreDefaultBlockCycles);
+}
+
+TEST(StoreWriter, AbandonRemovesTheTmpAndSealsNothing)
+{
+    ScratchFile file("abandoned");
+    const std::string tmp = file.path() + ".tmp";
+    TraceSpec spec;
+    spec.addLane(EventId::Cycles, 0);
+    {
+        StoreWriter writer(spec, file.path(), 64);
+        for (u64 c = 0; c < 1000; c++)
+            writer.append(c & 1);
+        EXPECT_TRUE(std::filesystem::exists(tmp));
+        writer.abandon();
+        EXPECT_FALSE(std::filesystem::exists(tmp));
+        // A later finish() does nothing; append() is fatal.
+        writer.finish();
+        EXPECT_FALSE(std::filesystem::exists(file.path()));
+        EXPECT_THROW(writer.append(1), FatalError);
+    }
+    // Nor does the destructor seal an abandoned writer.
+    EXPECT_FALSE(std::filesystem::exists(file.path()));
+    EXPECT_FALSE(std::filesystem::exists(tmp));
+}
+
+TEST(StoreWriter, AbandonAfterFinishKeepsTheStore)
+{
+    ScratchFile file("kept");
+    TraceSpec spec;
+    spec.addLane(EventId::Cycles, 0);
+    StoreWriter writer(spec, file.path(), 64);
+    writer.append(1);
+    writer.finish();
+    writer.abandon();
+    EXPECT_EQ(StoreReader(file.path()).numCycles(), 1u);
 }
 
 TEST(StoreWriter, AppendAfterFinishIsFatal)

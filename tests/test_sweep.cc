@@ -6,6 +6,7 @@
  * architectures, and the named-config / axis-value helpers.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -53,6 +54,41 @@ endlessLoop()
     b.addi(t0, t0, 1);
     b.j(loop);
     return b.build();
+}
+
+/** countLoop, then a load far past the memory image: throws mid-run. */
+Program
+faultsAfter(u64 iterations)
+{
+    ProgramBuilder b("faults");
+    Label loop = b.newLabel();
+    b.li(t2, static_cast<i64>(iterations));
+    b.bind(loop);
+    b.addi(t2, t2, -1);
+    b.bnez(t2, loop);
+    b.li(t0, 1ll << 40);
+    b.ld(t1, t0, 0);
+    b.halt();
+    return b.build();
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** Sorted file names in a directory (stores and any leftover tmp). */
+std::vector<std::string>
+listing(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 GridSpec
@@ -289,21 +325,20 @@ TEST(SweepEngine, TraceOutWritesDeterministicStores)
         const std::string p1 = sweepTracePath(dir1, row.label);
         const std::string p4 = sweepTracePath(dir4, row.label);
         ASSERT_TRUE(std::filesystem::exists(p1));
-        auto slurp = [](const std::string &path) {
-            std::ifstream in(path, std::ios::binary);
-            return std::string(
-                (std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-        };
         // The store writer is deterministic: 1-worker and 4-worker
         // campaigns must produce byte-identical files.
         EXPECT_EQ(slurp(p1), slurp(p4));
         // And the store agrees with the row's trace-derived metrics.
         StoreReader reader(p1);
         EXPECT_EQ(reader.numCycles(), row.cycles);
+        // The live analysis equals the analyzer run over the stored
+        // trace (Rocket is one slot wide).
         const Trace stored = reader.readAll();
         EXPECT_EQ(TraceAnalyzer(stored).recoveryCdf().sequences(),
                   row.recoverySequences);
+        EXPECT_EQ(TraceAnalyzer(stored).overlapUpperBound(1)
+                      .overlapFraction,
+                  row.overlapFraction);
     }
     std::filesystem::remove_all(dir1);
     std::filesystem::remove_all(dir4);
@@ -410,8 +445,12 @@ TEST(SweepEngine, TimedOutTracedJobSkipIsVisibleNotSilent)
     EXPECT_EQ(results[0].status, SweepStatus::Timeout);
     EXPECT_TRUE(results[0].traceStore.empty());
     EXPECT_FALSE(results[0].traceSkipped.empty());
+    // The abandoned store leaves neither a file nor its tmp.
     EXPECT_FALSE(std::filesystem::exists(
         sweepTracePath(dir, endless.label)));
+    EXPECT_FALSE(std::filesystem::exists(
+        sweepTracePath(dir, endless.label) + ".tmp"));
+    EXPECT_TRUE(listing(dir).empty());
     // The skip reaches both serialized reports.
     const std::string json = formatSweepJson(results);
     EXPECT_NE(json.find("\"trace_store\": null"), std::string::npos);
@@ -443,6 +482,110 @@ TEST(SweepEngine, TracedOkRowNamesItsStoreInReports)
               std::string::npos);
     std::filesystem::remove_all(dir);
 }
+
+TEST(SweepEngine, FailedTracedAttemptAbandonsItsStore)
+{
+    // A traced attempt that throws mid-run must not leave its partial
+    // store (or its tmp) behind, and a retry that succeeds must leave
+    // exactly the store a clean run writes.
+    auto makes = std::make_shared<std::atomic<u32>>(0);
+    SweepJob flaky;
+    flaky.label = "flaky-traced";
+    flaky.maxCycles = 1'000'000;
+    flaky.withTrace = true;
+    flaky.make = [makes] {
+        const bool first = makes->fetch_add(1) == 0;
+        return std::make_unique<RocketCore>(
+            RocketConfig{},
+            first ? faultsAfter(100'000) : countLoop(100'000));
+    };
+    SweepJob clean = flaky;
+    clean.make = [] {
+        return std::make_unique<RocketCore>(RocketConfig{},
+                                            countLoop(100'000));
+    };
+    const std::string root = "/tmp/icicle_sweep_abandon";
+    std::filesystem::remove_all(root);
+    auto run = [&](const SweepJob &job, const std::string &name,
+                   u32 attempts) {
+        SweepOptions options;
+        options.maxAttempts = attempts;
+        options.chunkCycles = 4096;
+        options.traceOutDir = root + "/" + name;
+        std::filesystem::create_directories(options.traceOutDir);
+        return runSweepJobs({job}, options).front();
+    };
+
+    const SweepResult failed = run(flaky, "failed", 1);
+    EXPECT_EQ(failed.status, SweepStatus::Failed);
+    EXPECT_TRUE(failed.traceStore.empty());
+    EXPECT_TRUE(listing(root + "/failed").empty());
+
+    makes->store(0);
+    const SweepResult retried = run(flaky, "retried", 2);
+    ASSERT_EQ(retried.status, SweepStatus::Ok) << retried.error;
+    EXPECT_EQ(retried.attempts, 2u);
+    const SweepResult golden = run(clean, "clean", 1);
+    ASSERT_EQ(golden.status, SweepStatus::Ok);
+    EXPECT_EQ(listing(root + "/retried"),
+              std::vector<std::string>{"flaky-traced.icst"});
+    const std::string want = slurp(sweepTracePath(root + "/clean",
+                                                  clean.label));
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(slurp(sweepTracePath(root + "/retried", flaky.label)),
+              want);
+    std::filesystem::remove_all(root);
+}
+
+#ifdef __linux__
+/** This process's peak resident set (VmHWM), in bytes. */
+u64
+peakResidentBytes()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::stoull(line.substr(6)) * 1024;
+    }
+    ADD_FAILURE() << "no VmHWM line in /proc/self/status";
+    return 0;
+}
+
+TEST(SweepEngine, TracedPointHoldsOneBlockNotItsTrace)
+{
+    // A 4M-cycle traced point streams into its store: its peak memory
+    // is one store block and the analyzer's delay line, not the 32 MiB
+    // a buffered trace of 8 bytes per cycle would take.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    // A sanitizer's allocator keeps freed blocks out of reuse (ASan's
+    // quarantine) or shadows them, so the peak there measures the
+    // sanitizer, not the capture.
+    GTEST_SKIP() << "peak resident memory is not meaningful under a "
+                    "sanitizer allocator";
+#endif
+    GridSpec grid;
+    grid.cores = {"rocket"};
+    grid.workloads = {"541.leela_r"};
+    grid.maxCycles = 4'000'000;
+    grid.withTrace = true;
+    const std::string dir = "/tmp/icicle_sweep_traced_memory";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SweepOptions options;
+    options.traceOutDir = dir;
+    const u64 before = peakResidentBytes();
+    const std::vector<SweepResult> results = runSweep(grid, options);
+    const u64 added = peakResidentBytes() - before;
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_EQ(results[0].status, SweepStatus::Ok);
+    EXPECT_EQ(results[0].cycles, grid.maxCycles);
+    EXPECT_FALSE(results[0].traceStore.empty());
+    EXPECT_LT(added, 8ull << 20)
+        << "the traced point raised the peak by " << added << " bytes";
+    std::filesystem::remove_all(dir);
+}
+#endif
 
 // ---- journal / resume ------------------------------------------------
 
@@ -834,6 +977,38 @@ TEST(SweepRuns, JobFaultDecidesTheWholeRunsAttempt)
     std::remove(path.c_str());
 }
 
+TEST(SweepRuns, SharedTracedRunWritesIdenticalStoresPerArch)
+{
+    // One capture, compressed once: every arch's store is a byte copy
+    // of the first, under its own name, and no tmp is left.
+    GridSpec grid;
+    grid.cores = {"rocket"};
+    grid.workloads = {"towers"};
+    grid.counterArchs = {CounterArch::Scalar, CounterArch::AddWires,
+                         CounterArch::Distributed};
+    grid.maxCycles = 300'000;
+    grid.withTrace = true;
+    const std::string dir = "/tmp/icicle_sweep_store_copies";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SweepOptions options;
+    options.traceOutDir = dir;
+    const std::vector<SweepResult> results = runSweep(grid, options);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(listing(dir).size(), 3u);
+    const std::string first =
+        slurp(sweepTracePath(dir, results[0].label));
+    ASSERT_FALSE(first.empty());
+    for (const SweepResult &row : results) {
+        SCOPED_TRACE(row.label);
+        ASSERT_EQ(row.status, SweepStatus::Ok);
+        EXPECT_EQ(dir + "/" + row.traceStore,
+                  sweepTracePath(dir, row.label));
+        EXPECT_EQ(slurp(sweepTracePath(dir, row.label)), first);
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SweepRuns, SharedGridMatchesPerArchRunsByteForByte)
 {
     // Reports, journal bytes and every --trace-out store of a 3-arch
@@ -859,11 +1034,6 @@ TEST(SweepRuns, SharedGridMatchesPerArchRunsByteForByte)
         unkeyed.push_back(std::move(job));
     }
 
-    auto slurp = [](const std::string &path) {
-        std::ifstream in(path, std::ios::binary);
-        return std::string((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    };
     const std::string root = "/tmp/icicle_sweep_shared_runs";
     std::filesystem::remove_all(root);
     auto run = [&](const std::string &name, u32 workers,

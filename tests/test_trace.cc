@@ -3,14 +3,18 @@
  * Trace infrastructure tests: bundle capture fidelity (trace counts
  * equal live counter totals — the property Icicle's validation relies
  * on), binary round-trips, run detection, recovery CDFs, overlap
- * bounds, and windowed temporal TMA.
+ * bounds (the online analyzer against a brute-force reference), and
+ * windowed temporal TMA.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <gtest/gtest.h>
 
 #include "boom/boom.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "core/session.hh"
 #include "isa/builder.hh"
 #include "rocket/rocket.hh"
@@ -188,6 +192,190 @@ TEST(TraceAnalyzer, OverlapDetectsConstructedOverlap)
     const OverlapBound bound = analyzer.overlapUpperBound(1, 50);
     EXPECT_EQ(bound.overlapSlots, 10u);
     EXPECT_GT(bound.overlapFraction, 0.0);
+}
+
+// ---- the online analyzer against a brute-force reference -----------
+
+/**
+ * Table VI by definition, O(cycles x pad): cycle c is in a padded
+ * refill (recovery) window when any I$-blocked (Recovering) lane is
+ * high at some cycle of [c - pad, c + pad].
+ */
+OverlapBound
+referenceOverlap(const TraceSpec &spec, const std::vector<u64> &words,
+                 u32 core_width, u32 pad)
+{
+    const u64 refill = spec.fieldMask(EventId::ICacheBlocked);
+    const u64 recovering = spec.fieldMask(EventId::Recovering);
+    const u64 bubble = spec.fieldMask(EventId::FetchBubbles);
+    const u64 n = words.size();
+    auto near = [&](u64 c, u64 mask) {
+        const u64 lo = c > pad ? c - pad : 0;
+        const u64 hi = std::min<u64>(n - 1, c + pad);
+        for (u64 r = lo; r <= hi; r++) {
+            if (words[r] & mask)
+                return true;
+        }
+        return false;
+    };
+    u64 overlap = 0, bubbles = 0, recovering_cycles = 0;
+    for (u64 c = 0; c < n; c++) {
+        const u64 slots = std::popcount(words[c] & bubble);
+        bubbles += slots;
+        recovering_cycles += (words[c] & recovering) ? 1 : 0;
+        if (near(c, refill) && near(c, recovering))
+            overlap += slots;
+    }
+    OverlapBound bound;
+    bound.cycles = n;
+    if (n == 0)
+        return bound;
+    const double total = static_cast<double>(n) * core_width;
+    bound.overlapSlots = overlap;
+    bound.overlapFraction = static_cast<double>(overlap) / total;
+    bound.frontendFraction = static_cast<double>(bubbles) / total;
+    bound.badSpecFraction =
+        static_cast<double>(recovering_cycles) * core_width / total;
+    if (bound.frontendFraction > 0)
+        bound.frontendPerturbation =
+            bound.overlapFraction / bound.frontendFraction;
+    if (bound.badSpecFraction > 0)
+        bound.badSpecPerturbation =
+            bound.overlapFraction / bound.badSpecFraction;
+    return bound;
+}
+
+/** Sorted lengths of the runs where any Recovering lane is high. */
+std::vector<u64>
+referenceRecoveries(const TraceSpec &spec, const std::vector<u64> &words)
+{
+    const u64 mask = spec.fieldMask(EventId::Recovering);
+    std::vector<u64> lengths;
+    u64 run = 0;
+    for (u64 word : words) {
+        if (word & mask) {
+            run++;
+        } else if (run) {
+            lengths.push_back(run);
+            run = 0;
+        }
+    }
+    if (run)
+        lengths.push_back(run);
+    std::sort(lengths.begin(), lengths.end());
+    return lengths;
+}
+
+void
+expectBoundsEqual(const OverlapBound &got, const OverlapBound &want)
+{
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.overlapSlots, want.overlapSlots);
+    EXPECT_EQ(got.overlapFraction, want.overlapFraction);
+    EXPECT_EQ(got.frontendFraction, want.frontendFraction);
+    EXPECT_EQ(got.badSpecFraction, want.badSpecFraction);
+    EXPECT_EQ(got.frontendPerturbation, want.frontendPerturbation);
+    EXPECT_EQ(got.badSpecPerturbation, want.badSpecPerturbation);
+}
+
+/** Multi-lane refill, recovery and bubble fields, plus a bystander. */
+TraceSpec
+overlapSpec()
+{
+    TraceSpec spec;
+    spec.addLane(EventId::ICacheBlocked, 0);
+    spec.addLane(EventId::ICacheBlocked, 1);
+    spec.addLane(EventId::Recovering, 0);
+    spec.addLane(EventId::Recovering, 1);
+    spec.addLane(EventId::Recovering, 2);
+    for (u8 lane = 0; lane < 4; lane++)
+        spec.addLane(EventId::FetchBubbles, lane);
+    spec.addLane(EventId::Cycles, 0);
+    return spec;
+}
+
+/**
+ * Seeded bursty words for overlapSpec(): refill and recovery lanes
+ * rise rarely and fall fast (short bursts, long gaps), bubbles flicker.
+ * Odd seeds also raise refill, recovery and a bubble at the first and
+ * the last cycle, so runs and windows touch both trace ends.
+ */
+std::vector<u64>
+burstyWords(u64 seed, u64 cycles, u32 fields)
+{
+    Rng rng(seed * 0x9e3779b97f4a7c15ull + 7);
+    std::vector<u64> words;
+    u64 word = 0;
+    for (u64 c = 0; c < cycles; c++) {
+        for (u32 f = 0; f < fields; f++) {
+            const bool high = (word >> f) & 1;
+            const bool bursty = f < 5; // the refill and recovery lanes
+            if (rng.chance(1, high ? (bursty ? 4 : 3) : (bursty ? 90 : 6)))
+                word ^= 1ull << f;
+        }
+        words.push_back(word);
+    }
+    if (seed % 2 && cycles > 0) {
+        words.front() |= (1ull << 1) | (1ull << 2) | (1ull << 5);
+        words.back() |= (1ull << 0) | (1ull << 4) | (1ull << 8);
+    }
+    return words;
+}
+
+TEST(OnlineAnalyzer, MatchesBruteForceReference)
+{
+    const TraceSpec spec = overlapSpec();
+    u64 checked = 0;
+    for (u64 seed = 0; seed < 24; seed++) {
+        const u64 lengths[] = {0, 1, 2, 37, 400, 2500};
+        const u64 cycles = lengths[seed % 6];
+        const std::vector<u64> words =
+            burstyWords(seed, cycles, spec.numFields());
+        Trace trace(spec);
+        for (u64 word : words)
+            trace.append(word);
+        const TraceAnalyzer analyzer(trace);
+        const std::vector<u64> recoveries =
+            referenceRecoveries(spec, words);
+        EXPECT_EQ(analyzer.recoveryCdf().lengths, recoveries);
+        for (u32 pad : {0u, 1u, 3u, 50u, static_cast<u32>(cycles + 9)}) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed
+                                            << " cycles " << cycles
+                                            << " pad " << pad);
+            const u32 width = 1 + seed % 4;
+            expectBoundsEqual(analyzer.overlapUpperBound(width, pad),
+                              referenceOverlap(spec, words, width, pad));
+            OnlineAnalyzer online(spec, pad);
+            for (u64 word : words)
+                online.feed(word);
+            EXPECT_EQ(online.recoveryCdf().lengths, recoveries);
+            EXPECT_EQ(online.recoverySequences(), recoveries.size());
+            checked++;
+        }
+    }
+    EXPECT_EQ(checked, 24u * 5);
+}
+
+TEST(OnlineAnalyzer, AnswersForEveryPrefix)
+{
+    // Queries settle the delay line on the fly: after each fed cycle
+    // the bound equals the reference over the prefix.
+    const TraceSpec spec = overlapSpec();
+    const std::vector<u64> words = burstyWords(5, 200, spec.numFields());
+    for (u32 pad : {0u, 1u, 50u, 400u}) {
+        OnlineAnalyzer online(spec, pad);
+        for (u64 n = 1; n <= words.size(); n++) {
+            online.feed(words[n - 1]);
+            const std::vector<u64> prefix(words.begin(),
+                                          words.begin() + n);
+            ASSERT_EQ(online.overlapBound(2).overlapSlots,
+                      referenceOverlap(spec, prefix, 2, pad).overlapSlots)
+                << "pad " << pad << " prefix " << n;
+            ASSERT_EQ(online.recoveryCdf().lengths,
+                      referenceRecoveries(spec, prefix))
+                << "prefix " << n;
+        }
+    }
 }
 
 TEST(TraceAnalyzer, WindowTmaMatchesFullRunOnUniformWindow)
