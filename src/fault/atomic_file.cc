@@ -20,7 +20,19 @@ namespace
 /// short writes and kills land on.
 constexpr size_t kFlushBytes = 1u << 20;
 
-/// Full write(2) loop; returns false with errno set on failure.
+std::string
+dirOf(const std::string &path)
+{
+    const auto slash = path.find_last_of('/');
+    if (slash == std::string::npos)
+        return ".";
+    if (slash == 0)
+        return "/";
+    return path.substr(0, slash);
+}
+
+} // namespace
+
 bool
 writeAll(int fd, const char *data, size_t size)
 {
@@ -36,19 +48,6 @@ writeAll(int fd, const char *data, size_t size)
     }
     return true;
 }
-
-std::string
-dirOf(const std::string &path)
-{
-    const auto slash = path.find_last_of('/');
-    if (slash == std::string::npos)
-        return ".";
-    if (slash == 0)
-        return "/";
-    return path.substr(0, slash);
-}
-
-} // namespace
 
 AtomicFile::AtomicFile(const std::string &path, FaultSite site)
     : path(path), tmpPath(path + ".tmp"), site(site)

@@ -83,6 +83,12 @@ class AtomicFile
     u64 bytesWritten = 0;
 };
 
+/**
+ * The full write(2) loop (EINTR retried, short writes continued) every
+ * raw fd writer in the tree uses. False with errno set on failure.
+ */
+bool writeAll(int fd, const char *data, size_t size);
+
 /** Write a whole report/blob atomically in one call. */
 void writeFileAtomic(const std::string &path, const std::string &bytes,
                      FaultSite site);

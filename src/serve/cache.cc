@@ -33,27 +33,21 @@ fnv1a64(const char *data, size_t size)
 ServeKey
 serveCacheKey(const SweepPoint &point, u64 seed)
 {
-    // The same per-job blob sweepGridHash folds in (canonical label,
-    // cycle budget, trace flag), prefixed with the cache-format
-    // version and extended with the seed. The blob IS the key —
-    // lookup compares it byte-for-byte — so the hash quality only
-    // affects file-name contention, not correctness.
+    // The per-job fields sweepGridHash folds in (core, workload,
+    // cycle budget, trace flag) less the counter architecture,
+    // prefixed with the cache-format version and extended with the
+    // seed. The blob IS the key — lookup compares it byte-for-byte —
+    // so the hash quality only affects file-name contention, not
+    // correctness.
     ServeKey key;
     wire::put32(key.blob, kServeCacheVersion);
-    wire::putStr(key.blob, sweepPointLabel(point));
+    wire::putStr(key.blob, point.core);
+    wire::putStr(key.blob, point.workload);
     wire::put64(key.blob, point.maxCycles);
     wire::put8(key.blob, point.withTrace ? 1 : 0);
     wire::put64(key.blob, seed);
     key.hash = fnv1a64(key.blob.data(), key.blob.size());
     return key;
-}
-
-u64
-serveRunHash(const SweepPoint &point, u64 seed)
-{
-    SweepPoint scalar = point;
-    scalar.counterArch = CounterArch::Scalar;
-    return serveCacheKey(scalar, seed).hash;
 }
 
 ResultCache::ResultCache(const std::string &dir) : cacheDir(dir)
@@ -92,7 +86,7 @@ ResultCache::lookup(const ServeKey &key, SweepResult &result) const
         cur.get32() != kServeCacheVersion)
         return false;
     // The embedded blob is the authoritative identity: a file that
-    // landed under this name for any other point — hash collision,
+    // landed under this name for any other run — hash collision,
     // rename, copy — is a miss, never a served lie.
     if (cur.getStr() != key.blob)
         return false;

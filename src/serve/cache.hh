@@ -2,23 +2,25 @@
  * @file
  * Content-addressed result cache for icicled.
  *
- * Simulations are deterministic: one (core config, workload, counter
- * architecture, cycle budget, seed) tuple always produces the same
- * SweepResult bit for bit. That makes results content-addressable —
- * the key is the serialized identity blob itself (cache-format
- * version, the sweep journal's per-job fields: canonical label,
- * cycle budget, trace flag, plus the request seed), and its FNV-1a
- * 64-bit hash names the entry file. The hash is
- * only an address: lookup compares the blob stored in the entry
- * byte-for-byte against the requested blob, so a hash collision
- * degrades to a miss and a re-simulation, never to another point's
- * result. Any field that could change the result changes the blob; a
- * format bump invalidates every old entry at once.
+ * Simulations are deterministic, and the counter architectures count
+ * the same per-cycle event signals, so one (core config, workload,
+ * cycle budget, seed) run always produces the same SweepResult bit
+ * for bit, whichever architecture a row names. That makes results
+ * content-addressable per *run*: the key is the serialized identity
+ * blob itself (cache-format version, core, workload, cycle budget,
+ * trace flag and the request seed — no architecture), and its FNV-1a
+ * 64-bit hash names the entry file. The hash is only an address:
+ * lookup compares the blob stored in the entry byte-for-byte against
+ * the requested blob, so a hash collision degrades to a miss and a
+ * re-simulation, never to another run's result. Any field that could
+ * change the result changes the blob; a format bump invalidates every
+ * old entry at once.
  *
- * One entry per key, one file per entry (<hash>.res under the cache
- * directory), holding the journal codec's bit-exact SweepResult
- * encoding behind a magic/version/blob/CRC envelope. Entries are
- * published with the AtomicFile tmp+fsync+rename discipline through
+ * One entry per run, one file per entry (<hash>.res under the cache
+ * directory), holding the journal codec's bit-exact encoding of the
+ * run's one SweepResult — every architecture's row — behind a
+ * magic/version/blob/CRC envelope. Entries are published with the
+ * AtomicFile tmp+fsync+rename discipline through
  * FaultSite::StoreWrite, so `ICICLE_FAULT kill@store#K` exercises a
  * SIGKILL mid-publish: the victim leaves only a `.res.tmp`, which
  * lookup never reads, and a restarted daemon serves exactly the
@@ -40,14 +42,14 @@ namespace icicle
 {
 
 constexpr u32 kServeCacheMagic = 0x43524349; // "ICRC"
-constexpr u32 kServeCacheVersion = 2;
+constexpr u32 kServeCacheVersion = 3;
 
 /**
- * The content address of one point's result: the full identity blob
+ * The content address of one run's result: the full identity blob
  * plus its FNV-1a 64 hash. The blob is authoritative (compared
  * byte-for-byte on lookup); the hash only names the entry file, so
- * two points whose blobs collide in the hash contend for one file
- * name but can never serve each other's result.
+ * two runs whose blobs collide in the hash contend for one file name
+ * but can never serve each other's result.
  */
 struct ServeKey
 {
@@ -56,19 +58,12 @@ struct ServeKey
 };
 
 /**
- * Derive the key for one point. withTrace is always false through
- * the daemon but still participates, keeping the identity a strict
- * superset of sweepGridHash's per-job fields.
+ * Derive the key of `point`'s run: every counter architecture of one
+ * (core, workload) gets the same key. withTrace is always false
+ * through the daemon but still participates, keeping the identity a
+ * strict superset of sweepGridHash's per-job fields less the arch.
  */
 ServeKey serveCacheKey(const SweepPoint &point, u64 seed);
-
-/**
- * The hash of a point's run: the hash of the run's Scalar point's
- * cache key, so it ignores the counter architecture. Every
- * architecture of one (core, workload) shares one in-flight entry
- * and one preferred worker, and is filled by one worker job.
- */
-u64 serveRunHash(const SweepPoint &point, u64 seed);
 
 /** Disk-backed result cache; safe for concurrent lookup/publish. */
 class ResultCache
@@ -82,7 +77,8 @@ class ResultCache
      * entry is absent or fails any validation, including an embedded
      * blob that is not byte-identical to `key.blob` (a hash
      * collision or renamed file); label and point are NOT restored
-     * (the caller rederives them from its request).
+     * (the caller rederives them, per architecture, from its
+     * request).
      */
     bool lookup(const ServeKey &key, SweepResult &result) const;
 

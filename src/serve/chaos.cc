@@ -29,10 +29,10 @@ struct ChaosQuery
 /**
  * The fixed query set: small single- and multi-point grids over the
  * fast cores/workloads, csv format (stable, newline-terminated
- * rows); the last asks every counter architecture of one run, so a
- * cold fill sends a multi-point job. Expected bytes come from the
- * same engine the CLI uses, so CHAOS-001 is exactly the serve-vs-CLI
- * byte-identity claim.
+ * rows); the last asks every counter architecture of one run, so its
+ * rows all come from the run's one entry, whichever query filled it.
+ * Expected bytes come from the same engine the CLI uses, so CHAOS-001
+ * is exactly the serve-vs-CLI byte-identity claim.
  */
 std::vector<ChaosQuery>
 buildQueries(const ChaosOptions &opts)

@@ -11,9 +11,42 @@
 
 #include "common/logging.hh"
 #include "fault/fault.hh"
+#include "sweep/journal.hh"
 
 namespace icicle
 {
+
+namespace
+{
+
+/** "core/workload": a job's run, as errors name it. */
+std::string
+runName(const JobRequest &request)
+{
+    return request.point.core + "/" + request.point.workload;
+}
+
+} // namespace
+
+JobReply
+runReply(const JobRequest &request,
+         const std::vector<SweepResult> &results)
+{
+    JobReply reply;
+    const std::string first = encodeSweepResult(results.at(0));
+    for (const SweepResult &result : results) {
+        if (encodeSweepResult(result) != first) {
+            reply.error = "run " + runName(request) +
+                          " differs across counter architectures (an "
+                          "in-band HPM counter read), so no one "
+                          "result serves it";
+            return reply;
+        }
+    }
+    reply.ok = true;
+    reply.result = results[0];
+    return reply;
+}
 
 WorkerPool::WorkerPool(u32 count, u32 jobTimeoutMs)
     : workers(std::max<u32>(count, 1)), jobTimeoutMs(jobTimeoutMs)
@@ -121,30 +154,26 @@ WorkerPool::childLoop(int rfd, int wfd)
             reply.error = "malformed job request";
         } else {
             try {
-                // The job's architectures as one grid through the
-                // same engine the CLI uses (same run sharing and
-                // retry policy), so every result — and therefore the
-                // cached bytes — match a direct icicle-sweep run
-                // exactly. Index 0 on each result keeps the bytes
+                // The run under every architecture as one grid
+                // through the same engine the CLI uses (same run
+                // sharing and retry policy), so the result — and
+                // therefore the cached bytes — match a direct
+                // icicle-sweep run exactly. Index 0 keeps the bytes
                 // those of a one-point grid. The seed is key-only
                 // today (reserved for seeded workload variants).
                 GridSpec grid;
                 grid.cores = {request.point.core};
                 grid.workloads = {request.point.workload};
-                grid.counterArchs = {request.point.counterArch};
-                grid.counterArchs.insert(grid.counterArchs.end(),
-                                         request.moreArchs.begin(),
-                                         request.moreArchs.end());
+                grid.counterArchs = {CounterArch::Scalar,
+                                     CounterArch::AddWires,
+                                     CounterArch::Distributed};
                 grid.maxCycles = request.point.maxCycles;
                 grid.withTrace = false;
                 std::vector<SweepResult> results =
                     runSweep(grid, SweepOptions{});
                 for (SweepResult &result : results)
                     result.index = 0;
-                reply.ok = true;
-                reply.result = results.at(0);
-                reply.moreResults.assign(results.begin() + 1,
-                                         results.end());
+                reply = runReply(request, results);
             } catch (const FatalError &err) {
                 reply.error = err.what();
             }
@@ -226,10 +255,9 @@ WorkerPool::runJob(u32 preferred, const JobRequest &request,
         std::string payload;
         const FrameRead got = readFrameDeadline(
             worker.fromChild, type, payload, jobTimeoutMs);
-        const bool decoded = got == FrameRead::Ok &&
-                             type == MsgType::JobResponse &&
-                             decodeJobReply(payload, reply);
-        answered = decoded && jobReplyAnswers(request, reply);
+        answered = got == FrameRead::Ok &&
+                   type == MsgType::JobResponse &&
+                   decodeJobReply(payload, reply);
         if (answered)
             break;
         // A Timeout means the worker is alive but wedged (e.g. a
@@ -237,8 +265,6 @@ WorkerPool::runJob(u32 preferred, const JobRequest &request,
         // SIGKILLs it so the worker recovers instead of hanging.
         if (got == FrameRead::Timeout)
             failure = " timed out";
-        else if (decoded)
-            failure = " answered the wrong number of points";
         reap(worker);
     }
     // Checked back in before the caller publishes: no other job
@@ -247,10 +273,7 @@ WorkerPool::runJob(u32 preferred, const JobRequest &request,
     if (answered)
         return true;
     error = "worker " + std::to_string(index) + failure +
-            " twice running " + sweepPointLabel(request.point);
-    if (!request.moreArchs.empty())
-        error += " and " + std::to_string(request.moreArchs.size()) +
-                 " more counter architectures";
+            " twice running " + runName(request);
     return false;
 }
 

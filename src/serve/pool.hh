@@ -5,8 +5,9 @@
  * Simulation jobs run in forked child processes, not daemon threads:
  * a job that corrupts memory, trips an injected fault, or gets
  * SIGKILLed takes down one worker, not the daemon or its cache. A
- * job is one run: the missing counter architectures of one (core,
- * workload), which the worker simulates once as one runSweep grid.
+ * job is one run: one (core, workload) under every counter
+ * architecture, which the worker simulates once as one runSweep grid
+ * and answers with the one result they share (runReply).
  *
  * Dispatch is work-conserving: a job takes its preferred worker when
  * that one is idle and any idle worker otherwise, and waits in
@@ -51,6 +52,16 @@
 namespace icicle
 {
 
+/**
+ * A worker's reply to `request` from its run's per-architecture
+ * results (each with index 0): ok with their common result when every
+ * architecture encodes to the same bytes, else an error naming the
+ * run. They differ only when the program read a configured HPM
+ * counter in-band, which no registered workload does.
+ */
+JobReply runReply(const JobRequest &request,
+                  const std::vector<SweepResult> &results);
+
 class WorkerPool
 {
   public:
@@ -82,10 +93,9 @@ class WorkerPool
      * when it is idle, any idle worker otherwise. When every worker
      * is busy the job waits, first come first served, and
      * `*waited` (if given) is set. Returns false and fills `error`
-     * only when the worker died, timed out or sent a reply that does
-     * not answer every point of the job, and its replacement failed
-     * too; a job that merely fails inside the simulator comes back
-     * true with Failed result statuses.
+     * only when the worker died or timed out, and its replacement
+     * did too; a job that merely fails inside the simulator comes
+     * back true with a Failed result status.
      */
     bool runJob(u32 preferred, const JobRequest &request,
                 JobReply &reply, std::string &error,

@@ -10,6 +10,7 @@
 
 #include "common/crc32.hh"
 #include "common/wire.hh"
+#include "fault/atomic_file.hh"
 #include "sweep/journal.hh"
 
 namespace icicle
@@ -18,38 +19,7 @@ namespace icicle
 namespace
 {
 
-bool
-writeAll(int fd, const char *data, size_t size)
-{
-    while (size > 0) {
-        const ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        size -= static_cast<size_t>(n);
-    }
-    return true;
-}
-
 using ProtoClock = std::chrono::steady_clock;
-
-/** Counter architectures there are: a job names each at most once. */
-constexpr u8 kCounterArchs =
-    static_cast<u8>(CounterArch::Distributed) + 1;
-
-/** Read one architecture byte; false when it names none. */
-bool
-getArch(wire::Cursor &cur, CounterArch &arch)
-{
-    const u8 raw = cur.get8();
-    if (raw >= kCounterArchs)
-        return false;
-    arch = static_cast<CounterArch>(raw);
-    return true;
-}
 
 /**
  * 1 = ok, 0 = EOF before any byte, -1 = short read / error,
@@ -90,34 +60,6 @@ readAll(int fd, unsigned char *data, size_t size,
         got += static_cast<size_t>(n);
     }
     return 1;
-}
-
-void
-putTma(std::string &buf, const TmaResult &t)
-{
-    using namespace wire;
-    for (double v : {t.retiring, t.badSpeculation, t.frontend,
-                     t.backend, t.machineClears, t.branchMispredicts,
-                     t.resteers, t.recoveryBubbles, t.fetchLatency,
-                     t.pcResteer, t.coreBound, t.memBound,
-                     t.memBoundL2, t.memBoundDram, t.ipc})
-        putF64(buf, v);
-    put64(buf, t.totalSlots);
-    put64(buf, t.cycles);
-}
-
-void
-getTma(wire::Cursor &cur, TmaResult &t)
-{
-    for (double *v : {&t.retiring, &t.badSpeculation, &t.frontend,
-                      &t.backend, &t.machineClears,
-                      &t.branchMispredicts, &t.resteers,
-                      &t.recoveryBubbles, &t.fetchLatency,
-                      &t.pcResteer, &t.coreBound, &t.memBound,
-                      &t.memBoundL2, &t.memBoundDram, &t.ipc})
-        *v = cur.getF64();
-    t.totalSlots = cur.get64();
-    t.cycles = cur.get64();
 }
 
 } // namespace
@@ -263,10 +205,10 @@ decodeSweepQuery(const std::string &payload, SweepQuery &query)
     for (u32 n = cur.get32(); n > 0 && cur.ok; n--)
         query.workloads.push_back(cur.getStr());
     for (u32 n = cur.get32(); n > 0 && cur.ok; n--) {
-        CounterArch arch;
-        if (!getArch(cur, arch))
+        const u8 arch = cur.get8();
+        if (arch > static_cast<u8>(CounterArch::Distributed))
             return false;
-        query.archs.push_back(arch);
+        query.archs.push_back(static_cast<CounterArch>(arch));
     }
     query.maxCycles = cur.get64();
     query.seed = cur.get64();
@@ -332,7 +274,7 @@ std::string
 encodeWindowReply(const WindowReply &reply)
 {
     std::string p;
-    putTma(p, reply.tma);
+    putTmaResult(p, reply.tma);
     wire::put64(p, reply.blocksDecoded);
     return p;
 }
@@ -344,7 +286,7 @@ decodeWindowReply(const std::string &payload, WindowReply &reply)
         reinterpret_cast<const unsigned char *>(payload.data()),
         payload.size()};
     reply = WindowReply{};
-    getTma(cur, reply.tma);
+    getTmaResult(cur, reply.tma);
     reply.blocksDecoded = cur.get64();
     return cur.atEnd();
 }
@@ -356,13 +298,9 @@ encodeJobRequest(const JobRequest &request)
     std::string p;
     putStr(p, request.point.core);
     putStr(p, request.point.workload);
-    put8(p, static_cast<u8>(request.point.counterArch));
     put64(p, request.point.maxCycles);
     put8(p, request.point.withTrace ? 1 : 0);
     put64(p, request.seed);
-    put8(p, static_cast<u8>(request.moreArchs.size()));
-    for (CounterArch arch : request.moreArchs)
-        put8(p, static_cast<u8>(arch));
     return p;
 }
 
@@ -375,23 +313,9 @@ decodeJobRequest(const std::string &payload, JobRequest &request)
     request = JobRequest{};
     request.point.core = cur.getStr();
     request.point.workload = cur.getStr();
-    if (!getArch(cur, request.point.counterArch))
-        return false;
     request.point.maxCycles = cur.get64();
     request.point.withTrace = cur.get8() != 0;
     request.seed = cur.get64();
-    const u8 more = cur.get8();
-    if (more >= kCounterArchs)
-        return false;
-    for (u8 i = 0; i < more; i++) {
-        CounterArch arch;
-        if (!getArch(cur, arch) || arch == request.point.counterArch ||
-            std::find(request.moreArchs.begin(),
-                      request.moreArchs.end(),
-                      arch) != request.moreArchs.end())
-            return false;
-        request.moreArchs.push_back(arch);
-    }
     return cur.atEnd();
 }
 
@@ -403,9 +327,6 @@ encodeJobReply(const JobReply &reply)
     put8(p, reply.ok ? 1 : 0);
     putStr(p, reply.error);
     putStr(p, encodeSweepResult(reply.result));
-    put8(p, static_cast<u8>(reply.moreResults.size()));
-    for (const SweepResult &result : reply.moreResults)
-        putStr(p, encodeSweepResult(result));
     return p;
 }
 
@@ -418,34 +339,13 @@ decodeJobReply(const std::string &payload, JobReply &reply)
     reply = JobReply{};
     reply.ok = cur.get8() != 0;
     reply.error = cur.getStr();
-    std::vector<std::string> results{cur.getStr()};
-    const u8 more = cur.get8();
-    if (more >= kCounterArchs)
-        return false;
-    for (u8 i = 0; i < more; i++)
-        results.push_back(cur.getStr());
-    if (!cur.atEnd())
-        return false;
-    // Workers set every result's index to 0, so each decodes as the
-    // one result of a one-point grid.
-    reply.moreResults.resize(more);
-    for (size_t i = 0; i < results.size(); i++) {
-        SweepResult &slot =
-            i == 0 ? reply.result : reply.moreResults[i - 1];
-        if (!decodeSweepResult(
-                reinterpret_cast<const unsigned char *>(
-                    results[i].data()),
-                results[i].size(), 1, slot))
-            return false;
-    }
-    return true;
-}
-
-bool
-jobReplyAnswers(const JobRequest &request, const JobReply &reply)
-{
-    return !reply.ok ||
-           reply.moreResults.size() == request.moreArchs.size();
+    const std::string result = cur.getStr();
+    // Workers set the result's index to 0, so it decodes as the one
+    // result of a one-point grid.
+    return cur.atEnd() &&
+           decodeSweepResult(
+               reinterpret_cast<const unsigned char *>(result.data()),
+               result.size(), 1, reply.result);
 }
 
 std::string

@@ -166,17 +166,16 @@ bool decodeWindowReply(const std::string &payload,
                        WindowReply &reply);
 
 /**
- * One job dispatched to a worker process (pipe frames): `point`,
- * plus further counter architectures of the same (core, workload)
- * run. The worker simulates the run once and answers every
- * architecture from it.
+ * One job dispatched to a worker process (pipe frames): the run of
+ * `point` — its (core, workload) at its cycle budget, under every
+ * counter architecture. The frame carries no architecture: the
+ * worker simulates the run once and answers with the one result
+ * every architecture shares.
  */
 struct JobRequest
 {
     SweepPoint point;
     u64 seed = 0;
-    /** Distinct from point.counterArch and from each other. */
-    std::vector<CounterArch> moreArchs;
 };
 
 std::string encodeJobRequest(const JobRequest &request);
@@ -184,27 +183,18 @@ bool decodeJobRequest(const std::string &payload,
                       JobRequest &request);
 
 /**
- * A worker's outcome: full SweepResults (every one with index 0, as
- * a one-point grid would give) or a hard error.
+ * A worker's outcome: the run's full SweepResult (index 0, as a
+ * one-point grid would give) or a hard error.
  */
 struct JobReply
 {
     bool ok = false;
     std::string error;
-    /** The result for JobRequest::point. */
     SweepResult result;
-    /** One result per JobRequest::moreArchs entry, in its order. */
-    std::vector<SweepResult> moreResults;
 };
 
 std::string encodeJobReply(const JobReply &reply);
 bool decodeJobReply(const std::string &payload, JobReply &reply);
-
-/**
- * True when an ok `reply` carries one result per point of `request`.
- * A reply that does not is a worker failure, like a torn frame.
- */
-bool jobReplyAnswers(const JobRequest &request, const JobReply &reply);
 
 /** The admission gate's shed notice. */
 struct OverloadNotice

@@ -1,6 +1,5 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -9,12 +8,12 @@
 #include <thread>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
 #include "fault/fault.hh"
-#include "workloads/workloads.hh"
 
 namespace icicle
 {
@@ -305,10 +304,10 @@ IcicleServer::endFlight(u64 run)
 
 void
 IcicleServer::publishGuarded(const ServeKey &key,
-                             const SweepResult &result)
+                             const SweepResult &result, size_t points)
 {
     if (degraded.load(std::memory_order_relaxed)) {
-        stats.add(ServeStat::DegradedPoints);
+        stats.add(ServeStat::DegradedPoints, points);
         return;
     }
     try {
@@ -330,84 +329,63 @@ IcicleServer::publishGuarded(const ServeKey &key,
 
 bool
 IcicleServer::runResults(std::span<const SweepPoint> run, u64 seed,
-                         std::span<SweepResult> results, u32 &hits,
+                         std::span<SweepResult> results, bool &hit,
                          bool &shed, std::string &error)
 {
     shed = false;
-    std::vector<ServeKey> keys;
-    std::vector<size_t> missing;
-    for (size_t i = 0; i < run.size(); i++) {
-        keys.push_back(serveCacheKey(run[i], seed));
-        if (!cache.lookup(keys[i], results[i]))
-            missing.push_back(i);
-    }
-    if (!missing.empty()) {
+    const ServeKey key = serveCacheKey(run[0], seed);
+    SweepResult result;
+    hit = cache.lookup(key, result);
+    if (!hit) {
         // beginFlight reserves a miss-path slot before waiting on a
         // flight or a worker (admission gate, stage 2), so saturation
         // becomes an explicit shed instead of an unbounded queue.
-        // Single-flight per run: every architecture of a run shares
-        // its serveRunHash. A request that finds the run in flight
-        // waits for that flight to end (after its publishes), then
-        // re-checks here and dispatches only what is still missing.
-        // The leader re-checks too: a flight may have ended between
-        // its lookup and its claim.
-        const u64 run_hash = serveRunHash(run[0], seed);
-        const Flight flight = beginFlight(run_hash);
+        // Single-flight per run: a request that finds the run in
+        // flight waits for that flight to end (after its publish),
+        // then re-checks here. The leader re-checks too: a flight may
+        // have ended between its lookup and its claim.
+        const Flight flight = beginFlight(key.hash);
         if (flight == Flight::Shed) {
             shed = true;
             return false;
         }
         if (flight == Flight::Waited)
             stats.add(ServeStat::FlightWaits);
-        std::vector<size_t> still_missing;
-        for (size_t i : missing) {
-            if (!cache.lookup(keys[i], results[i]))
-                still_missing.push_back(i);
-        }
-        missing = std::move(still_missing);
+        hit = cache.lookup(key, result);
         bool job_ok = true;
-        if (!missing.empty()) {
-            JobRequest request;
-            request.point = run[missing[0]];
-            request.seed = seed;
-            for (size_t m = 1; m < missing.size(); m++)
-                request.moreArchs.push_back(run[missing[m]].counterArch);
+        if (!hit) {
             JobReply reply;
             std::string job_error;
             bool waited = false;
             // The run's hash picks its preferred worker; any idle
             // worker takes the job when that one is busy.
             const bool ran = pool.runJob(
-                static_cast<u32>(run_hash % pool.size()), request,
-                reply, job_error, &waited);
+                static_cast<u32>(key.hash % pool.size()),
+                JobRequest{run[0], seed}, reply, job_error, &waited);
             if (waited)
                 stats.add(ServeStat::WorkerWaits);
             if (!ran || !reply.ok) {
                 error = job_error.empty() ? reply.error : job_error;
                 job_ok = false;
             } else {
-                for (size_t m = 0; m < missing.size(); m++) {
-                    SweepResult &result = results[missing[m]];
-                    result = m == 0 ? reply.result
-                                    : reply.moreResults[m - 1];
-                    // Only Ok results are memoised: failures and
-                    // timeouts must re-run, not stick. Publication
-                    // failures degrade to compute-only, never error
-                    // the request (the result in hand is still
-                    // correct).
-                    if (result.status == SweepStatus::Ok)
-                        publishGuarded(keys[missing[m]], result);
-                }
+                result = reply.result;
+                // Only Ok results are memoised: failures and timeouts
+                // must re-run, not stick. Publication failures degrade
+                // to compute-only, never error the request (the
+                // result in hand is still correct).
+                if (result.status == SweepStatus::Ok)
+                    publishGuarded(key, result, run.size());
             }
         }
-        endFlight(run_hash);
+        endFlight(key.hash);
         if (!job_ok)
             return false;
     }
-    hits = static_cast<u32>(run.size() - missing.size());
-    // The codec carries neither label nor point: rederive them, like
-    // the journal's resume path does from its grid.
+    // One result is every architecture's row. The codec carries
+    // neither label nor point: rederive them, like the journal's
+    // resume path does from its grid.
     for (size_t i = 0; i < run.size(); i++) {
+        results[i] = result;
         results[i].point = run[i];
         results[i].label = sweepPointLabel(run[i]);
     }
@@ -432,22 +410,6 @@ IcicleServer::handleSweep(int fd, const std::string &payload)
         sendError(fd, "unknown format: " + query.format);
         return;
     }
-    // Validate axis values up front (the CLI does the same): a typo
-    // is one Error reply, not a grid of Failed rows.
-    try {
-        const std::vector<std::string> known = sweepCoreNames();
-        for (const std::string &core : query.cores) {
-            if (std::find(known.begin(), known.end(), core) ==
-                known.end())
-                fatal("unknown core config '", core, "'");
-        }
-        for (const std::string &workload : query.workloads)
-            buildWorkload(workload);
-    } catch (const FatalError &err) {
-        sendError(fd, err.what());
-        return;
-    }
-
     // Expand exactly like icicle-sweep: same GridSpec, same
     // row-major order, so rows land in the same sequence.
     GridSpec grid;
@@ -456,6 +418,14 @@ IcicleServer::handleSweep(int fd, const std::string &payload)
     grid.counterArchs = query.archs;
     grid.maxCycles = query.maxCycles;
     grid.withTrace = false;
+    // Check axis names up front (the CLI does the same), building
+    // nothing: a typo is one Error reply, not a grid of Failed rows.
+    try {
+        checkGridNames(grid);
+    } catch (const FatalError &err) {
+        sendError(fd, err.what());
+        return;
+    }
     const std::vector<SweepPoint> points = grid.expand();
 
     SweepReply reply;
@@ -469,13 +439,13 @@ IcicleServer::handleSweep(int fd, const std::string &payload)
                points[end].core == points[begin].core &&
                points[end].workload == points[begin].workload)
             end++;
-        u32 hits = 0;
+        bool hit = false;
         bool shed = false;
         std::string error;
         if (!runResults(
                 std::span(points).subspan(begin, end - begin),
                 query.seed,
-                std::span(results).subspan(begin, end - begin), hits,
+                std::span(results).subspan(begin, end - begin), hit,
                 shed, error)) {
             if (shed) {
                 // Not an error: the daemon is saturated. Runs
@@ -489,12 +459,11 @@ IcicleServer::handleSweep(int fd, const std::string &payload)
             }
             return;
         }
-        reply.cacheHits += hits;
-        reply.simulated += static_cast<u32>(end - begin) - hits;
+        (hit ? reply.cacheHits : reply.simulated) +=
+            static_cast<u32>(end - begin);
         for (size_t i = begin; i < end; i++) {
             results[i].index = i;
-            // A count per run: which of its points hit is not kept.
-            stats.countPoint(i - begin < hits);
+            stats.countPoint(hit);
             reply.allOk &= results[i].status == SweepStatus::Ok;
         }
         begin = end;
@@ -507,17 +476,27 @@ IcicleServer::handleSweep(int fd, const std::string &payload)
     sendReply(fd, MsgType::SweepResponse, encodeSweepReply(reply));
 }
 
-StoreReader &
+std::shared_ptr<const StoreReader>
 IcicleServer::readerFor(const std::string &path)
 {
+    // Stat before opening: a file replaced between the two leaves an
+    // older identity on the newer reader, which only costs one more
+    // reopen at the next query — never a stale answer.
+    StoreFileId file;
+    struct stat st;
+    if (::stat(path.c_str(), &st) == 0) {
+        file = {static_cast<u64>(st.st_dev), static_cast<u64>(st.st_ino),
+                static_cast<u64>(st.st_size),
+                static_cast<u64>(st.st_mtim.tv_sec) * 1'000'000'000 +
+                    static_cast<u64>(st.st_mtim.tv_nsec)};
+    }
     LockGuard lock(readersMutex);
     auto it = readers.find(path);
-    if (it == readers.end()) {
-        it = readers
-                 .emplace(path, std::make_unique<StoreReader>(path))
-                 .first;
+    if (it == readers.end() || it->second.file != file) {
+        OpenStore open{file, std::make_shared<StoreReader>(path)};
+        it = readers.insert_or_assign(path, std::move(open)).first;
     }
-    return *it->second;
+    return it->second.reader;
 }
 
 void
@@ -530,11 +509,12 @@ IcicleServer::handleWindow(int fd, const std::string &payload)
         return;
     }
     try {
-        StoreReader &reader = readerFor(query.storePath);
+        const std::shared_ptr<const StoreReader> reader =
+            readerFor(query.storePath);
         WindowReply reply;
-        reply.tma = reader.windowTma(query.begin, query.end,
-                                     query.coreWidth);
-        reply.blocksDecoded = reader.blocksDecoded();
+        reply.tma = reader->windowTma(query.begin, query.end,
+                                      query.coreWidth);
+        reply.blocksDecoded = reader->blocksDecoded();
         sendReply(fd, MsgType::WindowTmaResponse,
                   encodeWindowReply(reply));
     } catch (const FatalError &err) {

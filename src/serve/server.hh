@@ -6,7 +6,7 @@
  * frames: sweep grids (simulated on the worker process pool,
  * memoised in the content-addressed ResultCache), windowed TMA
  * queries over .icst stores (served from one shared thread-safe
- * StoreReader per store — footer counts, no block decodes for
+ * StoreReader per store file — footer counts, no block decodes for
  * covered blocks), live stats, and shutdown.
  *
  * Construction order is load-bearing: the worker pool forks its
@@ -14,11 +14,11 @@
  * starts (see pool.hh). run() then accepts connections and handles
  * each on its own thread. A sweep is served one run at a time — the
  * points of one (core, workload), which differ only in counter
- * architecture — and a run's misses are filled by one worker job on
- * the first idle worker. Single-flight is per run: N concurrent
+ * architecture and share one result — with one cache lookup per run,
+ * and a missing run is filled by one worker job on the first idle
+ * worker and one publish. Single-flight is per run: N concurrent
  * clients asking for the same cold run simulate it once, and N-1 of
- * them wait for that flight and then hit its published cache
- * entries.
+ * them wait for that flight and then hit its published cache entry.
  *
  * Request handling never takes the daemon down: malformed frames
  * drop the connection, invalid requests get an Error reply, worker
@@ -168,9 +168,9 @@ class ServeStats
     };
 
     void
-    add(ServeStat stat)
+    add(ServeStat stat, u64 count = 1)
     {
-        at(stat).fetch_add(1, std::memory_order_relaxed);
+        at(stat).fetch_add(count, std::memory_order_relaxed);
     }
 
     /**
@@ -254,15 +254,22 @@ class IcicleServer
     /**
      * Serve one run — adjacent grid points of one (core, workload),
      * differing only in counter architecture — through cache + pool:
-     * look up every point, then fill the misses with one job on an
+     * look up the run's one entry, else fill it with one job on an
      * idle worker, single-flight per run. Fills one result per point
-     * (index left to the caller) and `hits`; false on worker failure
+     * (index left to the caller) and `hit`; false on worker failure
      * (error filled) or shed (shed set, error empty).
      */
     bool runResults(std::span<const SweepPoint> run, u64 seed,
-                    std::span<SweepResult> results, u32 &hits,
+                    std::span<SweepResult> results, bool &hit,
                     bool &shed, std::string &error);
-    StoreReader &readerFor(const std::string &path);
+    /**
+     * The shared reader of the store file now at `path`: a new one
+     * when the file was replaced (another device, inode, size or
+     * mtime) since the last query opened it. A query still running on
+     * the old reader keeps it alive.
+     */
+    std::shared_ptr<const StoreReader>
+    readerFor(const std::string &path);
     void sendError(int fd, const std::string &message);
     /**
      * All server replies funnel through here: consults the fault
@@ -281,19 +288,20 @@ class IcicleServer
         Shed,   ///< the queue gate stayed full: nothing held
     };
     /**
-     * Take run `run` (a serveRunHash) onto the miss path: reserve a
-     * miss-path slot — one bounded grace wait when the queue gate is
-     * full, then Shed — then wait for any flight already holding the
-     * run and claim it. Led and Waited hold the slot and the flight
-     * until endFlight().
+     * Take run `run` (its cache key's hash) onto the miss path:
+     * reserve a miss-path slot — one bounded grace wait when the
+     * queue gate is full, then Shed — then wait for any flight
+     * already holding the run and claim it. Led and Waited hold the
+     * slot and the flight until endFlight().
      */
     Flight beginFlight(u64 run);
     /** End the flight, free its slot, wake every waiter. */
     void endFlight(u64 run);
-    /** Try to publish `result`; tolerates failure by counting a
-     * strike and flipping degraded mode at the threshold. */
-    void publishGuarded(const ServeKey &key,
-                        const SweepResult &result);
+    /** Try to publish the result of a run of `points` points;
+     * tolerates failure by counting a strike and flipping degraded
+     * mode at the threshold. */
+    void publishGuarded(const ServeKey &key, const SweepResult &result,
+                        size_t points);
     /** Block until every connection thread has finished. */
     void waitForClients();
 
@@ -315,11 +323,11 @@ class IcicleServer
     u64 liveClients ICICLE_GUARDED_BY(connMutex) = 0;
 
     /**
-     * The miss path: the serveRunHash of every run whose misses some
-     * request is filling (single-flight per run), and the count of
+     * The miss path: the cache-key hash of every run some request is
+     * filling (single-flight per run), and the count of
      * runs holding a miss-path slot, from admission until their
      * flight ends (the --max-queue gate). The leader holds its entry
-     * through the re-check, the job and the publishes, but holds the
+     * through the re-check, the job and the publish, but holds the
      * mutex only to admit, claim or end; a request that finds its
      * run here, or the gate full, waits on the condvar, which every
      * endFlight() notifies.
@@ -334,11 +342,28 @@ class IcicleServer
     /** Consecutive publish failures (reset on success). */
     std::atomic<u32> publishStrikes{0};
 
-    /** One shared reader per queried store (thread-safe queries).
-     * The map is guarded; the readers themselves are internally
-     * thread-safe and are used after readersMutex is released. */
+    /** A store file as stat(2) names it: a rename over the path
+     * changes the inode, a rewrite in place the size or mtime. */
+    struct StoreFileId
+    {
+        u64 device = 0;
+        u64 inode = 0;
+        u64 size = 0;
+        u64 mtimeNs = 0;
+
+        bool operator==(const StoreFileId &) const = default;
+    };
+    struct OpenStore
+    {
+        StoreFileId file;
+        std::shared_ptr<const StoreReader> reader;
+    };
+    /** One shared reader per queried store path (thread-safe
+     * queries), with the file it opened. The map is guarded; the
+     * readers themselves are internally thread-safe and are used
+     * after readersMutex is released. */
     Mutex readersMutex{"serve.readers", lockrank::kServeReaders};
-    std::map<std::string, std::unique_ptr<StoreReader>> readers
+    std::map<std::string, OpenStore> readers
         ICICLE_GUARDED_BY(readersMutex);
 
     ServeStats stats;

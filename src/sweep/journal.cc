@@ -11,7 +11,7 @@
 #include "common/crc32.hh"
 #include "common/logging.hh"
 #include "common/wire.hh"
-#include "fault/fault.hh"
+#include "fault/atomic_file.hh"
 
 namespace icicle
 {
@@ -32,23 +32,34 @@ hex32(u32 v)
     return buf;
 }
 
-bool
-writeAll(int fd, const char *data, size_t size)
+} // namespace
+
+void
+putTmaResult(std::string &buf, const TmaResult &t)
 {
-    while (size > 0) {
-        const ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        size -= static_cast<size_t>(n);
-    }
-    return true;
+    for (double v : {t.retiring, t.badSpeculation, t.frontend,
+                     t.backend, t.machineClears, t.branchMispredicts,
+                     t.resteers, t.recoveryBubbles, t.fetchLatency,
+                     t.pcResteer, t.coreBound, t.memBound,
+                     t.memBoundL2, t.memBoundDram, t.ipc})
+        wire::putF64(buf, v);
+    wire::put64(buf, t.totalSlots);
+    wire::put64(buf, t.cycles);
 }
 
-} // namespace
+void
+getTmaResult(wire::Cursor &cur, TmaResult &t)
+{
+    for (double *v : {&t.retiring, &t.badSpeculation, &t.frontend,
+                      &t.backend, &t.machineClears,
+                      &t.branchMispredicts, &t.resteers,
+                      &t.recoveryBubbles, &t.fetchLatency,
+                      &t.pcResteer, &t.coreBound, &t.memBound,
+                      &t.memBoundL2, &t.memBoundDram, &t.ipc})
+        *v = cur.getF64();
+    t.totalSlots = cur.get64();
+    t.cycles = cur.get64();
+}
 
 std::string
 encodeSweepResult(const SweepResult &r)
@@ -65,15 +76,7 @@ encodeSweepResult(const SweepResult &r)
     put64(p, r.recoverySequences);
     putF64(p, r.overlapFraction);
 
-    const TmaResult &t = r.tma;
-    for (double v : {t.retiring, t.badSpeculation, t.frontend,
-                     t.backend, t.machineClears, t.branchMispredicts,
-                     t.resteers, t.recoveryBubbles, t.fetchLatency,
-                     t.pcResteer, t.coreBound, t.memBound,
-                     t.memBoundL2, t.memBoundDram, t.ipc})
-        putF64(p, v);
-    put64(p, t.totalSlots);
-    put64(p, t.cycles);
+    putTmaResult(p, r.tma);
 
     const TmaCounters &c = r.counters;
     for (u64 v : {c.cycles, c.retiredUops, c.issuedUops,
@@ -104,16 +107,7 @@ decodeSweepResult(const unsigned char *data, u64 size, u64 num_jobs,
     r.recoverySequences = cur.get64();
     r.overlapFraction = cur.getF64();
 
-    TmaResult &t = r.tma;
-    for (double *v : {&t.retiring, &t.badSpeculation, &t.frontend,
-                      &t.backend, &t.machineClears,
-                      &t.branchMispredicts, &t.resteers,
-                      &t.recoveryBubbles, &t.fetchLatency,
-                      &t.pcResteer, &t.coreBound, &t.memBound,
-                      &t.memBoundL2, &t.memBoundDram, &t.ipc})
-        *v = cur.getF64();
-    t.totalSlots = cur.get64();
-    t.cycles = cur.get64();
+    getTmaResult(cur, r.tma);
 
     TmaCounters &c = r.counters;
     for (u64 *v : {&c.cycles, &c.retiredUops, &c.issuedUops,

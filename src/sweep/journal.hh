@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/wire.hh"
 #include "sweep/sweep.hh"
 
 namespace icicle
@@ -51,6 +52,13 @@ u32 sweepGridHash(const std::vector<SweepJob> &jobs);
  * request key (cache).
  */
 std::string encodeSweepResult(const SweepResult &result);
+
+/**
+ * The TmaResult part of that codec, field by field in one fixed
+ * order. icicled's WindowReply frames carry a TmaResult the same way.
+ */
+void putTmaResult(std::string &buf, const TmaResult &tma);
+void getTmaResult(wire::Cursor &cur, TmaResult &tma);
 
 /**
  * Decode one encodeSweepResult() payload. Returns false (leaving

@@ -43,6 +43,24 @@ sweepCoreNames()
             "boom-large", "boom-mega",  "boom-giga"};
 }
 
+void
+checkGridNames(const GridSpec &grid, const char *coreHint)
+{
+    const std::vector<std::string> cores = sweepCoreNames();
+    for (const std::string &core : grid.cores) {
+        if (std::find(cores.begin(), cores.end(), core) == cores.end())
+            fatal("unknown core config '", core, "'", coreHint);
+    }
+    const std::vector<WorkloadInfo> &registry = allWorkloads();
+    for (const std::string &workload : grid.workloads) {
+        if (std::none_of(registry.begin(), registry.end(),
+                         [&](const WorkloadInfo &info) {
+                             return info.name == workload;
+                         }))
+            fatal("unknown workload: ", workload);
+    }
+}
+
 std::unique_ptr<Core>
 makeSweepCore(const std::string &name, CounterArch arch,
               const Program &program)

@@ -234,6 +234,16 @@ std::vector<SweepResult> runSweep(const GridSpec &grid,
 std::vector<std::string> sweepCoreNames();
 
 /**
+ * Check every core and workload `grid` names against sweepCoreNames()
+ * and the workload registry, building nothing: the up-front check
+ * icicle-sweep and icicled make before any simulation. fatal() on the
+ * first unknown core ("unknown core config 'X'" then `coreHint`),
+ * else on the first unknown workload ("unknown workload: X", as
+ * buildWorkload says).
+ */
+void checkGridNames(const GridSpec &grid, const char *coreHint = "");
+
+/**
  * Build a named core with the given counter architecture. fatal() on
  * an unknown name.
  */

@@ -417,6 +417,29 @@ TEST(CliContract, MalformedNumbersExitTwoNamingTheFlag)
               2);
 }
 
+TEST(CliSweep, UnknownCoreOrWorkloadExitsTwoNamingIt)
+{
+    // Names are checked up front, before anything is built or run.
+    const std::pair<std::string, std::string> cases[] = {
+        {" --cores rocket,no-such-core --workloads vvadd",
+         "unknown core config 'no-such-core' (try icicle-sweep --list)"},
+        {" --workloads vvadd,no-such-workload",
+         "unknown workload: no-such-workload"},
+    };
+    for (const auto &[flags, message] : cases) {
+        TempPath errs("cli_unknown_err.txt");
+        const int status =
+            std::system((std::string(ICICLE_SWEEP_BIN) + flags +
+                         " > /dev/null 2> " + quoted(errs.path))
+                            .c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << flags;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+        const std::string diag = slurp(errs.path);
+        EXPECT_NE(diag.find(message), std::string::npos)
+            << flags << ": " << diag;
+    }
+}
+
 TEST(CliSweep, ResumeGridMismatchNamesJournalAndBothHashes)
 {
     // A journal from one grid replayed against another must refuse

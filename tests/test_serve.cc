@@ -215,7 +215,6 @@ TEST(ServeProtocol, JobMessagesCarryBitExactResults)
     JobRequest request;
     request.point.core = "rocket";
     request.point.workload = "vvadd";
-    request.point.counterArch = CounterArch::AddWires;
     request.point.maxCycles = 200'000;
     request.seed = 42;
     JobRequest request_decoded;
@@ -224,10 +223,10 @@ TEST(ServeProtocol, JobMessagesCarryBitExactResults)
     EXPECT_EQ(request_decoded.point.core, request.point.core);
     EXPECT_EQ(request_decoded.point.workload,
               request.point.workload);
-    EXPECT_EQ(request_decoded.point.counterArch,
-              request.point.counterArch);
     EXPECT_EQ(request_decoded.point.maxCycles,
               request.point.maxCycles);
+    EXPECT_EQ(request_decoded.point.withTrace,
+              request.point.withTrace);
     EXPECT_EQ(request_decoded.seed, request.seed);
 
     // The reply embeds the journal result codec; the decoded result
@@ -241,102 +240,45 @@ TEST(ServeProtocol, JobMessagesCarryBitExactResults)
     EXPECT_TRUE(reply_decoded.ok);
     EXPECT_EQ(encodeSweepResult(reply_decoded.result),
               encodeSweepResult(reply.result));
-    EXPECT_TRUE(reply_decoded.moreResults.empty());
-
-    // A run job names the rest of its architectures, and its reply
-    // carries one bit-exact result per architecture, in job order.
-    JobRequest run = request;
-    run.point.counterArch = CounterArch::Scalar;
-    run.moreArchs = {CounterArch::Distributed, CounterArch::AddWires};
-    JobRequest run_decoded;
-    ASSERT_TRUE(decodeJobRequest(encodeJobRequest(run), run_decoded));
-    EXPECT_EQ(run_decoded.point.counterArch, run.point.counterArch);
-    EXPECT_EQ(run_decoded.moreArchs, run.moreArchs);
-    EXPECT_EQ(run_decoded.seed, run.seed);
-
-    // One simulation answered all three, so their bytes match; a
-    // distinct attempt count on each makes a reordering visible.
-    std::vector<SweepResult> results = simulatedRun();
-    for (u32 i = 0; i < results.size(); i++)
-        results[i].attempts = i + 1;
-    JobReply three;
-    three.ok = true;
-    three.result = results[0];
-    three.moreResults = {results[2], results[1]};
-    JobReply three_decoded;
-    ASSERT_TRUE(decodeJobReply(encodeJobReply(three), three_decoded));
-    EXPECT_TRUE(three_decoded.ok);
-    EXPECT_EQ(encodeSweepResult(three_decoded.result),
-              encodeSweepResult(three.result));
-    ASSERT_EQ(three_decoded.moreResults.size(), 2u);
-    for (size_t i = 0; i < 2; i++) {
-        EXPECT_EQ(encodeSweepResult(three_decoded.moreResults[i]),
-                  encodeSweepResult(three.moreResults[i]));
-    }
-    EXPECT_TRUE(jobReplyAnswers(run, three_decoded));
 }
 
-TEST(ServeProtocol, JobDecodersRejectBadArchListsAndMiscountedReplies)
+TEST(ServeProtocol, JobFramesNameARunAndCarryOneResult)
 {
-    // The job layout written out by hand, so each malformed variant
-    // below differs from a valid job in its arch bytes alone.
-    const auto job = [](u8 arch, std::vector<u8> more) {
-        std::string p;
-        wire::putStr(p, "rocket");
-        wire::putStr(p, "vvadd");
-        wire::put8(p, arch);
-        wire::put64(p, 200'000);
-        wire::put8(p, 0);
-        wire::put64(p, 9);
-        wire::put8(p, static_cast<u8>(more.size()));
-        for (u8 a : more)
-            wire::put8(p, a);
-        return p;
-    };
-    JobRequest valid;
-    valid.point.core = "rocket";
-    valid.point.workload = "vvadd";
-    valid.point.counterArch = CounterArch::Scalar;
-    valid.point.maxCycles = 200'000;
-    valid.seed = 9;
-    valid.moreArchs = {CounterArch::AddWires, CounterArch::Distributed};
-    ASSERT_EQ(job(0, {1, 2}), encodeJobRequest(valid));
+    // The job layout written out by hand: the run's fields and the
+    // seed, with no counter architecture.
+    std::string job;
+    wire::putStr(job, "rocket");
+    wire::putStr(job, "vvadd");
+    wire::put64(job, 200'000);
+    wire::put8(job, 0);
+    wire::put64(job, 9);
+    JobRequest request;
+    request.point.core = "rocket";
+    request.point.workload = "vvadd";
+    request.point.maxCycles = 200'000;
+    request.seed = 9;
+    ASSERT_EQ(encodeJobRequest(request), job);
 
+    // Every architecture of the run encodes to the same frame.
+    for (CounterArch arch : kAllArchs) {
+        JobRequest other = request;
+        other.point.counterArch = arch;
+        EXPECT_EQ(encodeJobRequest(other), job);
+    }
+
+    // A trailing byte is not full consumption.
     JobRequest decoded;
-    EXPECT_TRUE(decodeJobRequest(job(0, {1, 2}), decoded));
-    EXPECT_TRUE(decodeJobRequest(job(2, {}), decoded));
-    // An arch byte out of range, on the point or an extra arch.
-    EXPECT_FALSE(decodeJobRequest(job(3, {}), decoded));
-    EXPECT_FALSE(decodeJobRequest(job(0, {3}), decoded));
-    EXPECT_FALSE(decodeJobRequest(job(0, {1, 255}), decoded));
-    // A repeated arch: the point's own, or another extra one.
-    EXPECT_FALSE(decodeJobRequest(job(1, {1}), decoded));
-    EXPECT_FALSE(decodeJobRequest(job(0, {2, 2}), decoded));
-    // More archs than CounterArch has.
-    EXPECT_FALSE(decodeJobRequest(job(0, {1, 2, 0}), decoded));
-    EXPECT_FALSE(decodeJobRequest(job(0, {1, 2, 1}), decoded));
+    EXPECT_TRUE(decodeJobRequest(job, decoded));
+    EXPECT_FALSE(decodeJobRequest(job + '\0', decoded));
 
-    // A reply can carry no more results than there are archs.
-    const std::vector<SweepResult> results = simulatedRun();
+    // A reply carries exactly one result: one more is rejected.
     JobReply reply;
     reply.ok = true;
-    reply.result = results[0];
-    reply.moreResults = {results[1], results[2], results[2]};
+    reply.result = simulatedResult();
+    std::string two = encodeJobReply(reply);
+    wire::putStr(two, encodeSweepResult(reply.result));
     JobReply reply_decoded;
-    EXPECT_FALSE(decodeJobReply(encodeJobReply(reply), reply_decoded));
-
-    // An ok reply must answer every point of its job; the daemon
-    // treats one that does not as a failed worker. An error reply
-    // carries no results.
-    reply.moreResults = {results[1]};
-    EXPECT_FALSE(jobReplyAnswers(valid, reply));
-    reply.moreResults.clear();
-    EXPECT_FALSE(jobReplyAnswers(valid, reply));
-    reply.moreResults = {results[1], results[2]};
-    EXPECT_TRUE(jobReplyAnswers(valid, reply));
-    JobReply failed;
-    failed.error = "simulator failed";
-    EXPECT_TRUE(jobReplyAnswers(valid, failed));
+    EXPECT_FALSE(decodeJobReply(two, reply_decoded));
 }
 
 TEST(ServeProtocol, TruncatedPayloadsNeverDecode)
@@ -356,37 +298,26 @@ TEST(ServeProtocol, TruncatedPayloadsNeverDecode)
             << "prefix of length " << len << " decoded";
     }
 
-    JobRequest one;
-    one.point.core = "rocket";
-    one.point.workload = "vvadd";
-    one.seed = 3;
-    JobRequest run = one;
-    run.point.counterArch = CounterArch::Scalar;
-    run.moreArchs = {CounterArch::AddWires, CounterArch::Distributed};
-    for (const JobRequest &request : {one, run}) {
-        const std::string request_bytes = encodeJobRequest(request);
-        for (size_t len = 0; len < request_bytes.size(); len++) {
-            JobRequest decoded;
-            EXPECT_FALSE(decodeJobRequest(request_bytes.substr(0, len),
-                                          decoded))
-                << "prefix of length " << len << " decoded";
-        }
+    JobRequest request;
+    request.point.core = "rocket";
+    request.point.workload = "vvadd";
+    request.seed = 3;
+    const std::string request_bytes = encodeJobRequest(request);
+    for (size_t len = 0; len < request_bytes.size(); len++) {
+        JobRequest decoded;
+        EXPECT_FALSE(
+            decodeJobRequest(request_bytes.substr(0, len), decoded))
+            << "prefix of length " << len << " decoded";
     }
 
-    const std::vector<SweepResult> results = simulatedRun();
     JobReply reply;
     reply.ok = true;
-    reply.result = results[0];
-    JobReply three = reply;
-    three.moreResults = {results[1], results[2]};
-    for (const JobReply &candidate : {reply, three}) {
-        const std::string reply_bytes = encodeJobReply(candidate);
-        for (size_t len = 0; len < reply_bytes.size(); len++) {
-            JobReply decoded;
-            EXPECT_FALSE(
-                decodeJobReply(reply_bytes.substr(0, len), decoded))
-                << "prefix of length " << len << " decoded";
-        }
+    reply.result = simulatedResult();
+    const std::string reply_bytes = encodeJobReply(reply);
+    for (size_t len = 0; len < reply_bytes.size(); len++) {
+        JobReply decoded;
+        EXPECT_FALSE(decodeJobReply(reply_bytes.substr(0, len), decoded))
+            << "prefix of length " << len << " decoded";
     }
 }
 
@@ -477,7 +408,8 @@ TEST(ServeCache, KeyIsDeterministicAndCoversEveryAxis)
     EXPECT_EQ(serveCacheKey(point, 7).blob, key.blob);
 
     // Every field that can change the result must change the blob
-    // (the authoritative identity) and, in practice, the hash.
+    // (the authoritative identity) and, in practice, the hash. The
+    // counter architecture cannot: the key names the run.
     const auto differs = [&](const SweepPoint &p, u64 seed) {
         const ServeKey other = serveCacheKey(p, seed);
         EXPECT_NE(other.blob, key.blob);
@@ -491,7 +423,7 @@ TEST(ServeCache, KeyIsDeterministicAndCoversEveryAxis)
     differs(other, 7);
     other = point;
     other.counterArch = CounterArch::Distributed;
-    differs(other, 7);
+    EXPECT_EQ(serveCacheKey(other, 7).blob, key.blob);
     other = point;
     other.maxCycles = 2'000'000;
     differs(other, 7);
@@ -503,10 +435,10 @@ TEST(ServeCache, KeyIsDeterministicAndCoversEveryAxis)
 
 TEST(ServeCache, EveryArchOfARunRoutesToOneShard)
 {
-    // The daemon fills a run's missing archs from one job under one
-    // flight keyed by the run hash, which also picks the preferred
-    // worker, so the hash must ignore the arch — for every core
-    // config, workload and seed — while distinct runs still spread.
+    // A run is one cache entry, one flight and one job, and its key's
+    // hash picks the preferred worker, so every architecture must
+    // derive the same key — for every core config, workload and seed
+    // — while distinct runs still spread.
     const std::vector<std::string> cores = sweepCoreNames();
     ASSERT_EQ(cores.size(), 6u);
     std::set<u64> runs;
@@ -519,19 +451,16 @@ TEST(ServeCache, EveryArchOfARunRoutesToOneShard)
                 point.core = core;
                 point.workload = workload;
                 point.maxCycles = 400'000;
-                point.counterArch = CounterArch::Scalar;
-                const u64 run = serveRunHash(point, seed);
+                const ServeKey run = serveCacheKey(point, seed);
                 for (CounterArch arch : kAllArchs) {
                     point.counterArch = arch;
-                    for (u64 shards : {2u, 3u, 4u}) {
-                        EXPECT_EQ(serveRunHash(point, seed) % shards,
-                                  run % shards)
-                            << sweepPointLabel(point) << " seed "
-                            << seed;
-                    }
+                    const ServeKey key = serveCacheKey(point, seed);
+                    EXPECT_EQ(key.blob, run.blob)
+                        << sweepPointLabel(point) << " seed " << seed;
+                    EXPECT_EQ(key.hash, run.hash);
                 }
-                runs.insert(run);
-                shards_hit.insert(run % 4);
+                runs.insert(run.hash);
+                shards_hit.insert(run.hash % 4);
             }
         }
     }
@@ -650,6 +579,28 @@ TEST(ServePool, WedgedWorkerIsKilledNotWaitedOn)
     EXPECT_EQ(pool.restarts(), 1u);
 }
 
+TEST(ServePool, RunReplyFailsWhenArchitecturesDisagree)
+{
+    // One simulation answers every architecture, so their encoded
+    // results are equal and the reply carries that one result.
+    JobRequest request;
+    request.point.core = "rocket";
+    request.point.workload = "vvadd";
+    std::vector<SweepResult> results = simulatedRun();
+    const JobReply shared = runReply(request, results);
+    ASSERT_TRUE(shared.ok) << shared.error;
+    EXPECT_EQ(encodeSweepResult(shared.result),
+              encodeSweepResult(results[0]));
+
+    // One field of one architecture off (as an in-band counter read
+    // could make it) fails the job, naming the run.
+    results[2].counters.retiredUops++;
+    const JobReply split = runReply(request, results);
+    EXPECT_FALSE(split.ok);
+    EXPECT_NE(split.error.find("rocket/vvadd"), std::string::npos)
+        << split.error;
+}
+
 TEST(ServeEndToEnd, LiveSocketIsRefusedStaleSocketReclaimed)
 {
     TempDir dir("serve_socket_guard");
@@ -737,10 +688,28 @@ TEST(ServeEndToEnd, CachedRepliesAreByteIdentical)
         EXPECT_NE(stats.find("cache_entries: 4"), std::string::npos)
             << stats;
 
-        // Invalid requests get an Error reply, not a dead daemon.
+        // Invalid requests get an Error reply naming the unknown
+        // value, not a dead daemon or a grid of Failed rows.
+        const auto error_of = [&](const SweepQuery &bad) {
+            try {
+                client.sweep(bad);
+            } catch (const FatalError &err) {
+                return std::string(err.what());
+            }
+            return std::string("answered");
+        };
         SweepQuery bad = query;
-        bad.workloads = {"no-such-workload"};
-        EXPECT_THROW(client.sweep(bad), FatalError);
+        bad.cores = {"rocket", "no-such-core"};
+        std::string error = error_of(bad);
+        EXPECT_NE(error.find("unknown core config 'no-such-core'"),
+                  std::string::npos)
+            << error;
+        bad = query;
+        bad.workloads = {"vvadd", "no-such-workload"};
+        error = error_of(bad);
+        EXPECT_NE(error.find("unknown workload: no-such-workload"),
+                  std::string::npos)
+            << error;
     }
     {
         // The daemon survived the error; a fresh client still works.
@@ -814,7 +783,8 @@ TEST(ServeEndToEnd, ColdRunsFillEveryArchFromOneWorkerJob)
     std::string stats = client.stats();
     EXPECT_EQ(statsValue(stats, "worker_jobs"), 2u) << stats;
     EXPECT_EQ(statsValue(stats, "jobs_simulated"), 6u) << stats;
-    EXPECT_EQ(statsValue(stats, "cache_entries"), 6u) << stats;
+    // One entry per run, not per point.
+    EXPECT_EQ(statsValue(stats, "cache_entries"), 2u) << stats;
 
     const SweepReply warm = client.sweep(query);
     EXPECT_EQ(warm.cacheHits, 6u);
@@ -824,9 +794,9 @@ TEST(ServeEndToEnd, ColdRunsFillEveryArchFromOneWorkerJob)
     EXPECT_EQ(statsValue(stats, "worker_jobs"), 2u) << stats;
 }
 
-TEST(ServeEndToEnd, PartlyCachedRunSendsOnlyItsMissesInOneJob)
+TEST(ServeEndToEnd, SingleArchMissFillsItsWholeRun)
 {
-    TempDir dir("serve_runs_partial");
+    TempDir dir("serve_runs_single_arch");
     const std::string socket = dir.path + "/icicled.sock";
     LiveDaemon daemon(socket, dir.path + "/cache");
     ServeClient client(socket);
@@ -838,18 +808,21 @@ TEST(ServeEndToEnd, PartlyCachedRunSendsOnlyItsMissesInOneJob)
     query.maxCycles = 200'000;
     query.format = "csv";
     EXPECT_EQ(client.sweep(query).simulated, 1u);
-    EXPECT_EQ(statsValue(client.stats(), "worker_jobs"), 1u);
+    std::string stats = client.stats();
+    EXPECT_EQ(statsValue(stats, "worker_jobs"), 1u) << stats;
+    EXPECT_EQ(statsValue(stats, "cache_entries"), 1u) << stats;
 
-    // The cached arch sits between the two missing ones: the job
-    // carries scalar and distributed, and its results land in their
-    // own rows.
+    // The one-arch miss filled the run: every architecture now hits,
+    // with each row its own, and no job is sent.
     query.archs = {std::begin(kAllArchs), std::end(kAllArchs)};
     const SweepReply reply = client.sweep(query);
-    EXPECT_EQ(reply.cacheHits, 1u);
-    EXPECT_EQ(reply.simulated, 2u);
+    EXPECT_EQ(reply.cacheHits, 3u);
+    EXPECT_EQ(reply.simulated, 0u);
     EXPECT_TRUE(reply.allOk);
     EXPECT_EQ(reply.report, directCsv(query));
-    EXPECT_EQ(statsValue(client.stats(), "worker_jobs"), 2u);
+    stats = client.stats();
+    EXPECT_EQ(statsValue(stats, "worker_jobs"), 1u) << stats;
+    EXPECT_EQ(statsValue(stats, "cache_entries"), 1u) << stats;
 }
 
 TEST(ServeEndToEnd, RunFillsWriteTheCacheBytesOfArchByArchFills)
@@ -874,13 +847,16 @@ TEST(ServeEndToEnd, RunFillsWriteTheCacheBytesOfArchByArchFills)
             one.archs = {arch};
             client.sweep(one);
         }
+        EXPECT_EQ(statsValue(client.stats(), "worker_jobs"), 2u);
     }
+    // One entry per run either way: the first one-arch query fills
+    // both runs, and the other two hit.
     const auto by_run = cacheFiles(dir.path + "/runs");
-    EXPECT_EQ(by_run.size(), 6u);
+    EXPECT_EQ(by_run.size(), 2u);
     EXPECT_TRUE(by_run == cacheFiles(dir.path + "/archs"));
 }
 
-/** The first point of `query`'s grid: its run's serveRunHash. */
+/** The first point of `query`'s grid, which names its first run. */
 SweepPoint
 firstPoint(const SweepQuery &query)
 {
@@ -899,7 +875,7 @@ TEST(ServeEndToEnd, ConcurrentClientsOfOneColdRunShareOneFlight)
     // stall (hang@job, armed before the fork so the workers inherit
     // it) and then a 1.6M-cycle simulation. One worker job fills the
     // run; the other three requests wait on the leader's flight, then
-    // find its published entries.
+    // find its published entry.
     TempDir dir("serve_flight");
     setFaultSpec("hang@job#0");
     ServerOptions options;
@@ -960,8 +936,10 @@ TEST(ServeEndToEnd, ColdRunTakesAnIdleWorkerWhenItsPreferredOneIsBusy)
     quick.cores = {"rocket"};
     quick.workloads = {"vvadd"};
     quick.maxCycles = 20'000;
-    const u64 preferred = serveRunHash(firstPoint(slow), slow.seed) % 2;
-    while (serveRunHash(firstPoint(quick), quick.seed) % 2 != preferred)
+    const u64 preferred =
+        serveCacheKey(firstPoint(slow), slow.seed).hash % 2;
+    while (serveCacheKey(firstPoint(quick), quick.seed).hash % 2 !=
+           preferred)
         quick.seed++;
 
     std::atomic<bool> slow_done{false};
@@ -1024,6 +1002,52 @@ TEST(ServeEndToEnd, ZeroWidthWindowIsAnErrorAndTheDaemonKeepsServing)
         client.shutdown();
     }
     daemon.join();
+}
+
+/** A TMA result's wire bytes, without the reader's decode count. */
+std::string
+tmaBytes(const TmaResult &tma)
+{
+    WindowReply reply;
+    reply.tma = tma;
+    return encodeWindowReply(reply);
+}
+
+TEST(ServeEndToEnd, WindowQueriesFollowAStoreReplacedAtItsPath)
+{
+    // Regression: the daemon kept its first reader of a path forever.
+    // Store writers replace files by rename, so after a new capture
+    // to the same path it went on answering from the old file.
+    TempDir dir("serve_replaced_store");
+    const std::string store = dir.path + "/run.icst";
+    const auto capture = [&](const char *workload) {
+        std::unique_ptr<Core> core = makeSweepCore(
+            "rocket", CounterArch::AddWires, buildWorkload(workload));
+        streamTraceToStore(*core, TraceSpec::tmaBundle(*core), 20'000,
+                           store, 4096);
+    };
+    WindowQuery query;
+    query.storePath = store;
+    query.begin = 1'000;
+    query.end = 10'000;
+    query.coreWidth = 1;
+    const auto direct = [&] {
+        return tmaBytes(StoreReader(store).windowTma(
+            query.begin, query.end, query.coreWidth));
+    };
+
+    const std::string socket = dir.path + "/icicled.sock";
+    LiveDaemon daemon(socket, dir.path + "/cache");
+    ServeClient client(socket);
+    capture("vvadd");
+    const std::string first = direct();
+    EXPECT_EQ(tmaBytes(client.windowTma(query).tma), first);
+    capture("towers");
+    const std::string second = direct();
+    ASSERT_NE(second, first);
+    EXPECT_EQ(tmaBytes(client.windowTma(query).tma), second);
+    // The new reader is kept while the file stays the same.
+    EXPECT_EQ(tmaBytes(client.windowTma(query).tma), second);
 }
 
 /**
@@ -1221,17 +1245,17 @@ TEST(ServeEndToEnd, PersistentPublishFailureDegradesToComputeOnly)
     ServeClient client(options.socketPath);
     SweepQuery query;
     query.cores = {"rocket"};
-    query.workloads = {"vvadd"};
+    query.workloads = {"vvadd", "towers", "qsort"};
     query.archs = {std::begin(kAllArchs), std::end(kAllArchs)};
     query.maxCycles = 200'000;
     query.format = "csv";
 
-    // All three publishes fail: the requests still succeed (the
-    // computed result in hand is correct), and strike three flips
-    // degraded.
+    // All three runs' publishes fail: the request still succeeds
+    // (the computed results in hand are correct), and strike three
+    // flips degraded.
     const SweepReply cold = client.sweep(query);
     EXPECT_TRUE(cold.allOk);
-    EXPECT_EQ(cold.simulated, 3u);
+    EXPECT_EQ(cold.simulated, 9u);
     EXPECT_TRUE(server.isDegraded());
 
     // Degraded = compute-only: the same grid misses and
@@ -1239,13 +1263,14 @@ TEST(ServeEndToEnd, PersistentPublishFailureDegradesToComputeOnly)
     const SweepReply again = client.sweep(query);
     EXPECT_TRUE(again.allOk);
     EXPECT_EQ(again.cacheHits, 0u);
-    EXPECT_EQ(again.simulated, 3u);
+    EXPECT_EQ(again.simulated, 9u);
     EXPECT_EQ(again.report, cold.report);
 
     const std::string stats = client.stats();
-    EXPECT_GE(statsValue(stats, "publish_failures"), 3u);
+    EXPECT_EQ(statsValue(stats, "publish_failures"), 3u);
     EXPECT_EQ(statsValue(stats, "degraded"), 1u);
-    EXPECT_GE(statsValue(stats, "degraded_points"), 3u);
+    // Every point of the second request, three runs of three.
+    EXPECT_EQ(statsValue(stats, "degraded_points"), 9u);
     setFaultSpec("");
     client.shutdown();
     daemon.join();

@@ -4,7 +4,7 @@
  *
  *   $ icicled serve --socket /tmp/ic.sock &
  *   $ icicle-bench-serve --socket /tmp/ic.sock --clients 6 \
- *       --requests 30
+ *       --requests 200
  *
  * Drives N concurrent clients over a mixed hot/cold key
  * distribution: hot keys are a small fixed set of (workload, seed)

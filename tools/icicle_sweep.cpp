@@ -292,11 +292,7 @@ main(int argc, char **argv)
 
         // Validate axis values up front: a typo should be a usage
         // error before any simulation starts, not N failed rows.
-        for (const std::string &core : grid.cores)
-            makeSweepCore(core, CounterArch::AddWires,
-                          buildWorkload(grid.workloads[0]));
-        for (const std::string &workload : grid.workloads)
-            buildWorkload(workload);
+        checkGridNames(grid, " (try icicle-sweep --list)");
 
         if (progress) {
             options.onResult = [](const SweepResult &r) {
