@@ -239,6 +239,7 @@ BoomCore::stageCommit()
         ICICLE_ASSERT(!head.uop.wrongPath(),
                       "wrong-path uop reached commit");
 
+        active = true;
         events.raise(EventId::UopsRetired, lane);
         events.raise(EventId::InstRetired, lane);
 
@@ -290,11 +291,13 @@ BoomCore::stageCommit()
 void
 BoomCore::stageComplete()
 {
-    mshrs.drain(now);
+    if (mshrs.drain(now))
+        active = true;
     while (!completions.empty() && completions.top().at <= now) {
         const u64 seq = completions.top().seqSlot >> 16;
         const u32 slot = completions.top().seqSlot & 0xffff;
         completions.pop();
+        active = true;
         RobEntry *entry = findBySeq({seq, slot});
         if (!entry || entry->state != RobState::Issued) {
             continue; // squashed
@@ -337,8 +340,10 @@ BoomCore::stageIssue()
         for (u64 pos = 0; pos < iq.size(); pos++) {
             const SeqSlot handle = iq[pos];
             RobEntry *entry = findBySeq(handle);
-            if (!entry || entry->state != RobState::InQueue)
+            if (!entry || entry->state != RobState::InQueue) {
+                active = true;
                 continue; // squashed: drop
+            }
             if (issued_here >= cfg.issueWidth[q] ||
                 !sourcesReady(*entry)) {
                 iq[keep++] = handle;
@@ -366,13 +371,7 @@ BoomCore::stageIssue()
                 const Addr addr = uop.ret.memAddr;
                 // Address translation happens before the cache access
                 // on either path below.
-                const TlbResult translation = mem.tlbs().data(addr);
-                if (!translation.l1Hit) {
-                    events.raise(EventId::DTlbMiss);
-                    if (!translation.l2Hit)
-                        events.raise(EventId::L2TlbMiss);
-                }
-                const u32 xlat = translation.latency;
+                const u32 xlat = translateData(addr).latency;
                 // Memory dependence: loads the store-set predictor has
                 // flagged wait until all older stores have issued.
                 bool older_store_conflict = false;
@@ -428,12 +427,7 @@ BoomCore::stageIssue()
               }
               case InstClass::Store: {
                 const Addr addr = uop.ret.memAddr;
-                const TlbResult translation = mem.tlbs().data(addr);
-                if (!translation.l1Hit) {
-                    events.raise(EventId::DTlbMiss);
-                    if (!translation.l2Hit)
-                        events.raise(EventId::L2TlbMiss);
-                }
+                const TlbResult translation = translateData(addr);
                 const u64 block = mem.l1d().blockAddr(addr);
                 if (!mshrs.pending(block) && !mem.l1d().probe(addr)) {
                     if (mshrs.full()) {
@@ -480,6 +474,7 @@ BoomCore::stageIssue()
                 continue;
             }
 
+            active = true;
             entry->state = RobState::Issued;
             completions.push(
                 Completion{done_at, handle.seq << 16 | handle.slot});
@@ -597,6 +592,8 @@ BoomCore::stageDispatch()
         accepted++;
     }
 
+    if (accepted > 0)
+        active = true;
     if (accepted > 0 || !backpressured)
         events.raise(EventId::IBufReady);
 
@@ -680,7 +677,10 @@ void
 BoomCore::stageFetch()
 {
     if (redirectWait > 0) {
-        redirectWait--;
+        // The tick that ends the countdown ends any idle span: the
+        // next one fetches.
+        if (--redirectWait == 0)
+            active = true;
         if (recovering)
             events.raise(EventId::Recovering);
         return;
@@ -703,8 +703,12 @@ BoomCore::stageFetch()
     }
 
     for (u32 slot = 0; slot < cfg.fetchWidth; slot++) {
-        if (fetchBuffer.size() >= cfg.fetchBufferEntries)
+        if (fetchBuffer.size() >= cfg.fetchBufferEntries ||
+            (!wrongPathMode && replayQueue.empty() && streamDone))
             break;
+        // Every fetch step from here changes state: it steps the
+        // executor, accesses the I$ or fills a buffer slot.
+        active = true;
 
         Addr fetch_pc;
         bool from_replay = false;
@@ -714,8 +718,6 @@ BoomCore::stageFetch()
             fetch_pc = replayQueue.peekFront().ret.pc;
             from_replay = true;
         } else {
-            if (streamDone)
-                break;
             if (!streamValid) {
                 if (exec.halted()) {
                     streamDone = true;
@@ -802,19 +804,25 @@ BoomCore::stageFetch()
 
 // -------------------------------------------------------------- tick
 
-void
-BoomCore::tick()
+TlbResult
+BoomCore::translateData(Addr addr)
 {
-    events.clear();
-    events.raise(EventId::Cycles);
+    // A lookup updates the TLBs' LRU state whenever they are on, so it
+    // counts as activity even when the access then cannot issue.
+    if (cfg.mem.tlb.enabled)
+        active = true;
+    const TlbResult translation = mem.tlbs().data(addr);
+    if (!translation.l1Hit) {
+        events.raise(EventId::DTlbMiss);
+        if (!translation.l2Hit)
+            events.raise(EventId::L2TlbMiss);
+    }
+    return translation;
+}
 
-    stageCommit();
-    stageComplete();
-    stageIssue();
-    stageDispatch();
-    stageFetch();
-
-    csrs.tick(events);
+void
+BoomCore::account(u64 cycles)
+{
     // Only events raised this cycle can change a total. Bits are
     // counted one by one: std::popcount is a library call on baseline x86-64.
     u64 dirty = events.dirty();
@@ -823,12 +831,65 @@ BoomCore::tick()
         dirty &= dirty - 1;
         u16 bits = events.mask(static_cast<EventId>(e));
         while (bits) {
-            laneTotals[e][std::countr_zero(bits)]++;
-            totals[e]++;
+            laneTotals[e][std::countr_zero(bits)] += cycles;
+            totals[e] += cycles;
             bits &= bits - 1;
         }
     }
+}
+
+void
+BoomCore::tick()
+{
+    events.clear();
+    events.raise(EventId::Cycles);
+    active = false;
+
+    stageCommit();
+    stageComplete();
+    stageIssue();
+    stageDispatch();
+    stageFetch();
+
+    csrs.tick(events);
+    account(1);
     now++;
+}
+
+u64
+BoomCore::idleCycles() const
+{
+    // A timer before the new `now` has already had its effect; one at
+    // it changes the very next tick.
+    Cycle wake = ~0ull;
+    const auto consider = [this, &wake](Cycle at) {
+        if (at >= now && at < wake)
+            wake = at;
+    };
+    if (!completions.empty())
+        consider(completions.top().at);
+    consider(mshrs.nextReady());
+    consider(icacheReadyAt);
+    consider(divBusyUntil);
+    if (redirectWait > 0)
+        consider(now + redirectWait);
+    return wake - now;
+}
+
+u64
+BoomCore::tickSpan(u64 budget)
+{
+    tick();
+    if (active || budget == 1)
+        return 1;
+    const u64 skipped = std::min(idleCycles(), budget - 1);
+    if (skipped > 0) {
+        csrs.tick(events, skipped);
+        account(skipped);
+        now += skipped;
+        redirectWait -= static_cast<u32>(std::min<u64>(redirectWait, skipped));
+    }
+    return 1 + skipped;
 }
 
 u64

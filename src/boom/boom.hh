@@ -93,8 +93,10 @@ class BoomCore final : public Core
 
     /**
      * Batch tick loop with a statically-dispatched per-cycle hook:
-     * the class is final, so tick() devirtualizes and the hook
-     * inlines — no per-cycle virtual or std::function dispatch.
+     * the class is final, so the hook inlines — no per-cycle virtual
+     * or std::function dispatch. Each step is one tick plus, when
+     * that tick was idle, the identical cycles tickSpan() skips; the
+     * hook gets them through deliverSpan().
      */
     template <typename F>
     u64
@@ -102,9 +104,10 @@ class BoomCore final : public Core
     {
         u64 simulated = 0;
         while (!halted && simulated < max_cycles) {
-            tick();
-            on_cycle(now - 1, events);
-            simulated++;
+            const Cycle first = now;
+            const u64 count = tickSpan(max_cycles - simulated);
+            deliverSpan(on_cycle, first, events, count);
+            simulated += count;
         }
         return simulated;
     }
@@ -207,6 +210,25 @@ class BoomCore final : public Core
     void stageDispatch();
     void stageFetch();
 
+    /**
+     * Tick once. If the tick changed nothing but timers, every cycle
+     * before the next timer fires repeats it exactly: account up to
+     * budget - 1 of them at once. Returns the cycles simulated (at
+     * least 1, at most budget).
+     */
+    u64 tickSpan(u64 budget);
+
+    /**
+     * Cycles after an idle tick before the earliest timer can change
+     * what a tick does: the completion-heap top, the earliest MSHR
+     * fill, icacheReadyAt, divBusyUntil and the redirect countdown.
+     */
+    u64 idleCycles() const;
+    /** Account `cycles` more cycles with the current bus. */
+    void account(u64 cycles);
+    /** Data-TLB lookup for a load or store, raising its miss events. */
+    TlbResult translateData(Addr addr);
+
     void predictControlFlow(PipeUop &uop);
     /** Squash all uops with seq >= first_bad; optionally replay. */
     void flushFrom(u64 first_bad, bool replay);
@@ -229,6 +251,13 @@ class BoomCore final : public Core
 
     Cycle now = 0;
     bool halted = false;
+    /**
+     * This tick changed state besides a countdown, or ended the
+     * redirect countdown: a commit, a completion pop or MSHR free, an
+     * issue or squashed-entry drop, a dispatch, a fetch step, or a
+     * TLB lookup while the TLBs are on.
+     */
+    bool active = false;
     u64 nextSeq = 1;
 
     // ---- frontend ----

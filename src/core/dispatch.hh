@@ -26,7 +26,10 @@ namespace icicle
 /**
  * Run `core` for up to max_cycles with an inlined per-cycle hook.
  * Only the two shipped models run here: any other Core subclass is a
- * fatal error, so there is one per-cycle dispatch path.
+ * fatal error, so there is one per-cycle dispatch path. A hook also
+ * callable as (first, bus, count) gets each idle span in one call;
+ * a (cycle, bus) hook gets one call per cycle, and the calls for a
+ * span see the core's state at its end (see Core::run).
  */
 template <typename F>
 u64

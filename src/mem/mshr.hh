@@ -50,18 +50,37 @@ class MshrFile
         return true;
     }
 
-    /** Retire every entry whose refill has arrived by now. */
-    void
+    /**
+     * Retire every entry whose refill has arrived by now. Returns
+     * whether any did.
+     */
+    bool
     drain(Cycle now)
     {
         if (numValid == 0)
-            return;
+            return false;
+        const u32 before = numValid;
         for (Mshr &mshr : entries) {
             if (mshr.valid && mshr.readyCycle <= now) {
                 mshr.valid = false;
                 numValid--;
             }
         }
+        return numValid != before;
+    }
+
+    /** Earliest refill arrival among the entries (~0 when none). */
+    Cycle
+    nextReady() const
+    {
+        Cycle earliest = ~0ull;
+        if (numValid == 0)
+            return earliest;
+        for (const Mshr &mshr : entries) {
+            if (mshr.valid && mshr.readyCycle < earliest)
+                earliest = mshr.readyCycle;
+        }
+        return earliest;
     }
 
     /** Is a miss for this block in flight? */

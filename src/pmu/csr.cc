@@ -167,6 +167,15 @@ CsrFile::tickHpmMasked(Hpm &hpm, u64 high)
     }
 }
 
+u32
+CsrFile::liveCounters() const
+{
+    u32 live = configuredMask;
+    if (!ICICLE_MUTANT(InhibitRace))
+        live &= ~static_cast<u32>(inhibitMask >> 3);
+    return live;
+}
+
 void
 CsrFile::tick(const EventBus &bus)
 {
@@ -176,14 +185,22 @@ CsrFile::tick(const EventBus &bus)
         minstretValue += bus.count(EventId::InstRetired);
     // Unconfigured counters are no-ops in tickHpm, so the per-cycle
     // loop only visits counters that are both configured and live.
-    u32 live = configuredMask;
-    if (!ICICLE_MUTANT(InhibitRace))
-        live &= ~static_cast<u32>(inhibitMask >> 3);
-    while (live) {
-        const u32 i = static_cast<u32>(std::countr_zero(live));
-        tickHpm(hpms[i], bus);
-        live &= live - 1;
+    for (u32 live = liveCounters(); live; live &= live - 1)
+        tickHpm(hpms[std::countr_zero(live)], bus);
+}
+
+void
+CsrFile::tick(const EventBus &bus, u64 cycles)
+{
+    if (liveCounters()) {
+        for (u64 c = 0; c < cycles; c++)
+            tick(bus);
+        return;
     }
+    if (!(inhibitMask & 1ull))
+        mcycleValue += cycles;
+    if (!(inhibitMask & 4ull))
+        minstretValue += cycles * bus.count(EventId::InstRetired);
 }
 
 u64

@@ -98,6 +98,12 @@ class CsrFile : public CsrBackend
 
     /** Advance one cycle: sample the bus into every active counter. */
     void tick(const EventBus &bus);
+    /**
+     * Advance `cycles` cycles that all carry this bus: equal to that
+     * many tick(bus) calls. Closed-form for mcycle and minstret when
+     * no programmable counter is live, one tick per cycle otherwise.
+     */
+    void tick(const EventBus &bus, u64 cycles);
 
     // CsrBackend interface (in-band software access).
     u64 readCsr(u32 addr) override;
@@ -199,6 +205,8 @@ class CsrFile : public CsrBackend
 
     void decodeSelector(Hpm &hpm, u64 value);
     void recomputeConfigured();
+    /** Counters that are both configured and not inhibited. */
+    u32 liveCounters() const;
     void tickHpm(Hpm &hpm, const EventBus &bus);
     void tickHpmMasked(Hpm &hpm, u64 high);
     /** readCsr() of counter `index`: latches configuredRead. */

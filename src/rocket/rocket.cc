@@ -1,5 +1,6 @@
 #include "rocket/rocket.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -129,7 +130,10 @@ void
 RocketCore::tickFrontend()
 {
     if (redirectWait > 0) {
-        redirectWait--;
+        // The tick that ends the countdown ends any idle span: the
+        // next one fetches.
+        if (--redirectWait == 0)
+            active = true;
         if (recovering)
             events.raise(EventId::Recovering);
         return;
@@ -154,6 +158,9 @@ RocketCore::tickFrontend()
             break;
         if (!wrongPathMode && streamDone)
             break;
+        // Every fetch step from here changes state: it steps the
+        // executor, accesses the I$ or fills a buffer slot.
+        active = true;
 
         Addr fetch_pc;
         if (wrongPathMode) {
@@ -306,6 +313,7 @@ RocketCore::tickBackend()
         // --- issue --------------------------------------------------
         if (!stall) {
             issued = true;
+            active = true;
             events.raise(EventId::InstIssued);
             // Copy by construction (see pipebuf.hh): the entry is
             // popped here and used below (the PR 1 ASan bug class is
@@ -451,6 +459,7 @@ RocketCore::tickBackend()
 
     // --- mispredict resolution (end of execute stage) ---------------
     if (resolvePending && resolveAt <= now) {
+        active = true;
         resolvePending = false;
         events.raise(EventId::BranchMispredict);
         if (resolveTargetMispredict)
@@ -467,15 +476,8 @@ RocketCore::tickBackend()
 }
 
 void
-RocketCore::tick()
+RocketCore::account(u64 cycles)
 {
-    events.clear();
-    events.raise(EventId::Cycles);
-
-    tickBackend();
-    tickFrontend();
-
-    csrs.tick(events);
     // Only events raised this cycle can change a total. Bits are
     // counted one by one: std::popcount is a library call on baseline x86-64.
     u64 dirty = events.dirty();
@@ -483,10 +485,68 @@ RocketCore::tick()
         const u32 e = static_cast<u32>(std::countr_zero(dirty));
         for (u16 bits = events.mask(static_cast<EventId>(e)); bits;
              bits &= bits - 1)
-            totals[e]++;
+            totals[e] += cycles;
         dirty &= dirty - 1;
     }
+}
+
+void
+RocketCore::tick()
+{
+    events.clear();
+    events.raise(EventId::Cycles);
+    active = false;
+
+    tickBackend();
+    tickFrontend();
+
+    csrs.tick(events);
+    account(1);
     now++;
+}
+
+u64
+RocketCore::idleCycles() const
+{
+    // A timer before the new `now` has already had its effect; one at
+    // it changes the very next tick.
+    Cycle wake = ~0ull;
+    const auto consider = [this, &wake](Cycle at) {
+        if (at >= now && at < wake)
+            wake = at;
+    };
+    consider(icacheReadyAt);
+    consider(serializeUntil);
+    consider(dcacheReadyAt);
+    consider(divBusyUntil);
+    if (resolvePending)
+        consider(resolveAt);
+    if (redirectWait > 0)
+        consider(now + redirectWait);
+    if (!ibuf.empty() && !ibuf.peekFront().wrongPath()) {
+        const DecodedInst &inst = ibuf.peekFront().ret.inst;
+        if (readsRs1(inst.op) && inst.rs1)
+            consider(regReady[inst.rs1]);
+        if (readsRs2(inst.op) && inst.rs2)
+            consider(regReady[inst.rs2]);
+    }
+    return wake - now;
+}
+
+u64
+RocketCore::tickSpan(u64 budget)
+{
+    tick();
+    if (active || budget == 1)
+        return 1;
+    const u64 skipped = std::min(idleCycles(), budget - 1);
+    if (skipped > 0) {
+        csrs.tick(events, skipped);
+        account(skipped);
+        now += skipped;
+        redirectWait -= static_cast<u32>(std::min<u64>(redirectWait, skipped));
+    }
+    return 1 + skipped;
 }
 
 u64

@@ -73,9 +73,11 @@ class RocketCore final : public Core
 
     /**
      * Batch tick loop with a statically-dispatched per-cycle hook:
-     * the class is final, so tick() devirtualizes and the hook
-     * inlines — no per-cycle virtual or std::function dispatch.
-     * run() and the Session/tracer paths route through this.
+     * the class is final, so the hook inlines — no per-cycle virtual
+     * or std::function dispatch. run() and the Session/tracer paths
+     * route through this. Each step is one tick plus, when that tick
+     * was idle, the identical cycles tickSpan() skips; the hook gets
+     * them through deliverSpan().
      */
     template <typename F>
     u64
@@ -83,9 +85,10 @@ class RocketCore final : public Core
     {
         u64 simulated = 0;
         while (!halted && simulated < max_cycles) {
-            tick();
-            on_cycle(now - 1, events);
-            simulated++;
+            const Cycle first = now;
+            const u64 count = tickSpan(max_cycles - simulated);
+            deliverSpan(on_cycle, first, events, count);
+            simulated += count;
         }
         return simulated;
     }
@@ -115,6 +118,23 @@ class RocketCore final : public Core
     /** Fetch-time prediction for a control-flow instruction. */
     void predictControlFlow(PipeUop &entry);
     void raiseRetireClassEvents(const Retired &ret);
+    /**
+     * Tick once. If the tick changed nothing but timers, every cycle
+     * before the next timer fires repeats it exactly: account up to
+     * budget - 1 of them at once. Returns the cycles simulated (at
+     * least 1, at most budget).
+     */
+    u64 tickSpan(u64 budget);
+
+    /**
+     * Cycles after an idle tick before the earliest timer can change
+     * what a tick does: icacheReadyAt, serializeUntil, dcacheReadyAt,
+     * divBusyUntil, resolveAt, the stalled operands' regReady and the
+     * redirect countdown.
+     */
+    u64 idleCycles() const;
+    /** Account `cycles` more cycles with the current bus. */
+    void account(u64 cycles);
 
     RocketConfig cfg;
     Executor exec;
@@ -127,6 +147,12 @@ class RocketCore final : public Core
     std::array<u64, kNumEvents> totals{};
 
     Cycle now = 0;
+    /**
+     * This tick changed state besides a countdown, or ended the
+     * redirect countdown: an issue, a mispredict resolution or a
+     * fetch step.
+     */
+    bool active = false;
 
     // ---- frontend state ----
     UopRing ibuf;

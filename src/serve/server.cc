@@ -484,13 +484,19 @@ IcicleServer::readerFor(const std::string &path)
     // reopen at the next query — never a stale answer.
     StoreFileId file;
     struct stat st;
-    if (::stat(path.c_str(), &st) == 0) {
+    const bool exists = ::stat(path.c_str(), &st) == 0;
+    if (exists) {
         file = {static_cast<u64>(st.st_dev), static_cast<u64>(st.st_ino),
                 static_cast<u64>(st.st_size),
                 static_cast<u64>(st.st_mtim.tv_sec) * 1'000'000'000 +
                     static_cast<u64>(st.st_mtim.tv_nsec)};
     }
     LockGuard lock(readersMutex);
+    // A deleted store's reader would otherwise keep its fd open until
+    // a new store appears at the path; the reopen below reports the
+    // error.
+    if (!exists)
+        readers.erase(path);
     auto it = readers.find(path);
     if (it == readers.end() || it->second.file != file) {
         OpenStore open{file, std::make_shared<StoreReader>(path)};

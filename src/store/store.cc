@@ -227,6 +227,25 @@ StoreWriter::append(u64 word)
 }
 
 void
+StoreWriter::append(u64 word, u64 count)
+{
+    if (sealed)
+        fatal("trace store ", filePath,
+              ": append after finish() or abandon()");
+    while (count > 0) {
+        const u64 room = cyclesPerBlock - buffer.size();
+        const u64 run = std::min(count, room);
+        buffer.insert(buffer.end(), run, word);
+        peakBuffered =
+            std::max(peakBuffered, static_cast<u32>(buffer.size()));
+        totalCycles += run;
+        count -= run;
+        if (buffer.size() >= cyclesPerBlock)
+            flushBlock(false);
+    }
+}
+
+void
 StoreWriter::flushBlock(bool torn)
 {
     const u32 cycles = static_cast<u32>(buffer.size());

@@ -136,6 +136,8 @@ class StoreWriter
 
     /** Feed one packed cycle word (bit f = field f of the spec). */
     void append(u64 word);
+    /** Feed `count` cycles of the same word: count append(word) calls. */
+    void append(u64 word, u64 count);
     /** Flush buffered cycles and seal the output. Idempotent. */
     void finish();
     /**
@@ -393,9 +395,10 @@ class StoreReader
 /**
  * The per-cycle trace consumer: packs the bus state once per cycle,
  * feeds the word to an OnlineAnalyzer and, when a store path was
- * given, to a StoreWriter. Call it as a core's per-cycle hook. A
- * capture holds one block buffer and a pad-cycle delay line, whatever
- * its length.
+ * given, to a StoreWriter. Call it as a core's per-cycle hook; a run
+ * loop hands it a span of identical cycles in one (first, bus, count)
+ * call, which packs the word once. A capture holds one block buffer
+ * and a pad-cycle delay line, whatever its length.
  */
 class TraceSink
 {
@@ -405,12 +408,24 @@ class TraceSink
               u32 block_cycles = kStoreDefaultBlockCycles);
 
     void
-    operator()(Cycle, const EventBus &bus)
+    operator()(Cycle cycle, const EventBus &bus)
+    {
+        (*this)(cycle, bus, 1);
+    }
+
+    /** `count` cycles from `first` on, all carrying this bus. */
+    void
+    operator()(Cycle, const EventBus &bus, u64 count)
     {
         const u64 word = packer.pack(bus);
         online.feed(word);
         if (writer)
             writer->append(word);
+        if (count > 1) {
+            online.feed(word, count - 1);
+            if (writer)
+                writer->append(word, count - 1);
+        }
     }
 
     const OnlineAnalyzer &analyzer() const { return online; }

@@ -13,6 +13,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/sync.hh"
+#include "core/dispatch.hh"
 #include "core/session.hh"
 #include "fault/atomic_file.hh"
 #include "rocket/rocket.hh"
@@ -279,9 +280,8 @@ runAttempt(const std::vector<SweepJob> &jobs,
     const std::string store_path =
         storing ? sweepTracePath(options.traceOutDir, job.label) : "";
     std::optional<AttemptSink> sink;
-    std::function<void(Cycle, const EventBus &)> hook;
     if (job.withTrace)
-        hook = std::ref(sink.emplace(TraceSpec::tmaBundle(*core), store_path));
+        sink.emplace(TraceSpec::tmaBundle(*core), store_path);
 
     // Run in chunkCycles slices so a pathological config hits the
     // deadline between slices instead of hanging the worker.
@@ -305,7 +305,9 @@ runAttempt(const std::vector<SweepJob> &jobs,
     }
     while (!timed_out && !core->done() && simulated < job.maxCycles) {
         const u64 step = std::min(chunk, job.maxCycles - simulated);
-        simulated += core->run(step, hook);
+        // The sink takes each idle span in one call.
+        simulated += sink ? runCoreLoop(*core, step, *sink)
+                          : core->run(step);
         if (bounded && Clock::now() >= deadline && !core->done()) {
             timed_out = true;
             break;

@@ -266,6 +266,42 @@ OnlineAnalyzer::OnlineAnalyzer(const TraceSpec &spec, u32 pad_cycles)
 {
 }
 
+void
+OnlineAnalyzer::feed(u64 word, u64 count)
+{
+    // Once pad + 1 cycles of the span are in, the delay line holds
+    // only this word's bubbles and each further cycle settles a cycle
+    // of the span itself, so the rest is counted in closed form.
+    const u64 lead = std::min<u64>(count, pad + 1);
+    for (u64 c = 0; c < lead; c++)
+        feed(word);
+    const u64 rest = count - lead;
+    if (rest == 0)
+        return;
+    const i64 first = static_cast<i64>(fed);
+    const i64 last = first + static_cast<i64>(rest) - 1;
+    const u64 bubbles = static_cast<u64>(std::popcount(word & bubbleMask));
+    bubbleSlots += bubbles * rest;
+    if (word & refillMask)
+        lastRefill = last;
+    if (word & recoveringMask) {
+        // The run opened by the lead stays open.
+        recoveringCycles += rest;
+        lastRecovery = last;
+    }
+    // The span settles cycles [first - pad, last - pad]. A window whose
+    // signal is high all span covers each of them; otherwise it ends
+    // pad cycles after the signal was last high.
+    const i64 reach = static_cast<i64>(pad);
+    const i64 lo = first - reach;
+    const i64 hi = std::min({last - reach, lastRefill + reach,
+                             lastRecovery + reach});
+    if (hi >= lo)
+        overlapSlots += bubbles * static_cast<u64>(hi - lo + 1);
+    head = (head + rest) % (pad + 1);
+    fed += rest;
+}
+
 OverlapBound
 OnlineAnalyzer::overlapBound(u32 core_width) const
 {

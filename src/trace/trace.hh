@@ -297,6 +297,9 @@ class OnlineAnalyzer
         fed++;
     }
 
+    /** Consume `count` cycles of the same word: count feed(word) calls. */
+    void feed(u64 word, u64 count);
+
     /** Table VI bound over the cycles fed so far. */
     OverlapBound overlapBound(u32 core_width) const;
     /** Fig. 8b: every recovery sequence, sorted by length. */

@@ -501,6 +501,74 @@ TEST(CsrFile, InhibitedWritesNeverLatchArmedWrite)
     EXPECT_FALSE(csrs.hpmSaturated(3));
 }
 
+TEST(CsrFile, SpanTickEqualsSingleTicks)
+{
+    // A core accounts an idle span with one tick(bus, k): it must
+    // leave every counter exactly as k tick(bus) calls do, whichever
+    // counters are live while it runs.
+    const u64 inhibit_phases[] = {
+        0,                          // everything counts
+        0b101,                      // mcycle and minstret stopped
+        ~0b101ull,                  // only mcycle and minstret count
+        ~0ull,                      // everything stopped
+        1ull << 3 | 1ull << 5,      // hpm0 and hpm2 stopped
+        ~0b101ull & ~(1ull << 5),   // mcycle, minstret and hpm2 count
+    };
+    for (CounterArch arch : {CounterArch::Scalar, CounterArch::AddWires,
+                             CounterArch::Distributed}) {
+        SCOPED_TRACE(counterArchName(arch));
+        EventBus bus;
+        bus.setNumSources(EventId::FetchBubbles, 3);
+        bus.setNumSources(EventId::UopsIssued, 5);
+        bus.setNumSources(EventId::InstRetired, 3);
+        CsrFile span(CoreKind::Boom, arch, &bus);
+        CsrFile single(CoreKind::Boom, arch, &bus);
+        for (CsrFile *csrs : {&span, &single}) {
+            csrs->program(0, {EventId::FetchBubbles});
+            csrs->program(1, {EventId::FetchBubbles}, 2); // lane 1 only
+            csrs->program(2, {EventId::UopsIssued});
+            csrs->program(3, {EventId::BranchMispredict, EventId::Flush});
+            csrs->program(4, {EventId::InstRetired});
+            // Parked below the implemented width: it wraps mid-run.
+            csrs->writeCsr(csr::mhpmcounter3 + 2, csr::hpmValueMask - 40);
+        }
+        Rng rng(11);
+        for (u32 round = 0; round < 600; round++) {
+            if (round % 50 == 0) {
+                const u64 bits = inhibit_phases[(round / 50) % 6];
+                span.writeCsr(csr::mcountinhibit, bits);
+                single.writeCsr(csr::mcountinhibit, bits);
+            }
+            bus.clear();
+            bus.raise(EventId::Cycles);
+            for (u32 lane = 0; lane < 5; lane++) {
+                if (lane < 3 && rng.chance(1, 2))
+                    bus.raise(EventId::FetchBubbles, lane);
+                if (rng.chance(1, 2))
+                    bus.raise(EventId::UopsIssued, lane);
+                if (lane < 3 && rng.chance(1, 3))
+                    bus.raise(EventId::InstRetired, lane);
+            }
+            if (rng.chance(1, 4))
+                bus.raise(EventId::BranchMispredict);
+            if (rng.chance(1, 4))
+                bus.raise(EventId::Flush);
+            const u64 cycles = 1 + rng.below(rng.chance(1, 5) ? 300 : 6);
+            span.tick(bus, cycles);
+            for (u64 c = 0; c < cycles; c++)
+                single.tick(bus);
+        }
+        EXPECT_TRUE(single.hpmSaturated(2)) << "the parked counter wrapped";
+        EXPECT_EQ(span.cycles(), single.cycles());
+        EXPECT_EQ(span.instsRetired(), single.instsRetired());
+        for (u32 i = 0; i < 5; i++) {
+            EXPECT_EQ(span.snapshotHpm(i), single.snapshotHpm(i)) << i;
+            EXPECT_EQ(span.hpmCorrected(i), single.hpmCorrected(i)) << i;
+            EXPECT_EQ(span.hpmSaturated(i), single.hpmSaturated(i)) << i;
+        }
+    }
+}
+
 TEST(CsrFile, DistributedHpmCorrected)
 {
     EventBus bus;

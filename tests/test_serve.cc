@@ -1050,6 +1050,52 @@ TEST(ServeEndToEnd, WindowQueriesFollowAStoreReplacedAtItsPath)
     EXPECT_EQ(tmaBytes(client.windowTma(query).tma), second);
 }
 
+/** /proc/self/fd links that name `path` as a deleted file. */
+u32
+deletedFdsNaming(const std::string &path)
+{
+    u32 open = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+        std::error_code ec;
+        const std::string target =
+            std::filesystem::read_symlink(entry.path(), ec).string();
+        if (!ec && target == path + " (deleted)")
+            open++;
+    }
+    return open;
+}
+
+TEST(ServeEndToEnd, WindowQueryOnADeletedStoreDropsItsReader)
+{
+    // Regression: after a queried store was deleted, the daemon kept
+    // its reader, and the reader's open fd, until a new store
+    // appeared at the same path.
+    TempDir dir("serve_deleted_store");
+    const std::string store =
+        std::filesystem::canonical(dir.path).string() + "/run.icst";
+    {
+        std::unique_ptr<Core> core = makeSweepCore(
+            "rocket", CounterArch::AddWires, buildWorkload("vvadd"));
+        streamTraceToStore(*core, TraceSpec::tmaBundle(*core), 20'000,
+                           store, 4096);
+    }
+    WindowQuery query;
+    query.storePath = store;
+    query.begin = 0;
+    query.end = 10'000;
+    query.coreWidth = 1;
+
+    const std::string socket = dir.path + "/icicled.sock";
+    LiveDaemon daemon(socket, dir.path + "/cache");
+    ServeClient client(socket);
+    EXPECT_EQ(client.windowTma(query).tma.totalSlots, 10'000u);
+    std::filesystem::remove(store);
+    EXPECT_THROW(client.windowTma(query), FatalError);
+    EXPECT_EQ(deletedFdsNaming(store), 0u)
+        << "a reader still holds the deleted store open";
+}
+
 /**
  * The `icicled stats` block is an interface (CI greps it, the load
  * harness and perfbench read it): every key, once each, in this

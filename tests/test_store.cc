@@ -482,6 +482,86 @@ TEST(StoreStreaming, StreamedStoreIsByteIdenticalToBatchStore)
     EXPECT_EQ(slurp(stream_file.path()), slurp(batch_file.path()));
 }
 
+TEST(StoreStreaming, SpanCallMatchesPerCycleCalls)
+{
+    // A run loop hands the sink an idle span in one (first, bus,
+    // count) call. The analyzer and the store must end up exactly as
+    // count per-cycle calls leave them, including spans that cross a
+    // block boundary and spans longer than the overlap pad.
+    TraceSpec spec;
+    spec.addLane(EventId::FetchBubbles, 0);
+    spec.addLane(EventId::FetchBubbles, 1);
+    spec.addLane(EventId::FetchBubbles, 2);
+    spec.addLane(EventId::Recovering, 0);
+    spec.addLane(EventId::ICacheBlocked, 0);
+    spec.addLane(EventId::InstRetired, 0);
+    EventBus bus;
+    bus.setNumSources(EventId::FetchBubbles, 3);
+
+    constexpr u32 kBlock = 64;
+    ScratchFile span_file("sink_span");
+    ScratchFile single_file("sink_single");
+    TraceSink span(spec, span_file.path(), kBlock);
+    TraceSink single(spec, single_file.path(), kBlock);
+
+    Rng rng(23);
+    bool recovering = false, refilling = false;
+    bool crossed_block = false, longer_than_pad = false;
+    Cycle cycle = 0;
+    for (u32 i = 0; i < 800; i++) {
+        // Bursty signals, so recovery runs and refill windows overlap.
+        if (rng.chance(1, 5))
+            recovering = !recovering;
+        if (rng.chance(1, 7))
+            refilling = !refilling;
+        bus.clear();
+        bus.raise(EventId::Cycles);
+        if (recovering)
+            bus.raise(EventId::Recovering);
+        if (refilling)
+            bus.raise(EventId::ICacheBlocked);
+        for (u32 lane = 0; lane < 3; lane++) {
+            if (rng.chance(1, 2))
+                bus.raise(EventId::FetchBubbles, lane);
+        }
+        if (rng.chance(1, 3))
+            bus.raise(EventId::InstRetired);
+        const u64 count =
+            1 + rng.below(rng.chance(1, 4) ? 3 * kOverlapPad : 4);
+        crossed_block |= cycle / kBlock != (cycle + count - 1) / kBlock;
+        longer_than_pad |= count > kOverlapPad;
+
+        span(cycle, bus, count);
+        for (u64 c = 0; c < count; c++)
+            single(cycle + c, bus);
+        cycle += count;
+
+        const OverlapBound a = span.analyzer().overlapBound(3);
+        const OverlapBound b = single.analyzer().overlapBound(3);
+        ASSERT_EQ(a.cycles, b.cycles) << "after span " << i;
+        ASSERT_EQ(a.overlapSlots, b.overlapSlots) << "after span " << i;
+        ASSERT_EQ(a.overlapFraction, b.overlapFraction);
+        ASSERT_EQ(a.frontendFraction, b.frontendFraction);
+        ASSERT_EQ(a.badSpecFraction, b.badSpecFraction);
+    }
+    EXPECT_TRUE(crossed_block);
+    EXPECT_TRUE(longer_than_pad);
+    EXPECT_GT(single.analyzer().overlapBound(3).overlapSlots, 0u);
+    EXPECT_EQ(span.analyzer().recoveryCdf().lengths,
+              single.analyzer().recoveryCdf().lengths);
+    EXPECT_GT(single.analyzer().recoverySequences(), 10u);
+
+    span.finish();
+    single.finish();
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    EXPECT_EQ(StoreReader(span_file.path()).numCycles(), cycle);
+    EXPECT_EQ(slurp(span_file.path()), slurp(single_file.path()));
+}
+
 TEST(StoreStreaming, TenMillionCyclesBoundedMemory)
 {
     // The acceptance guarantee: a 10M-cycle streaming capture keeps

@@ -8,9 +8,12 @@
  * pre-refactor model. This suite pins that property with golden
  * hashes generated from the pre-refactor code (the same pattern the
  * icestore equivalence suite uses): 110 seeded synthetic workloads x
- * {Rocket, BOOM} x {Scalar, Distributed} counters, each run with a
- * TMA trace bundle attached and a representative set of programmed
- * HPM counters, folded into one CRC32 per (seed, config).
+ * {Rocket, BOOM-medium, BOOM-large} x {Scalar, Distributed} counters,
+ * each run with a TMA trace bundle attached and a representative set
+ * of programmed HPM counters, folded into one CRC32 per (seed,
+ * config). The BOOM-large columns (the size the sweep workloads run)
+ * were generated later than the other four, from the model before
+ * idle-span skipping, and pin that skipping changes nothing.
  *
  * The fold covers, in fixed order:
  *   - simulated cycle count and executor exit state,
@@ -27,21 +30,28 @@
  *     ./build/tests/test_tick_identity
  */
 
+#include <algorithm>
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "boom/boom.hh"
 #include "common/crc32.hh"
 #include "common/random.hh"
+#include "core/dispatch.hh"
 #include "core/session.hh"
 #include "rocket/rocket.hh"
 #include "trace/trace.hh"
 #include "workloads/generator.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -169,7 +179,7 @@ runAndHash(Core &core, u64 max_cycles)
     return crc.value();
 }
 
-/** The four configurations, in golden-column order. */
+/** The six configurations, in golden-column order. */
 u32
 hashConfig(u64 seed, u32 config)
 {
@@ -193,8 +203,20 @@ hashConfig(u64 seed, u32 config)
         BoomCore core(cfg, program);
         return runAndHash(core, kBoomCycles);
       }
-      default: {
+      case 3: {
         BoomConfig cfg = BoomConfig::medium();
+        cfg.counterArch = CounterArch::Distributed;
+        BoomCore core(cfg, program);
+        return runAndHash(core, kBoomCycles);
+      }
+      case 4: {
+        BoomConfig cfg = BoomConfig::large();
+        cfg.counterArch = CounterArch::Scalar;
+        BoomCore core(cfg, program);
+        return runAndHash(core, kBoomCycles);
+      }
+      default: {
+        BoomConfig cfg = BoomConfig::large();
         cfg.counterArch = CounterArch::Distributed;
         BoomCore core(cfg, program);
         return runAndHash(core, kBoomCycles);
@@ -202,11 +224,15 @@ hashConfig(u64 seed, u32 config)
     }
 }
 
-const char *const kConfigNames[4] = {
+constexpr u32 kNumConfigs = 6;
+
+const char *const kConfigNames[kNumConfigs] = {
     "rocket-scalar",
     "rocket-distributed",
     "boom-medium-scalar",
     "boom-medium-distributed",
+    "boom-large-scalar",
+    "boom-large-distributed",
 };
 
 /** Regen mode: rewrite the golden table instead of checking it. */
@@ -226,13 +252,15 @@ maybeRegenerate()
                  "// ICICLE_TICK_IDENTITY_REGEN (see "
                  "test_tick_identity.cc);\n"
                  "// columns: rocket-scalar, rocket-distributed,\n"
-                 "// boom-medium-scalar, boom-medium-distributed.\n"
-                 "static const u32 kGoldenTickHashes[110][4] = {\n");
+                 "// boom-medium-scalar, boom-medium-distributed,\n"
+                 "// boom-large-scalar, boom-large-distributed.\n"
+                 "static const u32 kGoldenTickHashes[110][6] = {\n");
     for (u64 seed = 0; seed < kNumSeeds; seed++) {
-        std::fprintf(out, "    {0x%08" PRIx32 ", 0x%08" PRIx32
-                          ", 0x%08" PRIx32 ", 0x%08" PRIx32 "},\n",
-                     hashConfig(seed, 0), hashConfig(seed, 1),
-                     hashConfig(seed, 2), hashConfig(seed, 3));
+        std::fprintf(out, "    {");
+        for (u32 config = 0; config < kNumConfigs; config++)
+            std::fprintf(out, "%s0x%08" PRIx32, config ? ", " : "",
+                         hashConfig(seed, config));
+        std::fprintf(out, "},\n");
     }
     std::fprintf(out, "};\n");
     std::fclose(out);
@@ -251,7 +279,7 @@ TEST_P(TickIdentityShard, MatchesPreRefactorGolden)
         GTEST_SKIP() << "regen mode: goldens rewritten, not checked";
     const u64 shard = GetParam();
     for (u64 seed = shard * 10; seed < (shard + 1) * 10; seed++) {
-        for (u32 config = 0; config < 4; config++) {
+        for (u32 config = 0; config < kNumConfigs; config++) {
             EXPECT_EQ(hashConfig(seed, config),
                       kGoldenTickHashes[seed][config])
                 << "seed " << seed << " config "
@@ -263,5 +291,129 @@ TEST_P(TickIdentityShard, MatchesPreRefactorGolden)
 
 INSTANTIATE_TEST_SUITE_P(AllSeeds, TickIdentityShard,
                          ::testing::Range<u64>(0, 11));
+
+/** Everything a run leaves behind that an idle-span skip could move. */
+struct RunRecord
+{
+    u64 simulated = 0;
+    Cycle cycle = 0;
+    std::vector<u64> totals; ///< indexed by EventId
+    std::vector<u64> laneTotals;
+    std::vector<u64> csrValues;
+    std::vector<u64> words;
+
+    bool operator==(const RunRecord &) const = default;
+};
+
+/**
+ * Run a fresh core for max_cycles: in one run() call with a per-cycle
+ * hook when chunk is 0, else in run loop calls of `chunk` cycles with
+ * a span hook.
+ */
+RunRecord
+recordRun(const std::function<std::unique_ptr<Core>()> &make,
+          bool programmed, u64 max_cycles, u64 chunk)
+{
+    std::unique_ptr<Core> core = make();
+    if (programmed)
+        programCounters(*core);
+    else
+        core->csrFile().setInhibit(false); // mcycle/minstret only
+    const TracePacker packer(TraceSpec::tmaBundle(*core));
+    RunRecord record;
+    if (chunk == 0) {
+        record.simulated = core->run(
+            max_cycles, [&](Cycle cycle, const EventBus &bus) {
+                EXPECT_EQ(cycle, record.words.size());
+                record.words.push_back(packer.pack(bus));
+            });
+    } else {
+        while (!core->done() && record.simulated < max_cycles) {
+            const u64 step = std::min(chunk, max_cycles - record.simulated);
+            const u64 ran = runCoreLoop(
+                *core, step,
+                [&](Cycle first, const EventBus &bus, u64 count) {
+                    EXPECT_EQ(first, record.words.size());
+                    record.words.insert(record.words.end(), count,
+                                        packer.pack(bus));
+                });
+            EXPECT_LE(ran, step) << "a span crossed the run bound";
+            record.simulated += ran;
+        }
+    }
+    record.cycle = core->cycle();
+    for (u32 e = 0; e < kNumEvents; e++) {
+        const EventId id = static_cast<EventId>(e);
+        record.totals.push_back(core->total(id));
+        for (u32 lane = 0; lane < core->bus().sourcesOf(id); lane++)
+            record.laneTotals.push_back(core->laneTotal(id, lane));
+    }
+    const CsrFile &csrs = core->csrs();
+    record.csrValues = {csrs.cycles(), csrs.instsRetired()};
+    for (u32 i = 0; i < 6; i++) {
+        record.csrValues.push_back(csrs.hpmValue(i));
+        record.csrValues.push_back(csrs.hpmCorrected(i));
+        record.csrValues.push_back(csrs.hpmSaturated(i));
+    }
+    return record;
+}
+
+/**
+ * Sweep chunking and timeouts split a run into run() calls, so an
+ * idle span must never cross a call's bound: a run split into calls
+ * of 1 (so no span at all), 97 and 65,536 cycles must match one call
+ * exactly, on every registry workload.
+ */
+class RunBounds : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(RunBounds, SplitRunsMatchOneRun)
+{
+    constexpr u64 kCycles = 20'000;
+    const Program program = allWorkloads()[GetParam()].build();
+    for (bool tlb : {false, true}) {
+        const std::vector<
+            std::pair<std::string, std::function<std::unique_ptr<Core>()>>>
+            cores = {
+                {"rocket",
+                 [&, tlb] {
+                     RocketConfig cfg;
+                     cfg.mem.tlb.enabled = tlb;
+                     return std::make_unique<RocketCore>(cfg, program);
+                 }},
+                {"boom-large",
+                 [&, tlb] {
+                     BoomConfig cfg = BoomConfig::large();
+                     cfg.mem.tlb.enabled = tlb;
+                     return std::make_unique<BoomCore>(cfg, program);
+                 }},
+            };
+        for (const auto &[name, make] : cores) {
+            for (bool programmed : {false, true}) {
+                SCOPED_TRACE(name + (tlb ? " tlb" : "") +
+                             (programmed ? " programmed" : ""));
+                const RunRecord whole =
+                    recordRun(make, programmed, kCycles, 0);
+                EXPECT_EQ(whole.words.size(), whole.simulated);
+                for (u64 chunk : {1ull, 97ull, 65'536ull}) {
+                    EXPECT_TRUE(recordRun(make, programmed, kCycles,
+                                          chunk) == whole)
+                        << "run() calls of " << chunk << " cycles";
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, RunBounds,
+    ::testing::Range(0, static_cast<int>(allWorkloads().size())),
+    [](const auto &info) {
+        std::string name = allWorkloads()[info.param].name;
+        for (char &c : name)
+            if (!isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name;
+    });
 
 } // namespace
