@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -32,21 +31,15 @@ constexpr u64 kMaxCycles = 80'000'000;
 /**
  * Worker-pool width for sweep-driven benches: the machine's
  * concurrency, bounded so small grids don't spawn idle threads.
- * Override with ICICLE_BENCH_WORKERS.
  */
 inline u32
 defaultWorkers()
 {
-    if (const char *env = std::getenv("ICICLE_BENCH_WORKERS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<u32>(parsed);
-    }
     const u32 hw = std::thread::hardware_concurrency();
     return hw ? std::min(hw, 16u) : 4u;
 }
 
-/** Mirror runRocket/runBoom's health warnings for a sweep row. */
+/** Mirror runToEnd's health warnings for a sweep row. */
 inline void
 warnIfUnhealthy(const SweepResult &row)
 {
@@ -72,29 +65,15 @@ header(const std::string &title)
                 title.c_str());
 }
 
-/** Run a program on Rocket and return the TMA breakdown. */
+/**
+ * Run a program on a `CoreT` (RocketCore or BoomCore) built from
+ * `cfg`, up to kMaxCycles, and return the TMA breakdown.
+ */
+template <typename CoreT, typename Config>
 inline TmaResult
-runRocket(const Program &program, const RocketConfig &cfg = {})
+runToEnd(const Config &cfg, const Program &program)
 {
-    RocketCore core(cfg, program);
-    core.run(kMaxCycles);
-    if (!core.done())
-        std::printf("  (warning: %s hit the cycle cap)\n",
-                    program.name.c_str());
-    if (core.executor().halted() && core.executor().exitCode() != 0)
-        std::printf("  (warning: %s failed self-check: %llu)\n",
-                    program.name.c_str(),
-                    static_cast<unsigned long long>(
-                        core.executor().exitCode()));
-    return analyzeTma(core);
-}
-
-/** Run a program on BOOM and return the TMA breakdown. */
-inline TmaResult
-runBoom(const Program &program,
-        const BoomConfig &cfg = BoomConfig::large())
-{
-    BoomCore core(cfg, program);
+    CoreT core(cfg, program);
     core.run(kMaxCycles);
     if (!core.done())
         std::printf("  (warning: %s hit the cycle cap)\n",

@@ -24,7 +24,8 @@ main()
     };
     std::vector<TmaResult> results;
     for (const std::string &name : suite) {
-        const TmaResult r = bench::runBoom(buildWorkload(name));
+        const TmaResult r = bench::runToEnd<BoomCore>(BoomConfig::large(),
+                                                      buildWorkload(name));
         results.push_back(r);
         bench::tmaRow(name, r);
     }

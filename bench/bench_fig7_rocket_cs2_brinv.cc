@@ -15,8 +15,10 @@ int
 main()
 {
     bench::header("Fig. 7(d): Rocket CS2 - branch inversion");
-    const TmaResult base = bench::runRocket(workloads::brmiss(false));
-    const TmaResult inv = bench::runRocket(workloads::brmiss(true));
+    const TmaResult base = bench::runToEnd<RocketCore>(
+        RocketConfig{}, workloads::brmiss(false));
+    const TmaResult inv = bench::runToEnd<RocketCore>(
+        RocketConfig{}, workloads::brmiss(true));
     bench::tmaRow("brmiss", base);
     bench::tmaRow("brmiss-inv", inv);
 

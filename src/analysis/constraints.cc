@@ -143,7 +143,7 @@ addWidthBounds(const Core &core, ConstraintSet &set)
     progress.constant = -1;
     progress.text = "delta(cycles) >= 1";
     progress.provenance =
-        "Core::tick() raises 'cycles' unconditionally every cycle; a "
+        "CoreModel::tick() raises 'cycles' unconditionally every cycle; a "
         "measured run spans at least one tick";
     set.linear.push_back(std::move(progress));
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "core/model_impl.hh"
 
 namespace icicle
 {
@@ -98,11 +99,12 @@ BoomConfig::allSizes()
 // ------------------------------------------------------------- core
 
 BoomCore::BoomCore(const BoomConfig &config, const Program &program)
-    : cfg(config), exec(program), mem(config.mem), mshrs(config.numMshrs),
+    : CoreModel(CoreKind::Boom, config.counterArch), cfg(config),
+      exec(program), mem(config.mem), mshrs(config.numMshrs),
       // BOOM pairs TAGE with a large BTB (Table IV: 14..28 KiB of
       // predictor storage), unlike Rocket's 28-entry BTB.
-      btb(1024), csrs(CoreKind::Boom, config.counterArch, &events),
-      fetchBuffer(config.fetchBufferEntries), rob(config.robEntries)
+      btb(1024), fetchBuffer(config.fetchBufferEntries),
+      rob(config.robEntries)
 {
     if (cfg.robEntries > 1u << 16) // a Completion packs a 16-bit slot
         fatal("BOOM ROB size must be at most 65536 entries");
@@ -821,39 +823,13 @@ BoomCore::translateData(Addr addr)
 }
 
 void
-BoomCore::account(u64 cycles)
+BoomCore::stages()
 {
-    // Only events raised this cycle can change a total. Bits are
-    // counted one by one: std::popcount is a library call on baseline x86-64.
-    u64 dirty = events.dirty();
-    while (dirty) {
-        const u32 e = static_cast<u32>(std::countr_zero(dirty));
-        dirty &= dirty - 1;
-        u16 bits = events.mask(static_cast<EventId>(e));
-        while (bits) {
-            laneTotals[e][std::countr_zero(bits)] += cycles;
-            totals[e] += cycles;
-            bits &= bits - 1;
-        }
-    }
-}
-
-void
-BoomCore::tick()
-{
-    events.clear();
-    events.raise(EventId::Cycles);
-    active = false;
-
     stageCommit();
     stageComplete();
     stageIssue();
     stageDispatch();
     stageFetch();
-
-    csrs.tick(events);
-    account(1);
-    now++;
 }
 
 u64
@@ -876,31 +852,6 @@ BoomCore::idleCycles() const
     return wake - now;
 }
 
-u64
-BoomCore::tickSpan(u64 budget)
-{
-    tick();
-    if (active || budget == 1)
-        return 1;
-    const u64 skipped = std::min(idleCycles(), budget - 1);
-    if (skipped > 0) {
-        csrs.tick(events, skipped);
-        account(skipped);
-        now += skipped;
-        redirectWait -= static_cast<u32>(std::min<u64>(redirectWait, skipped));
-    }
-    return 1 + skipped;
-}
-
-u64
-BoomCore::run(u64 max_cycles,
-              const std::function<void(Cycle, const EventBus &)> &on_cycle)
-{
-    if (!on_cycle)
-        return runLoop(max_cycles, [](Cycle, const EventBus &) {});
-    return runLoop(max_cycles, [&on_cycle](Cycle c, const EventBus &b) {
-        on_cycle(c, b);
-    });
-}
+template class CoreModel<BoomCore>;
 
 } // namespace icicle

@@ -22,14 +22,13 @@
 #define ICICLE_BOOM_BOOM_HH
 
 #include <array>
-#include <functional>
 #include <queue>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bpred/bpred.hh"
-#include "core/core.hh"
+#include "core/model.hh"
 #include "core/pipebuf.hh"
 #include "isa/executor.hh"
 #include "mem/hierarchy.hh"
@@ -80,41 +79,11 @@ struct BoomConfig
 };
 
 /** The BOOM core timing model. */
-class BoomCore final : public Core
+class BoomCore final : public CoreModel<BoomCore>
 {
   public:
     BoomCore(const BoomConfig &config, const Program &program);
 
-    void tick() override;
-    bool done() const override { return halted; }
-    u64 run(u64 max_cycles = ~0ull,
-            const std::function<void(Cycle, const EventBus &)> &on_cycle =
-                nullptr) override;
-
-    /**
-     * Batch tick loop with a statically-dispatched per-cycle hook:
-     * the class is final, so the hook inlines — no per-cycle virtual
-     * or std::function dispatch. Each step is one tick plus, when
-     * that tick was idle, the identical cycles tickSpan() skips; the
-     * hook gets them through deliverSpan().
-     */
-    template <typename F>
-    u64
-    runLoop(u64 max_cycles, F &&on_cycle)
-    {
-        u64 simulated = 0;
-        while (!halted && simulated < max_cycles) {
-            const Cycle first = now;
-            const u64 count = tickSpan(max_cycles - simulated);
-            deliverSpan(on_cycle, first, events, count);
-            simulated += count;
-        }
-        return simulated;
-    }
-
-    Cycle cycle() const override { return now; }
-    const EventBus &bus() const override { return events; }
-    CsrFile &csrFile() override { return csrs; }
     Executor &executor() override { return exec; }
     MemHierarchy &memory() { return mem; }
     const BoomConfig &config() const { return cfg; }
@@ -124,20 +93,13 @@ class BoomCore final : public Core
     u32 issueWidth() const override { return cfg.totalIssueWidth(); }
     const char *name() const override { return cfg.name.c_str(); }
 
-    u64 total(EventId id) const override
-    { return totals[static_cast<u32>(id)]; }
-    /** Per-source totals (Table V per-lane experiments). */
-    u64
-    laneTotal(EventId id, u32 lane) const override
-    {
-        return laneTotals[static_cast<u32>(id)][lane];
-    }
-
     u64 machineClears() const { return numMachineClears; }
     u64 branchMispredicts() const
-    { return totals[static_cast<u32>(EventId::BranchMispredict)]; }
+    { return total(EventId::BranchMispredict); }
 
   private:
+    friend class CoreModel<BoomCore>;
+
     enum class RobState : u8 { Waiting, InQueue, Issued, Done };
 
     /**
@@ -203,7 +165,14 @@ class BoomCore final : public Core
         Addr pc = 0;
     };
 
-    // Pipeline stages, called youngest-to-oldest each tick.
+    /**
+     * One cycle: commit, complete, issue, dispatch, fetch. `active`
+     * marks a commit, a completion pop or MSHR free, an issue or
+     * squashed-entry drop, a dispatch, a fetch step, a TLB lookup
+     * while the TLBs are on, and the tick that ends the redirect
+     * countdown.
+     */
+    void stages();
     void stageCommit();
     void stageIssue();
     void stageComplete();
@@ -211,21 +180,11 @@ class BoomCore final : public Core
     void stageFetch();
 
     /**
-     * Tick once. If the tick changed nothing but timers, every cycle
-     * before the next timer fires repeats it exactly: account up to
-     * budget - 1 of them at once. Returns the cycles simulated (at
-     * least 1, at most budget).
-     */
-    u64 tickSpan(u64 budget);
-
-    /**
      * Cycles after an idle tick before the earliest timer can change
      * what a tick does: the completion-heap top, the earliest MSHR
      * fill, icacheReadyAt, divBusyUntil and the redirect countdown.
      */
     u64 idleCycles() const;
-    /** Account `cycles` more cycles with the current bus. */
-    void account(u64 cycles);
     /** Data-TLB lookup for a load or store, raising its miss events. */
     TlbResult translateData(Addr addr);
 
@@ -244,20 +203,7 @@ class BoomCore final : public Core
     Tage tage;
     Btb btb;
     Ras ras;
-    EventBus events;
-    CsrFile csrs;
-    std::array<u64, kNumEvents> totals{};
-    std::array<std::array<u64, kMaxSources>, kNumEvents> laneTotals{};
 
-    Cycle now = 0;
-    bool halted = false;
-    /**
-     * This tick changed state besides a countdown, or ended the
-     * redirect countdown: a commit, a completion pop or MSHR free, an
-     * issue or squashed-entry drop, a dispatch, a fetch step, or a
-     * TLB lookup while the TLBs are on.
-     */
-    bool active = false;
     u64 nextSeq = 1;
 
     // ---- frontend ----
@@ -271,7 +217,6 @@ class BoomCore final : public Core
     Cycle icacheReadyAt = 0;
     u64 lastFetchBlock = ~0ull;
     bool recovering = false;
-    u32 redirectWait = 0;
     /** A fetched-but-uncommitted fence blocks further fetch. */
     bool fenceBlocking = false;
 
@@ -298,6 +243,8 @@ class BoomCore final : public Core
     // per-cycle scratch shared between stages
     u32 issuedThisCycle = 0;
 };
+
+extern template class CoreModel<BoomCore>;
 
 } // namespace icicle
 

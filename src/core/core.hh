@@ -5,7 +5,9 @@
  * Everything above the core models (perf harness, tracer, TMA tool,
  * benchmark drivers) programs against this interface, mirroring how
  * the real Icicle software stack works against either Rocket or BOOM
- * through the same CSR/event protocol.
+ * through the same CSR/event protocol. Both models derive from
+ * CoreModel (core/model.hh), which implements the cycle loop behind
+ * run() once for both.
  */
 
 #ifndef ICICLE_CORE_CORE_HH
@@ -13,7 +15,6 @@
 
 #include <functional>
 #include <memory>
-#include <type_traits>
 
 #include "isa/executor.hh"
 #include "pmu/csr.hh"
@@ -28,17 +29,16 @@ class Core
   public:
     virtual ~Core() = default;
 
-    /** Advance one clock cycle. */
-    virtual void tick() = 0;
     /** Program halted (pipeline drained)? */
     virtual bool done() const = 0;
     /**
-     * Run until done or max_cycles; returns cycles simulated. A tick
-     * that changes nothing but the core's timers is followed by the
-     * identical cycles up to the next timer (never past max_cycles),
-     * accounted at once. on_cycle still gets one call per simulated
-     * cycle; the calls for such a span see the core's state at its
-     * end.
+     * Run until done or max_cycles; returns cycles simulated. This is
+     * the only way to advance a core: to stop at a given cycle, run
+     * to it. A tick that changes nothing but the core's timers is
+     * followed by the identical cycles up to the next timer (never
+     * past max_cycles), accounted at once. on_cycle still gets one
+     * call per simulated cycle; the calls for such a span see the
+     * core's state at its end.
      */
     virtual u64
     run(u64 max_cycles = ~0ull,
@@ -69,23 +69,6 @@ class Core
     /** Per-source totals where the event has multiple lanes. */
     virtual u64 laneTotal(EventId id, u32 lane) const = 0;
 };
-
-/**
- * Hand a span of `count` identical cycles starting at `first` to a
- * run loop's hook: in one call when the hook takes (first, bus,
- * count), else one (cycle, bus) call per cycle.
- */
-template <typename F>
-inline void
-deliverSpan(F &hook, Cycle first, const EventBus &bus, u64 count)
-{
-    if constexpr (std::is_invocable_v<F &, Cycle, const EventBus &, u64>) {
-        hook(first, bus, count);
-    } else {
-        for (u64 i = 0; i < count; i++)
-            hook(first + i, bus);
-    }
-}
 
 } // namespace icicle
 

@@ -3,11 +3,10 @@
  * Static dispatch into the core tick loops (ISSUE 7).
  *
  * The per-cycle hook paths (tracer, streaming store) used to go
- * through Core::run's std::function parameter: one virtual tick()
- * plus one type-erased hook call per simulated cycle. Both concrete
- * cores are final and expose a template runLoop(); resolving the
- * dynamic type once per *run* instead of once per *cycle* lets the
- * compiler devirtualize tick() and inline the hook.
+ * through Core::run's std::function parameter: one type-erased hook
+ * call per simulated cycle. Both concrete cores are final and inherit
+ * CoreModel's template runLoop(); resolving the dynamic type once per
+ * *run* instead of once per *cycle* lets the compiler inline the hook.
  */
 
 #ifndef ICICLE_CORE_DISPATCH_HH

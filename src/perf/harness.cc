@@ -157,8 +157,15 @@ PerfHarness::run(u64 max_cycles, u64 epoch)
     Cycle group_started = core.cycle();
 
     while (!core.done() && simulated < max_cycles) {
-        core.tick();
-        simulated++;
+        u64 budget = max_cycles - simulated;
+        if (groupCount > 1) {
+            // Stop at the epoch's end. A span never crosses a run()
+            // bound, so each rotation lands on the cycle it would if
+            // the core advanced one cycle at a time.
+            const u64 elapsed = core.cycle() - group_started;
+            budget = std::min(budget, std::max<u64>(1, epoch - elapsed));
+        }
+        simulated += core.run(budget);
         if (groupCount > 1 && core.cycle() - group_started >= epoch) {
             harvestGroup(active);
             groupCycles[active] += core.cycle() - group_started;
@@ -202,7 +209,11 @@ PerfHarness::unreliableEvents() const
 {
     std::vector<UnreliableEvent> out;
     for (const PerfAllocation &alloc : allocations) {
-        if (!alloc.saturated && !alloc.armedWrite)
+        // Cycles passed but this group was never programmed: value()
+        // reads 0 whatever the event did.
+        const bool not_counted =
+            totalCycles > 0 && groupCycles[alloc.group] == 0;
+        if (!alloc.saturated && !alloc.armedWrite && !not_counted)
             continue;
         // Any tainted lane taints the event's aggregate.
         UnreliableEvent *entry = nullptr;
@@ -211,11 +222,12 @@ PerfHarness::unreliableEvents() const
                 entry = &e;
         }
         if (!entry) {
-            out.push_back(UnreliableEvent{alloc.event, false, false});
+            out.push_back(UnreliableEvent{alloc.event});
             entry = &out.back();
         }
         entry->saturated |= alloc.saturated;
         entry->armedWrite |= alloc.armedWrite;
+        entry->notCounted |= not_counted;
     }
     return out;
 }
@@ -223,11 +235,7 @@ PerfHarness::unreliableEvents() const
 bool
 PerfHarness::anyUnreliable() const
 {
-    for (const PerfAllocation &alloc : allocations) {
-        if (alloc.saturated || alloc.armedWrite)
-            return true;
-    }
-    return false;
+    return !unreliableEvents().empty();
 }
 
 TmaCounters

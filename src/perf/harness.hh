@@ -50,6 +50,8 @@ struct UnreliableEvent
     EventId event;
     bool saturated = false;
     bool armedWrite = false;
+    /** Its multiplex group never ran, so its value reads 0. */
+    bool notCounted = false;
 };
 
 /** Programs counters, runs the core, reads TMA inputs back. */
@@ -89,8 +91,9 @@ class PerfHarness
     /**
      * Events whose counts are suspect: their backing counter either
      * saturated (wrapped its hpmWidth-bit register) or was written
-     * while armed. Captured at every harvest; callers should surface
-     * these instead of trusting the silently-degraded values.
+     * while armed, or the run ended before their multiplex group was
+     * ever programmed. Callers should surface these instead of
+     * trusting the silently-degraded values.
      */
     std::vector<UnreliableEvent> unreliableEvents() const;
     /** True if any requested event came back unreliable. */

@@ -71,13 +71,16 @@ tmaToolReport(const TmaRun &run, const std::string &title)
         const char *field = tmaFieldOfEvent(e.event);
         if (field[0] != '\0')
             os << " (feeds " << field << ")";
-        os << " —";
-        if (e.saturated)
-            os << " counter saturated";
-        if (e.saturated && e.armedWrite)
-            os << ";";
-        if (e.armedWrite)
-            os << " written while armed";
+        const char *sep = " — ";
+        const auto reason = [&os, &sep](bool flagged, const char *why) {
+            if (flagged) {
+                os << sep << why;
+                sep = "; ";
+            }
+        };
+        reason(e.saturated, "counter saturated");
+        reason(e.armedWrite, "written while armed");
+        reason(e.notCounted, "not counted: its multiplex group never ran");
         os << "\n";
     }
     return os.str();

@@ -1,28 +1,21 @@
 #include "rocket/rocket.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/logging.hh"
+#include "core/model_impl.hh"
 
 namespace icicle
 {
 
 RocketCore::RocketCore(const RocketConfig &config, const Program &program)
-    : cfg(config), exec(program), mem(config.mem), bht(config.bhtEntries),
-      btb(config.btbEntries),
-      csrs(CoreKind::Rocket, config.counterArch, &events),
-      ibuf(config.ibufEntries)
+    : CoreModel(CoreKind::Rocket, config.counterArch), cfg(config),
+      exec(program), mem(config.mem), bht(config.bhtEntries),
+      btb(config.btbEntries), ibuf(config.ibufEntries)
 {
     exec.setCsrBackend(&csrs);
     regReady.fill(0);
     regProducer.fill(InstClass::IntAlu);
-}
-
-bool
-RocketCore::done() const
-{
-    return halted;
 }
 
 void
@@ -476,33 +469,10 @@ RocketCore::tickBackend()
 }
 
 void
-RocketCore::account(u64 cycles)
+RocketCore::stages()
 {
-    // Only events raised this cycle can change a total. Bits are
-    // counted one by one: std::popcount is a library call on baseline x86-64.
-    u64 dirty = events.dirty();
-    while (dirty) {
-        const u32 e = static_cast<u32>(std::countr_zero(dirty));
-        for (u16 bits = events.mask(static_cast<EventId>(e)); bits;
-             bits &= bits - 1)
-            totals[e] += cycles;
-        dirty &= dirty - 1;
-    }
-}
-
-void
-RocketCore::tick()
-{
-    events.clear();
-    events.raise(EventId::Cycles);
-    active = false;
-
     tickBackend();
     tickFrontend();
-
-    csrs.tick(events);
-    account(1);
-    now++;
 }
 
 u64
@@ -533,31 +503,6 @@ RocketCore::idleCycles() const
     return wake - now;
 }
 
-u64
-RocketCore::tickSpan(u64 budget)
-{
-    tick();
-    if (active || budget == 1)
-        return 1;
-    const u64 skipped = std::min(idleCycles(), budget - 1);
-    if (skipped > 0) {
-        csrs.tick(events, skipped);
-        account(skipped);
-        now += skipped;
-        redirectWait -= static_cast<u32>(std::min<u64>(redirectWait, skipped));
-    }
-    return 1 + skipped;
-}
-
-u64
-RocketCore::run(u64 max_cycles,
-                const std::function<void(Cycle, const EventBus &)> &on_cycle)
-{
-    if (!on_cycle)
-        return runLoop(max_cycles, [](Cycle, const EventBus &) {});
-    return runLoop(max_cycles, [&on_cycle](Cycle c, const EventBus &b) {
-        on_cycle(c, b);
-    });
-}
+template class CoreModel<RocketCore>;
 
 } // namespace icicle

@@ -19,10 +19,9 @@
 #define ICICLE_ROCKET_ROCKET_HH
 
 #include <array>
-#include <functional>
 
 #include "bpred/bpred.hh"
-#include "core/core.hh"
+#include "core/model.hh"
 #include "core/pipebuf.hh"
 #include "isa/executor.hh"
 #include "mem/hierarchy.hh"
@@ -49,53 +48,13 @@ struct RocketConfig
 
 /**
  * The Rocket core timing model. Construct with a Program, then call
- * run() (or tick() manually, e.g. under a tracer).
+ * run() (or runCoreLoop() with a per-cycle hook, e.g. a tracer).
  */
-class RocketCore final : public Core
+class RocketCore final : public CoreModel<RocketCore>
 {
   public:
     RocketCore(const RocketConfig &config, const Program &program);
 
-    /** Advance one clock cycle. */
-    void tick() override;
-
-    /** Has the program halted and the pipeline drained? */
-    bool done() const override;
-
-    /**
-     * Run until done (or max_cycles). Returns cycles simulated.
-     * @param on_cycle optional per-cycle hook (tracer attach point),
-     * called after each tick with the live event bus.
-     */
-    u64 run(u64 max_cycles = ~0ull,
-            const std::function<void(Cycle, const EventBus &)> &on_cycle =
-                nullptr) override;
-
-    /**
-     * Batch tick loop with a statically-dispatched per-cycle hook:
-     * the class is final, so the hook inlines — no per-cycle virtual
-     * or std::function dispatch. run() and the Session/tracer paths
-     * route through this. Each step is one tick plus, when that tick
-     * was idle, the identical cycles tickSpan() skips; the hook gets
-     * them through deliverSpan().
-     */
-    template <typename F>
-    u64
-    runLoop(u64 max_cycles, F &&on_cycle)
-    {
-        u64 simulated = 0;
-        while (!halted && simulated < max_cycles) {
-            const Cycle first = now;
-            const u64 count = tickSpan(max_cycles - simulated);
-            deliverSpan(on_cycle, first, events, count);
-            simulated += count;
-        }
-        return simulated;
-    }
-
-    Cycle cycle() const override { return now; }
-    const EventBus &bus() const override { return events; }
-    CsrFile &csrFile() override { return csrs; }
     Executor &executor() override { return exec; }
     MemHierarchy &memory() { return mem; }
 
@@ -104,27 +63,22 @@ class RocketCore final : public Core
     u32 issueWidth() const override { return 1; }
     const char *name() const override { return "Rocket"; }
 
-    /** Exact host-side event totals (sum of source bits per cycle). */
-    u64 total(EventId id) const override
-    { return totals[static_cast<u32>(id)]; }
-    u64 laneTotal(EventId id, u32 lane) const override
-    { return lane == 0 ? total(id) : 0; }
-
     const RocketConfig &config() const { return cfg; }
 
   private:
+    friend class CoreModel<RocketCore>;
+
+    /**
+     * One cycle: backend, then frontend. `active` marks an issue, a
+     * mispredict resolution, a fetch step and the tick that ends the
+     * redirect countdown.
+     */
+    void stages();
     void tickFrontend();
     void tickBackend();
     /** Fetch-time prediction for a control-flow instruction. */
     void predictControlFlow(PipeUop &entry);
     void raiseRetireClassEvents(const Retired &ret);
-    /**
-     * Tick once. If the tick changed nothing but timers, every cycle
-     * before the next timer fires repeats it exactly: account up to
-     * budget - 1 of them at once. Returns the cycles simulated (at
-     * least 1, at most budget).
-     */
-    u64 tickSpan(u64 budget);
 
     /**
      * Cycles after an idle tick before the earliest timer can change
@@ -133,8 +87,6 @@ class RocketCore final : public Core
      * redirect countdown.
      */
     u64 idleCycles() const;
-    /** Account `cycles` more cycles with the current bus. */
-    void account(u64 cycles);
 
     RocketConfig cfg;
     Executor exec;
@@ -142,17 +94,6 @@ class RocketCore final : public Core
     Bht bht;
     Btb btb;
     Ras ras;
-    EventBus events;
-    CsrFile csrs;
-    std::array<u64, kNumEvents> totals{};
-
-    Cycle now = 0;
-    /**
-     * This tick changed state besides a countdown, or ended the
-     * redirect countdown: an issue, a mispredict resolution or a
-     * fetch step.
-     */
-    bool active = false;
 
     // ---- frontend state ----
     UopRing ibuf;
@@ -169,8 +110,6 @@ class RocketCore final : public Core
     u64 lastFetchBlock = ~0ull;
     /** Recovering: no valid fetch packet delivered since last flush. */
     bool recovering = false;
-    /** Cycles the frontend must wait after a redirect. */
-    u32 redirectWait = 0;
 
     // ---- backend state ----
     /** Cycle at which each architectural register's value is ready. */
@@ -187,8 +126,9 @@ class RocketCore final : public Core
     bool resolveTargetMispredict = false;
     /** CSR/fence serialization: issue stalls until this cycle. */
     Cycle serializeUntil = 0;
-    bool halted = false;
 };
+
+extern template class CoreModel<RocketCore>;
 
 } // namespace icicle
 

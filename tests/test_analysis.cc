@@ -54,7 +54,6 @@ class PuppetCore : public Core
         }
     }
 
-    void tick() override { csrFileImpl.tick(events); }
     bool done() const override { return true; }
     u64
     run(u64, const std::function<void(Cycle, const EventBus &)> &)

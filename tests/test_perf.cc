@@ -6,6 +6,10 @@
  * multiplexing must produce sane scaled estimates.
  */
 
+#include <array>
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "boom/boom.hh"
@@ -143,6 +147,164 @@ TEST(PerfHarness, MultiplexingScalesEstimates)
     const u64 truth = core.total(EventId::UopsRetired);
     EXPECT_GT(estimated, truth / 2);
     EXPECT_LT(estimated, truth * 2);
+}
+
+/**
+ * One PerfHarness run recorded before the harness advanced the core
+ * through Core::run: the request is the level-3 TMA set plus
+ * MultiplexingScalesEstimates' three extra events, on Scalar GigaBOOM
+ * (two multiplex groups) or AddWires BOOM-large (one group).
+ */
+struct HarnessGolden
+{
+    bool multiplexed;
+    const char *workload;
+    u64 maxCycles;
+    u64 epoch;
+    /** Cycles simulated, which is also the core's final cycle. */
+    u64 cycles;
+    u32 groups;
+    /** value() of each kGoldenEvents entry. */
+    std::array<u64, 13> values;
+};
+
+constexpr EventId kGoldenEvents[] = {
+    EventId::UopsRetired,      EventId::UopsIssued,
+    EventId::FetchBubbles,     EventId::Recovering,
+    EventId::BranchMispredict, EventId::Flush,
+    EventId::FenceRetired,     EventId::ICacheBlocked,
+    EventId::DCacheBlocked,    EventId::DCacheBlockedDram,
+    EventId::ICacheMiss,       EventId::DCacheMiss,
+    EventId::BranchResolved,
+};
+
+constexpr u64 kNoCap = ~0ull;
+
+// Epoch 97 ends both workloads mid-epoch; 505.mcf_r stops at its cap.
+const HarnessGolden kHarnessGoldens[] = {
+    {true, "towers", kNoCap, 1, 42862, 2,
+     {61408, 62958, 145772, 1176, 288, 0, 0, 120, 228, 172, 0, 6, 14684}},
+    {true, "towers", kNoCap, 97, 42862, 2,
+     {61372, 62060, 143909, 1181, 293, 0, 0, 135, 19, 380, 2, 2, 14514}},
+    {true, "towers", kNoCap, 2000, 42862, 2,
+     {60803, 61680, 142695, 1387, 337, 0, 0, 231, 389, 0, 0, 0, 14624}},
+    {true, "towers", kNoCap, 10000, 42862, 2,
+     {61051, 61829, 143308, 1282, 311, 0, 0, 223, 374, 0, 0, 0, 14564}},
+    {true, "505.mcf_r", 200000, 1, 200000, 2,
+     {24378, 202680, 36752, 5698, 1424, 0, 0, 312, 726134, 726224, 8, 2868,
+      5714}},
+    {true, "505.mcf_r", 200000, 97, 200000, 2,
+     {24262, 203977, 37009, 5791, 1437, 0, 0, 351, 723575, 728783, 4, 2890,
+      5734}},
+    {true, "505.mcf_r", 200000, 2000, 200000, 2,
+     {24302, 213260, 38762, 6036, 1494, 0, 0, 626, 711258, 741100, 0, 2864,
+      5730}},
+    {true, "505.mcf_r", 200000, 10000, 200000, 2,
+     {24296, 205030, 38550, 5804, 1436, 0, 0, 626, 722184, 730174, 0, 2866,
+      5742}},
+    {false, "towers", kNoCap, 1, 42862, 1,
+     {61436, 61683, 61799, 1176, 289, 0, 0, 115, 116, 116, 2, 3, 14464}},
+    {false, "towers", kNoCap, 97, 42862, 1,
+     {61436, 61683, 61799, 1176, 289, 0, 0, 115, 116, 116, 2, 3, 14464}},
+    {false, "towers", kNoCap, 2000, 42862, 1,
+     {61436, 61683, 61799, 1176, 289, 0, 0, 115, 116, 116, 2, 3, 14464}},
+    {false, "towers", kNoCap, 10000, 42862, 1,
+     {61436, 61683, 61799, 1176, 289, 0, 0, 115, 116, 116, 2, 3, 14464}},
+    {false, "505.mcf_r", 200000, 1, 200000, 1,
+     {24193, 153587, 13322, 5666, 1408, 0, 0, 226, 405256, 405256, 5, 2839,
+      5677}},
+    {false, "505.mcf_r", 200000, 97, 200000, 1,
+     {24193, 153587, 13322, 5666, 1408, 0, 0, 226, 405256, 405256, 5, 2839,
+      5677}},
+    {false, "505.mcf_r", 200000, 2000, 200000, 1,
+     {24193, 153587, 13322, 5666, 1408, 0, 0, 226, 405256, 405256, 5, 2839,
+      5677}},
+    {false, "505.mcf_r", 200000, 10000, 200000, 1,
+     {24193, 153587, 13322, 5666, 1408, 0, 0, 226, 405256, 405256, 5, 2839,
+      5677}},
+};
+
+void
+PrintTo(const HarnessGolden &golden, std::ostream *os)
+{
+    *os << golden.workload << " epoch " << golden.epoch;
+}
+
+class HarnessGoldens : public ::testing::TestWithParam<HarnessGolden>
+{};
+
+TEST_P(HarnessGoldens, EpochRotationMatchesRecordedRun)
+{
+    const HarnessGolden &golden = GetParam();
+    BoomConfig cfg =
+        golden.multiplexed ? BoomConfig::giga() : BoomConfig::large();
+    cfg.counterArch = golden.multiplexed ? CounterArch::Scalar
+                                         : CounterArch::AddWires;
+    BoomCore core(cfg, buildWorkload(golden.workload));
+    PerfHarness harness(core);
+    harness.addTmaEvents();
+    harness.addEvent(EventId::ICacheMiss);
+    harness.addEvent(EventId::DCacheMiss);
+    harness.addEvent(EventId::BranchResolved);
+
+    EXPECT_EQ(harness.run(golden.maxCycles, golden.epoch), golden.cycles);
+    EXPECT_EQ(core.cycle(), golden.cycles);
+    EXPECT_EQ(harness.numGroups(), golden.groups);
+    for (size_t i = 0; i < golden.values.size(); i++) {
+        EXPECT_EQ(harness.value(kGoldenEvents[i]), golden.values[i])
+            << eventName(kGoldenEvents[i]);
+    }
+    EXPECT_TRUE(harness.unreliableEvents().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, HarnessGoldens, ::testing::ValuesIn(kHarnessGoldens),
+    [](const auto &info) {
+        std::string name = std::string(info.param.multiplexed
+                                           ? "scalar_giga_"
+                                           : "addwires_large_") +
+                           info.param.workload + "_epoch" +
+                           std::to_string(info.param.epoch);
+        for (char &c : name)
+            if (c == '.')
+                c = '_';
+        return name;
+    });
+
+TEST(PerfHarness, GroupThatNeverRanIsMarkedNotCounted)
+{
+    // 5,000 cycles end inside the first 10,000-cycle epoch, so the
+    // second group, which holds dcache-blocked-dram's five lanes, is
+    // never programmed: its value reads 0 and must be flagged.
+    BoomConfig cfg = BoomConfig::giga();
+    cfg.counterArch = CounterArch::Scalar;
+    BoomCore core(cfg, buildWorkload("505.mcf_r"));
+    PerfHarness harness(core);
+    harness.addTmaEvents();
+    harness.run(5000);
+    ASSERT_EQ(harness.numGroups(), 2u);
+    EXPECT_EQ(harness.value(EventId::DCacheBlockedDram), 0u);
+    EXPECT_GT(core.total(EventId::DCacheBlockedDram), 0u);
+
+    EXPECT_TRUE(harness.anyUnreliable());
+    const std::vector<UnreliableEvent> unreliable =
+        harness.unreliableEvents();
+    ASSERT_EQ(unreliable.size(), 1u);
+    EXPECT_EQ(unreliable[0].event, EventId::DCacheBlockedDram);
+    EXPECT_TRUE(unreliable[0].notCounted);
+    EXPECT_FALSE(unreliable[0].saturated);
+    EXPECT_FALSE(unreliable[0].armedWrite);
+
+    BoomCore report_core(cfg, buildWorkload("505.mcf_r"));
+    const TmaRun run =
+        runTmaAnalysis(report_core, TmaSource::InBand, 5000);
+    const std::string report = tmaToolReport(run, "505.mcf_r");
+    EXPECT_NE(report.find(std::string("UNRELIABLE: ") +
+                          eventName(EventId::DCacheBlockedDram) +
+                          " (feeds Mem Bound (DRAM)) — not counted: its "
+                          "multiplex group never ran"),
+              std::string::npos)
+        << report;
 }
 
 TEST(PerfHarness, RejectsUnsupportedEvent)
