@@ -12,6 +12,9 @@
  *  C. Third-level Mem-Bound split (our future-work extension):
  *     DRAM-bound vs L2-bound attribution across workloads whose
  *     working sets target different levels.
+ *
+ * It ends with one OK/MISS line per claim EXPERIMENTS.md states for
+ * E19.
  */
 
 #include "bench_common.hh"
@@ -24,7 +27,31 @@ using namespace icicle;
 namespace
 {
 
+/** Print one claim check line, dot-padded to a common column. */
 void
+check(std::string claim, bool held, const std::string &detail)
+{
+    claim += ' ';
+    claim.resize(std::max<size_t>(claim.size(), 52), '.');
+    std::printf("  %s %s (%s)\n", claim.c_str(), held ? "OK" : "MISS",
+                detail.c_str());
+}
+
+std::string
+percent(double share)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.2f%%", share * 100);
+    return buf;
+}
+
+/** Bad Speculation share at M_rl = 0 and at M_rl = 4. */
+struct RecoverLengthResult
+{
+    double at0 = 0, at4 = 0;
+};
+
+RecoverLengthResult
 ablationRecoverLength()
 {
     bench::header("Ablation A: recovery-length constant M_rl "
@@ -55,54 +82,80 @@ ablationRecoverLength()
     std::printf("\n  overestimate at M_rl=4: +%.2f points over the "
                 "counter-exact recovery attribution\n",
                 (at4 - no_overestimate) * 100);
+    return {no_overestimate, at4};
 }
 
-void
+/** What the width sweep lost after post-processing. */
+struct WidthResult
+{
+    u64 exact = 0;
+    u64 lostAtWidth1 = 0;
+    /** Widths >= localWidthFor(sources) whose corrected value lost. */
+    u32 lossyPaperWidths = 0;
+};
+
+WidthResult
 ablationDistributedWidth()
 {
     bench::header("Ablation B: distributed-counter local width "
                   "(paper: ceil(log2(sources)))");
     // Drive the real fetch-bubble source mask from a simulation into
-    // DistributedCounter instances of different widths.
+    // Distributed machines of different widths.
     BoomCore core(BoomConfig::large(), buildWorkload("coremark"));
     const u32 sources = core.bus().sourcesOf(EventId::FetchBubbles);
-    std::vector<std::unique_ptr<DistributedCounter>> counters;
+    std::vector<DistributedMachine> counters;
     for (u32 width = 1; width <= 6; width++)
-        counters.push_back(std::make_unique<DistributedCounter>(
-            EventId::FetchBubbles, sources, width));
+        counters.emplace_back(sources, width);
     core.run(bench::kMaxCycles, [&](Cycle, const EventBus &bus) {
-        for (auto &counter : counters)
-            counter->tick(bus);
+        for (DistributedMachine &counter : counters)
+            counter.step(bus.mask(EventId::FetchBubbles));
     });
     const u64 exact = core.total(EventId::FetchBubbles);
+    WidthResult result{exact};
 
     std::printf("\n  sources=%u exact-count=%llu\n", sources,
                 static_cast<unsigned long long>(exact));
     std::printf("  %-7s %12s %12s %10s %12s\n", "width",
                 "raw(scaled)", "corrected", "lost", "bound");
-    for (auto &counter : counters) {
-        const u64 scaled = counter->read()
-                           << counter->localWidth();
-        const u64 corrected = counter->corrected();
+    for (const DistributedMachine &counter : counters) {
+        const u64 scaled = counter.read() << counter.width;
+        const u64 corrected = counter.corrected();
+        const long long lost = static_cast<long long>(exact) -
+                               static_cast<long long>(corrected);
         std::printf("  %-7u %12llu %12llu %10lld %12llu%s\n",
-                    counter->localWidth(),
+                    counter.width,
                     static_cast<unsigned long long>(scaled),
-                    static_cast<unsigned long long>(corrected),
-                    static_cast<long long>(exact) -
-                        static_cast<long long>(corrected),
+                    static_cast<unsigned long long>(corrected), lost,
                     static_cast<unsigned long long>(
-                        counter->undercountBound()),
-                    counter->localWidth() == 2
+                        counter.undercountBound()),
+                    counter.width == 2
                         ? "   <- paper sizing for 3-4 sources"
                         : "");
+        if (counter.width == 1)
+            result.lostAtWidth1 = static_cast<u64>(lost);
+        if (counter.width >= localWidthFor(sources) && lost != 0)
+            result.lossyPaperWidths++;
     }
     std::printf("\n  widths >= ceil(log2(sources)) lose nothing after "
                 "post-processing; width 1 can drop\n  overflows when "
                 "all lanes fire for %u+ consecutive cycles.\n",
                 sources);
+    return result;
 }
 
-void
+/** DRAM-bound and L2-bound shares of one level-3 row. */
+struct MemSplit
+{
+    double l2 = 0, dram = 0;
+};
+
+/** The pointer-chase and deepsjeng-64KiB rows. */
+struct Level3Result
+{
+    MemSplit chase, deepsjeng;
+};
+
+Level3Result
 ablationLevel3()
 {
     bench::header("Ablation C: third-level Mem-Bound split "
@@ -134,7 +187,8 @@ ablationLevel3()
     };
     SweepOptions options;
     options.workers = bench::defaultWorkers();
-    for (const SweepResult &row : runSweepJobs(jobs, options)) {
+    const std::vector<SweepResult> rows = runSweepJobs(jobs, options);
+    for (const SweepResult &row : rows) {
         bench::warnIfUnhealthy(row);
         std::printf("  %-22s %9.1f%% %9.1f%% %9.1f%%\n",
                     row.label.c_str(), row.tma.memBound * 100,
@@ -144,6 +198,8 @@ ablationLevel3()
     std::printf("\n  expectation: out-of-L2 chasing is DRAM-bound, an "
                 "L2-resident working set is\n  L2-bound, and an "
                 "L1-resident kernel splits whatever little remains.\n");
+    return {{rows[0].tma.memBoundL2, rows[0].tma.memBoundDram},
+            {rows[1].tma.memBoundL2, rows[1].tma.memBoundDram}};
 }
 
 } // namespace
@@ -151,8 +207,25 @@ ablationLevel3()
 int
 main()
 {
-    ablationRecoverLength();
-    ablationDistributedWidth();
-    ablationLevel3();
+    const RecoverLengthResult a = ablationRecoverLength();
+    const WidthResult b = ablationDistributedWidth();
+    const Level3Result c = ablationLevel3();
+
+    std::printf("\nchecks:\n");
+    check("(A) qsort BadSpec at M_rl=4 above M_rl=0",
+          a.at4 > a.at0, percent(a.at0) + " -> " + percent(a.at4));
+    check("(B1) corrected is exact at width >= ceil(log2 n)",
+          b.lossyPaperWidths == 0,
+          std::to_string(b.lossyPaperWidths) + " width(s) lost events");
+    check("(B2) width 1 loses events",
+          b.lostAtWidth1 > 0,
+          std::to_string(b.lostAtWidth1) + " of " +
+              std::to_string(b.exact));
+    check("(C1) pointer-chase more DRAM- than L2-bound",
+          c.chase.dram > c.chase.l2,
+          percent(c.chase.dram) + " vs " + percent(c.chase.l2));
+    check("(C2) deepsjeng-64KiB more L2- than DRAM-bound",
+          c.deepsjeng.l2 > c.deepsjeng.dram,
+          percent(c.deepsjeng.l2) + " vs " + percent(c.deepsjeng.dram));
     return 0;
 }

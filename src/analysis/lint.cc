@@ -72,16 +72,6 @@ expectedSources(const Core &core, EventId id)
     }
 }
 
-/** Mirror of the CsrFile distributed-counter auto-sizing. */
-u32
-defaultLocalWidth(u64 sources)
-{
-    u32 width = 1;
-    while ((1ull << width) < sources)
-        width++;
-    return width;
-}
-
 std::string
 hpmSubject(u32 index)
 {
@@ -315,10 +305,11 @@ lintDistributedBounds(u32 sources, u32 local_width, const char *subject,
 
     // A local counter wraps at most once every 2^width asserted
     // cycles; the one-hot arbiter revisits it every `sources` cycles.
-    // If 2^width < sources a saturating burst wraps the counter again
-    // before its overflow latch is drained: the latch saturates and
-    // 2^width events are *lost*, not deferred.
-    if (wrap < sources) {
+    // Below localWidthFor(sources), i.e. with 2^width < sources, a
+    // saturating burst wraps the counter again before its overflow
+    // latch is drained: the latch saturates and 2^width events are
+    // *lost*, not deferred.
+    if (local_width < localWidthFor(sources)) {
         std::ostringstream os;
         os << "local width " << local_width << " too small for "
            << sources << " sources: 2^" << local_width << " = " << wrap
@@ -330,7 +321,7 @@ lintDistributedBounds(u32 sources, u32 local_width, const char *subject,
         return report;
     }
 
-    const u64 bound = static_cast<u64>(sources) * wrap;
+    const u64 bound = undercountBound(sources, local_width);
     if (bound > opts.undercountWarnThreshold) {
         std::ostringstream os;
         os << "worst-case end-of-run undercount " << sources << " x 2^"
@@ -370,10 +361,10 @@ lintCounterArch(const Core &core, const LintOptions &opts)
             }
             break;
           case CounterArch::AddWires:
-            if (sources > 1 &&
-                sources - 1 > opts.addWiresChainWarnLength) {
+            if (addWiresChainLength(sources) >
+                opts.addWiresChainWarnLength) {
                 std::ostringstream os;
-                os << "adder chain of " << (sources - 1)
+                os << "adder chain of " << addWiresChainLength(sources)
                    << " exceeds the timing budget of "
                    << opts.addWiresChainWarnLength
                    << " (§V-C: chain delay grows with sources)";
@@ -384,7 +375,7 @@ lintCounterArch(const Core &core, const LintOptions &opts)
           case CounterArch::Distributed:
             if (sources > 1) {
                 report.merge(lintDistributedBounds(
-                    sources, defaultLocalWidth(sources), info.name,
+                    sources, localWidthFor(sources), info.name,
                     opts));
             }
             break;

@@ -49,7 +49,7 @@ namespace icicle
 struct LintOptions
 {
     /**
-     * CNT-003: warn when a DistributedCounter's worst-case end-of-run
+     * CNT-003: warn when a Distributed counter's worst-case end-of-run
      * undercount (sources * 2^localWidth) exceeds this many events.
      */
     u64 undercountWarnThreshold = 1u << 10;

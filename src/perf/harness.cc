@@ -105,6 +105,8 @@ PerfHarness::allocate()
     allocations = std::move(flat);
     groupCycles.assign(groupCount, 0);
     allocated = true;
+    active = 0;
+    epochStart = core.cycle();
 }
 
 void
@@ -151,10 +153,11 @@ PerfHarness::run(u64 max_cycles, u64 epoch)
     if (!allocated)
         allocate();
 
+    // The previous call harvested the active group; programming it
+    // again zeroes its counters without moving its epoch.
     u64 simulated = 0;
-    u32 active = 0;
     programGroup(active);
-    Cycle group_started = core.cycle();
+    Cycle harvested_at = core.cycle();
 
     while (!core.done() && simulated < max_cycles) {
         u64 budget = max_cycles - simulated;
@@ -162,20 +165,20 @@ PerfHarness::run(u64 max_cycles, u64 epoch)
             // Stop at the epoch's end. A span never crosses a run()
             // bound, so each rotation lands on the cycle it would if
             // the core advanced one cycle at a time.
-            const u64 elapsed = core.cycle() - group_started;
+            const u64 elapsed = core.cycle() - epochStart;
             budget = std::min(budget, std::max<u64>(1, epoch - elapsed));
         }
         simulated += core.run(budget);
-        if (groupCount > 1 && core.cycle() - group_started >= epoch) {
+        if (groupCount > 1 && core.cycle() - epochStart >= epoch) {
             harvestGroup(active);
-            groupCycles[active] += core.cycle() - group_started;
+            groupCycles[active] += core.cycle() - harvested_at;
             active = (active + 1) % groupCount;
             programGroup(active);
-            group_started = core.cycle();
+            epochStart = harvested_at = core.cycle();
         }
     }
     harvestGroup(active);
-    groupCycles[active] += core.cycle() - group_started;
+    groupCycles[active] += core.cycle() - harvested_at;
     totalCycles += simulated;
     return simulated;
 }

@@ -73,7 +73,10 @@ class PerfHarness
 
     /**
      * Run the workload with counting enabled, multiplexing groups
-     * every `epoch` cycles when the request does not fit.
+     * every `epoch` cycles when the request does not fit. The active
+     * group and its epoch start carry over from the previous call, so
+     * consecutive calls count exactly as one call of their total
+     * length does.
      * @return cycles simulated
      */
     u64 run(u64 max_cycles = ~0ull, u64 epoch = 10000);
@@ -113,6 +116,9 @@ class PerfHarness
     /** Cycles each group was live (for multiplex scaling). */
     std::vector<u64> groupCycles;
     u64 totalCycles = 0;
+    /** The group counting now, and the cycle its epoch began. */
+    u32 active = 0;
+    Cycle epochStart = 0;
 };
 
 } // namespace icicle

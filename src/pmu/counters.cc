@@ -1,5 +1,6 @@
 #include "pmu/counters.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -7,6 +8,22 @@
 
 namespace icicle
 {
+
+namespace
+{
+
+/** Add `n` to an hpmWidth-bit register; true if it wrapped. */
+bool
+bump(u64 &reg, u64 n)
+{
+    reg += n;
+    if (reg <= csr::hpmValueMask)
+        return false;
+    reg &= csr::hpmValueMask;
+    return true;
+}
+
+} // namespace
 
 const char *
 counterArchName(CounterArch arch)
@@ -19,225 +36,158 @@ counterArchName(CounterArch arch)
     }
 }
 
-// ------------------------------------------------------ ScalarCounter
-
-ScalarCounter::ScalarCounter(EventId id, u32 sources)
-    : EventCounter(id), perSource(sources, 0)
+u32
+localWidthFor(u32 sources)
 {
-    ICICLE_ASSERT(sources >= 1 && sources <= kMaxSources,
-                  "bad source count");
-}
-
-void
-ScalarCounter::tick(const EventBus &bus)
-{
-    step(bus.mask(eventId));
-}
-
-void
-ScalarCounter::step(u16 source_mask)
-{
-    u32 lanes = static_cast<u32>(perSource.size());
-    if (ICICLE_MUTANT(ScalarLaneSkip) && lanes > 1)
-        lanes--;
-    for (u32 s = 0; s < lanes; s++) {
-        if (source_mask & (1u << s))
-            perSource[s]++;
-    }
+    return std::max<u32>(1, std::bit_width(sources - 1));
 }
 
 u64
-ScalarCounter::read() const
+undercountBound(u32 sources, u32 width)
+{
+    return static_cast<u64>(sources) << width;
+}
+
+u32
+addWiresChainLength(u32 sources)
+{
+    return sources > 1 ? sources - 1 : 0;
+}
+
+// ------------------------------------------------------------- Scalar
+
+bool
+ScalarMachine::step(u64 mask, u64 cycles)
+{
+    if (ICICLE_MUTANT(ScalarLaneSkip) && lanes.size() > 1)
+        mask &= ~(1ull << (lanes.size() - 1));
+    bool wrapped = false;
+    for (u64 m = mask; m; m &= m - 1)
+        wrapped |= bump(lanes[std::countr_zero(m)], cycles);
+    if (mask)
+        wrapped |= bump(value, cycles);
+    return wrapped;
+}
+
+u64
+ScalarMachine::counted() const
 {
     u64 total = 0;
-    for (u64 v : perSource)
+    for (u64 v : lanes)
         total += v;
     return total;
 }
 
 void
-ScalarCounter::reset()
+ScalarMachine::clearAccumulators()
 {
-    for (u64 &v : perSource)
-        v = 0;
+    value = 0;
+    std::fill(lanes.begin(), lanes.end(), 0);
 }
 
-// ---------------------------------------------------- AddWiresCounter
+// ----------------------------------------------------------- AddWires
 
-AddWiresCounter::AddWiresCounter(EventId id, u32 sources)
-    : EventCounter(id), numSources(sources)
-{
-    ICICLE_ASSERT(sources >= 1 && sources <= kMaxSources,
-                  "bad source count");
-}
-
-void
-AddWiresCounter::tick(const EventBus &bus)
-{
-    step(bus.mask(eventId));
-}
-
-void
-AddWiresCounter::step(u16 source_mask)
+bool
+AddWiresMachine::step(u64 mask, u64 cycles)
 {
     // The adder chain computes the popcount of the asserted sources;
     // the RTL compiles to a sequential chain (see §IV-B), which is
     // functionally just the sum.
-    u64 increment = static_cast<u64>(std::popcount(source_mask));
+    u64 increment = static_cast<u64>(std::popcount(mask));
     if (ICICLE_MUTANT(AddWiresOrSemantics))
         increment = increment ? 1 : 0;
-    value += increment;
+    return bump(value, increment * cycles);
 }
 
-// ------------------------------------------------- DistributedCounter
+// -------------------------------------------------------- Distributed
 
-namespace
+DistributedMachine::DistributedMachine(u32 sources, u32 local_width)
+    : width(sources == 0 ? 0
+            : local_width ? local_width
+                          : localWidthFor(sources)),
+      local(sources, 0)
 {
-
-u32
-defaultWidth(u32 sources)
-{
-    // Each local counter must absorb up to `sources - 1` events while
-    // waiting for its select slot: width = ceil(log2(sources)), at
-    // least 1 bit.
-    u32 width = 1;
-    while ((1u << width) < sources)
-        width++;
-    return width;
+    ICICLE_ASSERT(sources <= 64, "overflow latches hold 64 sources");
 }
 
-} // namespace
-
-DistributedCounter::DistributedCounter(EventId id, u32 sources,
-                                       u32 local_width)
-    : EventCounter(id), numSources(sources),
-      width(local_width ? local_width : defaultWidth(sources)),
-      wrap(1ull << width), local(sources, 0), overflow(sources, false)
-{
-    ICICLE_ASSERT(sources >= 1 && sources <= kMaxSources,
-                  "bad source count");
-}
-
-void
-DistributedCounter::tick(const EventBus &bus)
-{
-    step(bus.mask(eventId));
-}
-
-void
-DistributedCounter::step(u16 source_mask)
+bool
+DistributedMachine::step(u64 mask)
 {
     // Local counters count their own source; on wrap they latch the
     // overflow register.
-    const u64 wrap_at = ICICLE_MUTANT(WrapOffByOne) ? wrap + 1 : wrap;
-    for (u32 s = 0; s < numSources; s++) {
-        if (source_mask & (1u << s)) {
-            if (ICICLE_MUTANT(SaturatingLocalAdd)) {
-                if (local[s] + 1 < wrap)
-                    local[s]++;
-                continue;
-            }
-            local[s]++;
-            if (local[s] == wrap_at) {
-                local[s] = 0;
-                // If the previous overflow was never drained we lose
-                // it: real hardware saturates the latch. This cannot
-                // happen with width >= ceil(log2(sources)) because the
-                // arbiter revisits each source every numSources cycles.
-                overflow[s] = true;
-            }
+    const u64 wrap_at = ICICLE_MUTANT(WrapOffByOne) ? wrap() + 1 : wrap();
+    for (u64 m = mask; m; m &= m - 1) {
+        const u32 s = static_cast<u32>(std::countr_zero(m));
+        if (ICICLE_MUTANT(SaturatingLocalAdd)) {
+            if (local[s] + 1 < wrap())
+                local[s]++;
+            continue;
+        }
+        if (++local[s] == wrap_at) {
+            local[s] = 0;
+            // If the previous overflow was never drained we lose it:
+            // real hardware saturates the latch. This cannot happen
+            // with width >= localWidthFor(sources) because the arbiter
+            // revisits each source every sources() cycles.
+            overflow |= 1ull << s;
         }
     }
 
     // Rotating one-hot arbiter: inspect exactly one overflow latch per
     // cycle; clear-on-select.
+    bool wrapped = false;
     const bool inspect =
         !(ICICLE_MUTANT(DrainSkipsSourceZero) && select == 0);
-    if (inspect && overflow[select]) {
+    if (inspect && (overflow >> select & 1)) {
         if (!ICICLE_MUTANT(StickyOverflowDrain))
-            overflow[select] = false;
-        principal++;
+            overflow &= ~(1ull << select);
+        wrapped = bump(principal, 1);
     }
-    const u32 advance = ICICLE_MUTANT(ArbiterDoubleAdvance) ? 2 : 1;
-    select = (select + advance) % numSources;
+    if (ICICLE_MUTANT(ArbiterDoubleAdvance))
+        select = (select + 2) % sources();
+    else if (++select == sources())
+        select = 0;
+    return wrapped;
+}
+
+bool
+DistributedMachine::step(u64 mask, u64 cycles)
+{
+    // A high source or a pending latch moves more than the arbiter, so
+    // those cycles step one at a time. With no source high, one
+    // rotation drains every latch.
+    bool wrapped = false;
+    for (; cycles > 0 && (mask || overflow); cycles--)
+        wrapped |= step(mask);
+    if (cycles > 0) {
+        const u64 advance = ICICLE_MUTANT(ArbiterDoubleAdvance) ? 2 : 1;
+        select = static_cast<u32>(
+            (select + advance * (cycles % sources())) % sources());
+    }
+    return wrapped;
 }
 
 u64
-DistributedCounter::residue() const
+DistributedMachine::residue() const
 {
     u64 leftover = 0;
-    for (u32 s = 0; s < numSources; s++) {
-        leftover += local[s];
-        if (overflow[s] && !ICICLE_MUTANT(ResidueDropsLatch))
-            leftover += wrap;
-    }
+    for (u64 v : local)
+        leftover += v;
+    if (!ICICLE_MUTANT(ResidueDropsLatch))
+        leftover += static_cast<u64>(std::popcount(overflow)) * wrap();
     return leftover;
-}
-
-u64
-DistributedCounter::corrected() const
-{
-    return principal * wrap + residue();
-}
-
-u64
-DistributedCounter::undercountBound() const
-{
-    return static_cast<u64>(numSources) * wrap;
-}
-
-DistributedCounterState
-DistributedCounter::snapshot() const
-{
-    DistributedCounterState state;
-    state.local = local;
-    state.overflow.assign(numSources, 0);
-    for (u32 s = 0; s < numSources; s++)
-        state.overflow[s] = overflow[s] ? 1 : 0;
-    state.select = select;
-    state.principal = principal;
-    return state;
-}
-
-void
-DistributedCounter::restore(const DistributedCounterState &state)
-{
-    ICICLE_ASSERT(state.local.size() == numSources &&
-                      state.overflow.size() == numSources &&
-                      state.select < numSources,
-                  "snapshot geometry mismatch");
-    local = state.local;
-    for (u32 s = 0; s < numSources; s++)
-        overflow[s] = state.overflow[s] != 0;
-    select = state.select;
-    principal = state.principal;
-}
-
-void
-DistributedCounter::reset()
-{
-    principal = 0;
-    select = 0;
-    for (u32 s = 0; s < numSources; s++) {
-        local[s] = 0;
-        overflow[s] = false;
-    }
 }
 
 // ------------------------------------------------------------ factory
 
-std::unique_ptr<EventCounter>
-makeCounter(CounterArch arch, EventId id, u32 sources)
+CounterMachine
+makeMachine(CounterArch arch, u32 sources)
 {
     switch (arch) {
-      case CounterArch::Scalar:
-        return std::make_unique<ScalarCounter>(id, sources);
-      case CounterArch::AddWires:
-        return std::make_unique<AddWiresCounter>(id, sources);
-      case CounterArch::Distributed:
-        return std::make_unique<DistributedCounter>(id, sources);
-      default:
-        panic("unknown counter architecture");
+      case CounterArch::Scalar: return ScalarMachine(sources);
+      case CounterArch::AddWires: return AddWiresMachine{};
+      case CounterArch::Distributed: return DistributedMachine(sources);
+      default: panic("unknown counter architecture");
     }
 }
 

@@ -17,12 +17,7 @@ CsrFile::decodeSelector(Hpm &hpm, u64 value)
 {
     hpm.selector = value;
     hpm.sources.clear();
-    hpm.value = 0;
-    hpm.perSource.clear();
-    hpm.local.clear();
-    hpm.overflow.clear();
-    hpm.select = 0;
-    hpm.principal = 0;
+    hpm.machine = makeMachine(counterArch, 0);
     hpm.saturated = false;
     hpm.armedWrite = false;
     hpm.watchedEvents = 0;
@@ -58,38 +53,29 @@ CsrFile::decodeSelector(Hpm &hpm, u64 value)
         }
     }
 
+    ICICLE_ASSERT(hpm.sources.size() <= 64,
+                  "a counter's source mask holds 64 sources");
     for (const auto &[event, source] : hpm.sources)
         hpm.watchedEvents |= 1ull << static_cast<u32>(event);
-
-    const u64 n = hpm.sources.size();
-    if (n == 0)
-        return;
-    hpm.perSource.assign(n, 0);
-    // Distributed local width: ceil(log2(sources)), min 1.
-    hpm.localWidth = 1;
-    while ((1ull << hpm.localWidth) < n)
-        hpm.localWidth++;
-    hpm.wrap = 1ull << hpm.localWidth;
-    hpm.local.assign(n, 0);
-    hpm.overflow.assign(n, false);
+    hpm.machine = makeMachine(counterArch,
+                              static_cast<u32>(hpm.sources.size()));
 }
 
-void
-CsrFile::tickHpm(Hpm &hpm, const EventBus &bus)
+u64
+CsrFile::sample(const Hpm &hpm, const EventBus &bus)
 {
-    u64 high = 0;
     // The gather only matters when one of the watched events was
-    // raised this cycle; tickHpmMasked must still run on an all-zero
+    // raised this cycle; the machine must still step on an all-zero
     // mask (the distributed rotation advances every cycle).
+    u64 high = 0;
     if (bus.dirty() & hpm.watchedEvents) {
-        const u64 n = hpm.sources.size();
-        for (u64 s = 0; s < n && s < 64; s++) {
+        for (u64 s = 0; s < hpm.sources.size(); s++) {
             const auto &[event, source] = hpm.sources[s];
             if (bus.mask(event) & (1u << source))
                 high |= 1ull << s;
         }
     }
-    tickHpmMasked(hpm, high);
+    return high;
 }
 
 void
@@ -99,71 +85,6 @@ CsrFile::recomputeConfigured()
     for (u32 i = 0; i < csr::numHpm; i++) {
         if (!hpms[i].sources.empty())
             configuredMask |= 1u << i;
-    }
-}
-
-void
-CsrFile::tickHpmMasked(Hpm &hpm, u64 high)
-{
-    if (hpm.sources.empty())
-        return;
-
-    // hpmWidth-bit registers: an increment that carries past the
-    // implemented width wraps, and the wrap is latched in the sticky
-    // saturation flag (hardware would just lose the count).
-    const auto bump = [&hpm](u64 &reg, u64 increment) {
-        reg += increment;
-        if (reg > csr::hpmValueMask) {
-            reg &= csr::hpmValueMask;
-            hpm.saturated = true;
-        }
-    };
-
-    const u64 n = hpm.sources.size();
-    switch (counterArch) {
-      case CounterArch::Scalar: {
-        // Legacy Chipyard semantics: the counter increments by one if
-        // *any* mapped signal is high (Fig. 1); per-source shadow
-        // registers implement the "one counter per lane" variant when
-        // lane-select is used (then n == 1 and the two coincide).
-        bool any = false;
-        for (u64 s = 0; s < n; s++) {
-            if (high & (1ull << s)) {
-                bump(hpm.perSource[s], 1);
-                any = true;
-            }
-        }
-        if (any)
-            bump(hpm.value, 1);
-        break;
-      }
-      case CounterArch::AddWires: {
-        // The adder chain sums the concatenated (width-padded)
-        // increment signals of all mapped events.
-        u64 increment = 0;
-        for (u64 s = 0; s < n; s++) {
-            if (high & (1ull << s))
-                increment++;
-        }
-        bump(hpm.value, increment);
-        break;
-      }
-      case CounterArch::Distributed: {
-        for (u64 s = 0; s < n; s++) {
-            if (high & (1ull << s)) {
-                if (++hpm.local[s] == hpm.wrap) {
-                    hpm.local[s] = 0;
-                    hpm.overflow[s] = true;
-                }
-            }
-        }
-        if (hpm.overflow[hpm.select]) {
-            hpm.overflow[hpm.select] = false;
-            bump(hpm.principal, 1);
-        }
-        hpm.select = static_cast<u32>((hpm.select + 1) % n);
-        break;
-      }
     }
 }
 
@@ -183,24 +104,32 @@ CsrFile::tick(const EventBus &bus)
         mcycleValue++;
     if (!(inhibitMask & 4ull))
         minstretValue += bus.count(EventId::InstRetired);
-    // Unconfigured counters are no-ops in tickHpm, so the per-cycle
-    // loop only visits counters that are both configured and live.
-    for (u32 live = liveCounters(); live; live &= live - 1)
-        tickHpm(hpms[std::countr_zero(live)], bus);
+    // Only counters that are both configured and live step.
+    for (u32 live = liveCounters(); live; live &= live - 1) {
+        Hpm &hpm = hpms[std::countr_zero(live)];
+        const u64 high = sample(hpm, bus);
+        hpm.saturated |= std::visit(
+            [high](auto &machine) { return machine.step(high); },
+            hpm.machine);
+    }
 }
 
 void
 CsrFile::tick(const EventBus &bus, u64 cycles)
 {
-    if (liveCounters()) {
-        for (u64 c = 0; c < cycles; c++)
-            tick(bus);
-        return;
-    }
     if (!(inhibitMask & 1ull))
         mcycleValue += cycles;
     if (!(inhibitMask & 4ull))
         minstretValue += cycles * bus.count(EventId::InstRetired);
+    for (u32 live = liveCounters(); live; live &= live - 1) {
+        Hpm &hpm = hpms[std::countr_zero(live)];
+        const u64 high = sample(hpm, bus);
+        hpm.saturated |= std::visit(
+            [high, cycles](auto &machine) {
+                return machine.step(high, cycles);
+            },
+            hpm.machine);
+    }
 }
 
 u64
@@ -243,8 +172,8 @@ CsrFile::writeCsr(u32 addr, u64 value)
             const u64 selector = hpm.selector;
             decodeSelector(hpm, selector);
         }
-        hpm.value = value;
-        hpm.principal = value;
+        std::visit([value](auto &machine) { machine.write(value); },
+                   hpm.machine);
         // §IV-D requires inhibiting before reconfiguration; a write
         // that lands while the counter is armed races the increment
         // logic in hardware, so latch it (after the decode above,
@@ -279,25 +208,17 @@ u64
 CsrFile::hpmValue(u32 index) const
 {
     ICICLE_ASSERT(index < csr::numHpm, "hpm index out of range");
-    const Hpm &hpm = hpms[index];
-    return counterArch == CounterArch::Distributed ? hpm.principal
-                                                   : hpm.value;
+    return std::visit([](const auto &machine) { return machine.read(); },
+                      hpms[index].machine);
 }
 
 u64
 CsrFile::hpmCorrected(u32 index) const
 {
     ICICLE_ASSERT(index < csr::numHpm, "hpm index out of range");
-    const Hpm &hpm = hpms[index];
-    if (counterArch != CounterArch::Distributed)
-        return hpm.value;
-    u64 residue = 0;
-    for (u64 s = 0; s < hpm.local.size(); s++) {
-        residue += hpm.local[s];
-        if (hpm.overflow[s])
-            residue += hpm.wrap;
-    }
-    return hpm.principal * hpm.wrap + residue;
+    return std::visit(
+        [](const auto &machine) { return machine.corrected(); },
+        hpms[index].machine);
 }
 
 void
@@ -351,55 +272,38 @@ CsrFile::clearCounters()
     recomputeConfigured();
 }
 
-HpmState
+CounterMachine
 CsrFile::snapshotHpm(u32 index) const
 {
     ICICLE_ASSERT(index < csr::numHpm, "hpm index out of range");
-    const Hpm &hpm = hpms[index];
-    HpmState state;
-    state.selector = hpm.selector;
-    state.value = hpm.value;
-    state.perSource = hpm.perSource;
-    state.localWidth = hpm.localWidth;
-    state.wrap = hpm.wrap;
-    state.local = hpm.local;
-    state.overflow.assign(hpm.overflow.size(), 0);
-    for (u64 s = 0; s < hpm.overflow.size(); s++)
-        state.overflow[s] = hpm.overflow[s] ? 1 : 0;
-    state.select = hpm.select;
-    state.principal = hpm.principal;
-    return state;
+    return hpms[index].machine;
 }
 
 void
-CsrFile::restoreHpm(u32 index, const HpmState &state)
+CsrFile::restoreHpm(u32 index, const CounterMachine &machine)
 {
     ICICLE_ASSERT(index < csr::numHpm, "hpm index out of range");
     Hpm &hpm = hpms[index];
-    // Re-derive the source wiring from the selector, then overlay the
-    // dynamic state on top.
-    decodeSelector(hpm, state.selector);
-    recomputeConfigured();
-    ICICLE_ASSERT(hpm.perSource.size() == state.perSource.size() &&
-                      hpm.local.size() == state.local.size() &&
-                      hpm.overflow.size() == state.overflow.size(),
-                  "snapshot geometry mismatch");
-    hpm.value = state.value;
-    hpm.perSource = state.perSource;
-    hpm.local = state.local;
-    for (u64 s = 0; s < state.overflow.size(); s++)
-        hpm.overflow[s] = state.overflow[s] != 0;
-    hpm.select = state.select;
-    hpm.principal = state.principal;
+    ICICLE_ASSERT(machine.index() == hpm.machine.index(),
+                  "snapshot of another counter architecture");
+    hpm.machine = machine;
 }
 
 void
-CsrFile::stepHpm(u32 index, u16 source_mask)
+CsrFile::stepHpm(u32 index, u64 source_mask)
 {
     ICICLE_ASSERT(index < csr::numHpm, "hpm index out of range");
+    Hpm &hpm = hpms[index];
+    if (hpm.sources.empty())
+        return;
     if (!(inhibitMask & (1ull << (index + 3))) ||
-        ICICLE_MUTANT(InhibitRace))
-        tickHpmMasked(hpms[index], source_mask);
+        ICICLE_MUTANT(InhibitRace)) {
+        hpm.saturated |= std::visit(
+            [source_mask](auto &machine) {
+                return machine.step(source_mask);
+            },
+            hpm.machine);
+    }
 }
 
 bool
@@ -414,21 +318,6 @@ CsrFile::hpmArmedWrite(u32 index) const
 {
     ICICLE_ASSERT(index < csr::numHpm, "hpm index out of range");
     return hpms[index].armedWrite;
-}
-
-u32
-CsrFile::hwCountersInUse() const
-{
-    // mcycle + minstret are always present.
-    u32 total = 2;
-    for (const Hpm &hpm : hpms) {
-        if (hpm.sources.empty())
-            continue;
-        // Scalar dedicates a register per source when lane-mapped;
-        // with legacy OR mapping it is still a single register.
-        total += 1;
-    }
-    return total;
 }
 
 } // namespace icicle

@@ -40,18 +40,6 @@ constexpr u32 hpmcounter3 = 0xC03;
 /** Number of programmable counters (3..31). */
 constexpr u32 numHpm = 29;
 
-/**
- * Implemented width of each programmable counter. The RTL does not
- * flop a full 64 bits per counter; like real designs it implements a
- * narrower register and software is expected to harvest before it
- * wraps. The model reproduces that wrap (value truncates to hpmWidth
- * bits) but, unlike silicon, records it in a sticky per-counter
- * saturation flag so the perf harness can mark the affected TMA
- * inputs unreliable instead of silently under-counting.
- */
-constexpr u32 hpmWidth = 48;
-constexpr u64 hpmValueMask = (1ull << hpmWidth) - 1;
-
 /** Build an mhpmevent selector value. */
 constexpr u64
 selector(EventSetId set, u64 mask, u32 lane_plus_one = 0)
@@ -60,26 +48,6 @@ selector(EventSetId set, u64 mask, u32 lane_plus_one = 0)
            (static_cast<u64>(lane_plus_one) << 56);
 }
 } // namespace csr
-
-/**
- * Complete dynamic state of one programmable counter, including the
- * decoded selector wiring. The model checker (src/prove/) snapshots
- * an Hpm, enumerates input/CSR-action schedules, and restores.
- */
-struct HpmState
-{
-    u64 selector = 0;
-    u64 value = 0;
-    std::vector<u64> perSource;
-    u32 localWidth = 0;
-    u64 wrap = 1;
-    std::vector<u64> local;
-    std::vector<u8> overflow;
-    u32 select = 0;
-    u64 principal = 0;
-
-    bool operator==(const HpmState &) const = default;
-};
 
 /**
  * The CSR file. Acts as the CsrBackend for in-band software (the
@@ -100,8 +68,8 @@ class CsrFile : public CsrBackend
     void tick(const EventBus &bus);
     /**
      * Advance `cycles` cycles that all carry this bus: equal to that
-     * many tick(bus) calls. Closed-form for mcycle and minstret when
-     * no programmable counter is live, one tick per cycle otherwise.
+     * many tick(bus) calls. mcycle and minstret move in closed form,
+     * and each live counter takes the span in one step(mask, cycles).
      */
     void tick(const EventBus &bus, u64 cycles);
 
@@ -160,20 +128,17 @@ class CsrFile : public CsrBackend
     CounterArch arch() const { return counterArch; }
     CoreKind core() const { return coreKind; }
 
-    /** Total hardware counter registers the current config uses. */
-    u32 hwCountersInUse() const;
-
     // ---- model-checker hooks (src/prove/) --------------------------
-    /** Snapshot the complete dynamic state of counter `index`. */
-    HpmState snapshotHpm(u32 index) const;
-    /** Restore counter `index` from a snapshot (re-derives wiring). */
-    void restoreHpm(u32 index, const HpmState &state);
+    /** Copy of counter `index`'s machine: its whole dynamic state. */
+    CounterMachine snapshotHpm(u32 index) const;
+    /** Restore counter `index` from a snapshot of the same wiring. */
+    void restoreHpm(u32 index, const CounterMachine &machine);
     /**
      * Advance only counter `index` one cycle with an explicit
      * per-source bitmask over its decoded source list, honouring the
-     * inhibit bit — the CSR-level analogue of EventCounter::step().
+     * inhibit bit: the CSR-level step(mask).
      */
-    void stepHpm(u32 index, u16 source_mask);
+    void stepHpm(u32 index, u64 source_mask);
 
   private:
     /** One programmable counter's decoded configuration and state. */
@@ -182,21 +147,12 @@ class CsrFile : public CsrBackend
         u64 selector = 0;
         /** (event, source-bit) pairs this counter watches, in order. */
         std::vector<std::pair<EventId, u8>> sources;
-        // Scalar / AddWires state.
-        u64 value = 0;
-        /** Per-source values (Scalar architecture). */
-        std::vector<u64> perSource;
-        // Distributed state.
-        u32 localWidth = 0;
-        u64 wrap = 1;
-        std::vector<u64> local;
-        std::vector<bool> overflow;
-        u32 select = 0;
-        u64 principal = 0;
+        /** Source s of the machine is sources[s]. */
+        CounterMachine machine;
         // Reliability flags — sticky until the counter is
-        // reprogrammed. Deliberately NOT part of HpmState: the model
-        // checker canonicalizes accumulators, so a wrap is
-        // unreachable there and the snapshot geometry stays stable.
+        // reprogrammed. Deliberately NOT part of the machine: the
+        // model checker canonicalizes accumulators, so a wrap is
+        // unreachable there.
         bool saturated = false;
         bool armedWrite = false;
         /** Bitmask (bit = EventId) of events in `sources`. */
@@ -207,8 +163,8 @@ class CsrFile : public CsrBackend
     void recomputeConfigured();
     /** Counters that are both configured and not inhibited. */
     u32 liveCounters() const;
-    void tickHpm(Hpm &hpm, const EventBus &bus);
-    void tickHpmMasked(Hpm &hpm, u64 high);
+    /** Bitmask of `hpm`'s sources that are high on `bus`. */
+    static u64 sample(const Hpm &hpm, const EventBus &bus);
     /** readCsr() of counter `index`: latches configuredRead. */
     u64 readHpmInBand(u32 index);
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <deque>
 #include <sstream>
+#include <type_traits>
 #include <unordered_set>
 
 #include "common/logging.hh"
@@ -17,15 +18,6 @@ namespace
 
 /** Max findings recorded per rule per run before suppression. */
 constexpr u32 kMaxFindingsPerRule = 4;
-
-u32
-autoWidth(u32 sources)
-{
-    u32 width = 1;
-    while ((1u << width) < sources)
-        width++;
-    return width;
-}
 
 /**
  * Largest k <= sources such that the worst-case canonical state bound
@@ -85,57 +77,58 @@ class FindingSink
 };
 
 std::string
-formatState(const DistributedCounterState &state)
+formatState(const DistributedMachine &state)
 {
     std::ostringstream os;
     os << "local=[";
     for (u64 i = 0; i < state.local.size(); i++)
         os << (i ? "," : "") << state.local[i];
     os << "] ovf=[";
-    for (u64 i = 0; i < state.overflow.size(); i++)
-        os << (i ? "," : "") << static_cast<u32>(state.overflow[i]);
+    for (u32 i = 0; i < state.sources(); i++)
+        os << (i ? "," : "") << (state.overflow >> i & 1);
     os << "] sel=" << state.select;
     return os.str();
 }
 
+/** Scalar and AddWires carry no control state besides accumulators. */
+std::string formatState(const ScalarMachine &) { return "reset"; }
+std::string formatState(const AddWiresMachine &) { return "reset"; }
+
+/** Visited-set key of a canonical (accumulator-free) state. */
 std::string
-stateKey(const DistributedCounterState &state)
+stateKey(const DistributedMachine &state)
 {
     std::string key;
-    key.reserve(state.local.size() * 2 + state.overflow.size() + 1);
+    key.reserve(state.local.size() * 2 + 9);
     for (u64 v : state.local) {
         key.push_back(static_cast<char>(v & 0xff));
         key.push_back(static_cast<char>((v >> 8) & 0xff));
     }
-    for (u8 o : state.overflow)
-        key.push_back(static_cast<char>(o));
+    for (u32 i = 0; i < 64; i += 8)
+        key.push_back(static_cast<char>(state.overflow >> i));
     key.push_back(static_cast<char>(state.select));
     return key;
 }
+
+std::string stateKey(const ScalarMachine &) { return {}; }
+std::string stateKey(const AddWiresMachine &) { return {}; }
 
 /**
  * PROVE-C2 probe: from `state`, run `sources` input-silent cycles and
  * require every overflow latch to drain into the principal.
  */
 void
-drainProbe(DistributedCounter &counter,
-           const DistributedCounterState &state, u32 sources,
-           FindingSink &sink)
+drainProbe(const DistributedMachine &state, FindingSink &sink)
 {
-    counter.restore(state);
-    u32 latched = 0;
-    for (u8 o : state.overflow)
-        latched += o ? 1 : 0;
-    for (u32 i = 0; i < sources; i++)
-        counter.step(0);
-    const DistributedCounterState after = counter.snapshot();
-    u32 still = 0;
-    for (u8 o : after.overflow)
-        still += o ? 1 : 0;
+    DistributedMachine after = state;
+    const u32 latched = static_cast<u32>(std::popcount(state.overflow));
+    for (u32 i = 0; i < state.sources(); i++)
+        after.step(0);
+    const u32 still = static_cast<u32>(std::popcount(after.overflow));
     if (still > 0) {
         std::ostringstream os;
         os << still << " overflow latch(es) still pending after "
-           << sources << " silent cycles from state "
+           << state.sources() << " silent cycles from state "
            << formatState(state)
            << " -- the arbiter is not live for every source";
         sink.add("PROVE-C2", os.str());
@@ -151,31 +144,24 @@ drainProbe(DistributedCounter &counter,
     }
 }
 
+/**
+ * BFS over every canonical state reachable from `init` under the 2^k
+ * burst masks, checking PROVE-C1 on each transition: counted() moves
+ * by exactly popcount(mask). Accumulators never drive the dynamics,
+ * so they are zeroed in each visited state. Scalar and AddWires have
+ * one canonical state; Distributed also gets the PROVE-C2 probe.
+ */
+template <typename Machine>
 ProveStats
-proveDistributed(const ArchProveOptions &options, LintReport &report)
+proveMachine(const Machine &init, u32 k, const ArchProveOptions &options,
+             FindingSink &sink)
 {
-    const u32 sources = options.sources;
-    const u32 width =
-        options.localWidth ? options.localWidth : autoWidth(sources);
-    const u64 wrap = 1ull << width;
-
-    std::ostringstream subj;
-    subj << "distributed/s" << sources << "w" << width;
-    FindingSink sink(report, subj.str());
-
     ProveStats stats;
-    stats.activeSources =
-        options.activeSources
-            ? std::min(options.activeSources, sources)
-            : budgetActiveSources(sources, wrap, options.maxStates);
-    const u32 k = stats.activeSources;
+    stats.activeSources = k;
     const u32 num_masks = 1u << k;
 
-    DistributedCounter counter(EventId::Cycles, sources, width);
-
-    DistributedCounterState init = counter.snapshot();
     std::unordered_set<std::string> visited;
-    std::deque<std::pair<DistributedCounterState, u32>> frontier;
+    std::deque<std::pair<Machine, u32>> frontier;
     visited.insert(stateKey(init));
     frontier.emplace_back(init, 0);
     stats.states = 1;
@@ -186,7 +172,8 @@ proveDistributed(const ArchProveOptions &options, LintReport &report)
         frontier.pop_front();
         stats.depth = std::max(stats.depth, depth);
 
-        drainProbe(counter, state, sources, sink);
+        if constexpr (std::is_same_v<Machine, DistributedMachine>)
+            drainProbe(state, sink);
 
         if (depth >= options.horizon) {
             stats.closed = false;
@@ -194,25 +181,22 @@ proveDistributed(const ArchProveOptions &options, LintReport &report)
         }
 
         for (u32 mask = 0; mask < num_masks; mask++) {
-            counter.restore(state);
-            const u64 before = counter.corrected();
-            counter.step(static_cast<u16>(mask));
-            const u64 after = counter.corrected();
-            const u64 expected =
-                static_cast<u64>(std::popcount(mask));
+            Machine next = state;
+            const u64 before = next.counted();
+            next.step(mask);
+            const u64 after = next.counted();
+            const u64 expected = static_cast<u64>(std::popcount(mask));
             stats.transitions++;
             if (after != before + expected) {
                 std::ostringstream os;
-                os << "corrected value moved by "
+                os << "counted value moved by "
                    << static_cast<i64>(after - before)
                    << " for a burst of " << expected
                    << " event(s) (mask 0x" << std::hex << mask
-                   << std::dec << ") from state "
-                   << formatState(state);
+                   << std::dec << ") from state " << formatState(state);
                 sink.add("PROVE-C1", os.str());
             }
-            DistributedCounterState next = counter.snapshot();
-            next.principal = 0; // canonical: accumulator-independent
+            next.clearAccumulators();
             if (visited.insert(stateKey(next)).second) {
                 if (visited.size() > options.maxStates) {
                     stats.closed = false;
@@ -227,59 +211,33 @@ proveDistributed(const ArchProveOptions &options, LintReport &report)
     return stats;
 }
 
-/**
- * Scalar and AddWires carry no hidden control state: their dynamics
- * are the same from every state, so one cumulative sweep over the
- * full input alphabet is the entire (single-state) enumeration.
- */
-ProveStats
-proveStateless(CounterArch arch, const ArchProveOptions &options,
-               LintReport &report)
-{
-    const u32 sources = options.sources;
-    std::ostringstream subj;
-    subj << counterArchName(arch) << "/s" << sources;
-    FindingSink sink(report, subj.str());
-
-    ProveStats stats;
-    stats.states = 1;
-    stats.closed = true;
-    stats.activeSources = std::min(sources, 14u);
-    const u32 num_masks = 1u << stats.activeSources;
-
-    std::unique_ptr<EventCounter> counter =
-        makeCounter(arch, EventId::Cycles, sources);
-    for (u32 mask = 0; mask < num_masks; mask++) {
-        const u64 before = counter->corrected();
-        counter->step(static_cast<u16>(mask));
-        const u64 after = counter->corrected();
-        const u64 expected = static_cast<u64>(std::popcount(mask));
-        stats.transitions++;
-        if (after != before + expected) {
-            std::ostringstream os;
-            os << "corrected value moved by "
-               << static_cast<i64>(after - before)
-               << " for a burst of " << expected
-               << " event(s) (mask 0x" << std::hex << mask << std::dec
-               << ")";
-            sink.add("PROVE-C1", os.str());
-        }
-    }
-    return stats;
-}
-
 } // namespace
 
 ProveStats
 proveCounterLossless(CounterArch arch, const ArchProveOptions &options,
                      LintReport &report)
 {
-    ICICLE_ASSERT(options.sources >= 1 &&
-                      options.sources <= kMaxSources,
+    const u32 sources = options.sources;
+    ICICLE_ASSERT(sources >= 1 && sources <= kMaxSources,
                   "bad source count");
-    if (arch == CounterArch::Distributed)
-        return proveDistributed(options, report);
-    return proveStateless(arch, options, report);
+    std::ostringstream subj;
+    subj << counterArchName(arch) << "/s" << sources;
+    if (arch != CounterArch::Distributed) {
+        FindingSink sink(report, subj.str());
+        const u32 k = std::min(sources, 14u);
+        if (arch == CounterArch::Scalar)
+            return proveMachine(ScalarMachine(sources), k, options, sink);
+        return proveMachine(AddWiresMachine{}, k, options, sink);
+    }
+
+    const DistributedMachine init(sources, options.localWidth);
+    subj << "w" << init.width;
+    FindingSink sink(report, subj.str());
+    const u32 k =
+        options.activeSources
+            ? std::min(options.activeSources, sources)
+            : budgetActiveSources(sources, init.wrap(), options.maxStates);
+    return proveMachine(init, k, options, sink);
 }
 
 // ------------------------------------------------------------ PROVE-C3
@@ -312,21 +270,15 @@ actionName(CsrAction action)
 /** Canonical C3 state: counter dynamics plus the inhibit bit. */
 struct CsrState
 {
-    HpmState hpm;
+    CounterMachine hpm;
     bool inhibited = false;
 };
 
 std::string
 csrStateKey(const CsrState &state)
 {
-    std::string key;
-    for (u64 v : state.hpm.local) {
-        key.push_back(static_cast<char>(v & 0xff));
-        key.push_back(static_cast<char>((v >> 8) & 0xff));
-    }
-    for (u8 o : state.hpm.overflow)
-        key.push_back(static_cast<char>(o));
-    key.push_back(static_cast<char>(state.hpm.select));
+    std::string key = std::visit(
+        [](const auto &machine) { return stateKey(machine); }, state.hpm);
     key.push_back(state.inhibited ? 1 : 0);
     return key;
 }
@@ -334,28 +286,23 @@ csrStateKey(const CsrState &state)
 std::string
 formatCsrState(const CsrState &state)
 {
-    std::ostringstream os;
-    os << "local=[";
-    for (u64 i = 0; i < state.hpm.local.size(); i++)
-        os << (i ? "," : "") << state.hpm.local[i];
-    os << "] ovf=[";
-    for (u64 i = 0; i < state.hpm.overflow.size(); i++)
-        os << (i ? "," : "")
-           << static_cast<u32>(state.hpm.overflow[i]);
-    os << "] sel=" << state.hpm.select
-       << (state.inhibited ? " inhibited" : " running");
-    return os.str();
+    const std::string counter = std::visit(
+        [](const auto &machine) { return formatState(machine); },
+        state.hpm);
+    return counter + (state.inhibited ? " inhibited" : " running");
 }
 
-/** What the architecture should add for a burst, per §IV-B. */
+/**
+ * What the counter's register should add for a burst, per §IV-B. A
+ * Scalar selector that maps several sources keeps Fig. 1's legacy
+ * OR: at most one count per cycle however many sources fire (its
+ * per-lane registers, which sum exactly, are PROVE-C1's subject).
+ */
 u64
 expectedIncrement(CounterArch arch, u32 mask)
 {
-    if (arch == CounterArch::Scalar) {
-        // Legacy Chipyard OR semantics (Fig. 1): at most one count
-        // per cycle regardless of how many sources fire.
+    if (arch == CounterArch::Scalar)
         return mask != 0 ? 1 : 0;
-    }
     return static_cast<u64>(std::popcount(mask));
 }
 
@@ -384,7 +331,7 @@ proveCsrCoherence(CounterArch arch, const CsrProveOptions &options,
     csrs.setInhibit(false);
 
     ProveStats stats;
-    const u64 wrap = 1ull << autoWidth(sources);
+    const u64 wrap = 1ull << localWidthFor(sources);
     stats.activeSources =
         options.activeSources
             ? std::min(options.activeSources, sources)
@@ -397,9 +344,7 @@ proveCsrCoherence(CounterArch arch, const CsrProveOptions &options,
     constexpr u32 num_actions =
         static_cast<u32>(CsrAction::NumActions);
 
-    CsrState init;
-    init.hpm = csrs.snapshotHpm(0);
-    init.inhibited = false;
+    const CsrState init{csrs.snapshotHpm(0), false};
 
     std::unordered_set<std::string> visited;
     std::deque<std::pair<CsrState, u32>> frontier;
@@ -462,7 +407,7 @@ proveCsrCoherence(CounterArch arch, const CsrProveOptions &options,
                 }
 
                 const u64 before = csrs.hpmCorrected(0);
-                csrs.stepHpm(0, static_cast<u16>(mask));
+                csrs.stepHpm(0, mask);
                 const u64 after = csrs.hpmCorrected(0);
                 const u64 expected =
                     inhibited ? 0 : expectedIncrement(arch, mask);
@@ -480,14 +425,10 @@ proveCsrCoherence(CounterArch arch, const CsrProveOptions &options,
                     sink.add("PROVE-C3", os.str());
                 }
 
-                CsrState next;
-                next.hpm = csrs.snapshotHpm(0);
+                CsrState next{csrs.snapshotHpm(0), inhibited};
                 // Canonical: accumulators don't drive the dynamics.
-                next.hpm.value = 0;
-                next.hpm.principal = 0;
-                for (u64 &v : next.hpm.perSource)
-                    v = 0;
-                next.inhibited = inhibited;
+                std::visit([](auto &machine) { machine.clearAccumulators(); },
+                           next.hpm);
                 if (visited.insert(csrStateKey(next)).second) {
                     if (visited.size() > options.maxStates) {
                         stats.closed = false;
@@ -528,7 +469,7 @@ proveArchMatrix(u32 horizon)
             std::ostringstream name;
             name << counterArchName(arch) << "/s" << sources;
             if (arch == CounterArch::Distributed)
-                name << "w" << autoWidth(sources);
+                name << "w" << localWidthFor(sources);
             run.name = name.str();
             runs.push_back(std::move(run));
         }

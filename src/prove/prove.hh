@@ -3,15 +3,17 @@
  * Bounded model checker for the §IV-B counter architectures.
  *
  * Unlike the static analyzer (src/analysis/), which checks *declared*
- * configuration against model invariants, the prover drives the real
- * counter implementations through their snapshot/step hooks and
- * explicitly enumerates every reachable internal state under every
- * input burst schedule, checking three properties per architecture:
+ * configuration against model invariants, the prover drives the
+ * counter state machines every CsrFile counter holds (pmu/counters.hh;
+ * a copy is a snapshot) and explicitly enumerates every reachable
+ * internal state under every input burst schedule, checking three
+ * properties per architecture:
  *
  *  - PROVE-C1 (lossless counting): along every transition, the
- *    host-corrected value (principal + in-flight residue) advances by
- *    exactly the popcount of the asserted sources. No event is ever
- *    lost or double-counted, in any reachable state.
+ *    machine's counted() value advances by exactly the popcount of
+ *    the asserted sources: Scalar's per-lane registers, AddWires'
+ *    register, Distributed's principal plus in-flight residue. No
+ *    event is ever lost or double-counted, in any reachable state.
  *  - PROVE-C2 (drain liveness): from every reachable state, the
  *    rotating one-hot arbiter clears every pending overflow latch
  *    within `sources` input-silent cycles, and the principal absorbs
@@ -21,7 +23,8 @@
  *    writes and mhpmcounter clears loses or double-counts an event:
  *    inhibited counters hold their value exactly, and counter writes
  *    reset the *entire* architectural state including distributed
- *    residue.
+ *    residue. It reads the counter's register, so a Scalar selector
+ *    mapping several sources adds Fig. 1's legacy OR: one per cycle.
  *
  * State spaces are finite because the unbounded accumulators
  * (principal, per-source totals) do not influence the dynamics: the

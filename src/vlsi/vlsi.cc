@@ -175,8 +175,7 @@ evaluateVlsi(const BoomConfig &cfg, CounterArch arch,
           case CounterArch::AddWires: {
             // Local sequential adder chain, then a multi-bit bus.
             const double chain_wire =
-                (event.sources > 1 ? event.sources - 1 : 0) *
-                p.localPitchUm;
+                addWiresChainLength(event.sources) * p.localPitchUm;
             const double bus_wire = inc_bits * dist;
             pmu_wire += chain_wire + bus_wire;
             longest_wire =
@@ -197,11 +196,7 @@ evaluateVlsi(const BoomConfig &cfg, CounterArch arch,
             // a select wire out; constant arbiter at the CSR file.
             // The central nets are off the single-cycle critical path
             // and route relaxed.
-            const double local_width = std::max(
-                1.0,
-                std::ceil(std::log2(
-                    std::max(2.0,
-                             static_cast<double>(event.sources)))));
+            const double local_width = localWidthFor(event.sources);
             const double wire =
                 (event.sources * dist /* overflow */ +
                  dist /* rotating select broadcast */) *

@@ -616,13 +616,12 @@ TEST(LintFuzz, DistributedErrorsMatchRuntimeEventLoss)
                 lintDistributedBounds(sources, width, "fuzz")
                     .hasErrors();
 
-            DistributedCounter counter(EventId::UopsIssued, sources,
-                                       width);
+            DistributedMachine counter(sources, width);
             const u64 cycles = 4096;
             for (u64 cycle = 0; cycle < cycles; cycle++) {
                 bus.clear();
                 bus.raiseLanes(EventId::UopsIssued, sources);
-                counter.tick(bus);
+                counter.step(bus.mask(EventId::UopsIssued));
             }
             const u64 exact = cycles * sources;
             const bool lost_events = counter.corrected() < exact;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Boundary coverage for DistributedCounter::corrected() against exact
+ * Boundary coverage for DistributedMachine::corrected() against exact
  * Scalar counts at the undercount boundary: localWidth in {1, 2, 4},
  * adversarial burst patterns engineered to saturate the rotating
  * one-hot arbiter, and verification of the end-of-run undercount
@@ -24,7 +24,7 @@ constexpr EventId kEvent = EventId::UopsIssued;
 
 /** Drive both counters with the same cycle pattern; return exact. */
 u64
-drivePattern(ScalarCounter &scalar, DistributedCounter &distributed,
+drivePattern(ScalarMachine &scalar, DistributedMachine &distributed,
              EventBus &bus, u32 sources, u64 cycles,
              const std::function<u16(u64)> &mask_of_cycle)
 {
@@ -39,8 +39,8 @@ drivePattern(ScalarCounter &scalar, DistributedCounter &distributed,
                 exact++;
             }
         }
-        scalar.tick(bus);
-        distributed.tick(bus);
+        scalar.step(bus.mask(kEvent));
+        distributed.step(bus.mask(kEvent));
     }
     return exact;
 }
@@ -76,13 +76,13 @@ TEST(DistributedBoundary, SaturatingBurstMatchesScalarWhenSized)
     for (const BoundaryCase &c : kCases) {
         EventBus bus;
         bus.setNumSources(kEvent, c.sources);
-        ScalarCounter scalar(kEvent, c.sources);
-        DistributedCounter distributed(kEvent, c.sources, c.localWidth);
+        ScalarMachine scalar(c.sources);
+        DistributedMachine distributed(c.sources, c.localWidth);
 
         const u64 exact = drivePattern(
             scalar, distributed, bus, c.sources, 10000,
             [](u64) { return 0xffff; });
-        ASSERT_EQ(scalar.read(), exact);
+        ASSERT_EQ(scalar.counted(), exact);
 
         if (c.lossy()) {
             // Overflow latches saturate: events are lost, not
@@ -113,8 +113,8 @@ TEST(DistributedBoundary, PhasedBurstsTargetTheArbiterRotation)
             continue;
         EventBus bus;
         bus.setNumSources(kEvent, c.sources);
-        ScalarCounter scalar(kEvent, c.sources);
-        DistributedCounter distributed(kEvent, c.sources, c.localWidth);
+        ScalarMachine scalar(c.sources);
+        DistributedMachine distributed(c.sources, c.localWidth);
 
         const u32 sources = c.sources;
         const u64 exact = drivePattern(
@@ -144,8 +144,8 @@ TEST(DistributedBoundary, AlternatingBurstsAndSilence)
             continue;
         EventBus bus;
         bus.setNumSources(kEvent, c.sources);
-        ScalarCounter scalar(kEvent, c.sources);
-        DistributedCounter distributed(kEvent, c.sources, c.localWidth);
+        ScalarMachine scalar(c.sources);
+        DistributedMachine distributed(c.sources, c.localWidth);
 
         const u64 burst = (1ull << c.localWidth) - 1;
         const u64 exact = drivePattern(
@@ -166,11 +166,11 @@ TEST(DistributedBoundary, ResidueDecomposition)
     EventBus bus;
     const u32 sources = 4;
     bus.setNumSources(kEvent, sources);
-    DistributedCounter counter(kEvent, sources, 2);
+    DistributedMachine counter(sources, 2);
     for (u64 cycle = 0; cycle < 5000; cycle++) {
         bus.clear();
         bus.raiseLanes(kEvent, 1 + cycle % sources);
-        counter.tick(bus);
+        counter.step(bus.mask(kEvent));
         ASSERT_EQ(counter.corrected(),
                   counter.read() * 4 + counter.residue());
         // Residue = local values (< wrap each) plus undrained latches
@@ -181,10 +181,10 @@ TEST(DistributedBoundary, ResidueDecomposition)
 
 TEST(DistributedBoundary, StepMaskEquivalentToBusTick)
 {
-    // The prover drives counters through step(mask) instead of a full
-    // EventBus tick; the two paths must be indistinguishable. Replay
-    // identical random bursts through both and compare corrected()
-    // every cycle.
+    // The prover drives counters through step(mask) with a generated
+    // mask, the CSR file with the mask it samples from an EventBus;
+    // the two paths must be indistinguishable. Replay identical
+    // random bursts through both and compare corrected() every cycle.
     u64 rng = 0x9e3779b97f4a7c15ull;
     auto next = [&rng]() {
         rng ^= rng << 13;
@@ -196,8 +196,8 @@ TEST(DistributedBoundary, StepMaskEquivalentToBusTick)
         const u32 sources = 4;
         EventBus bus;
         bus.setNumSources(kEvent, sources);
-        DistributedCounter via_bus(kEvent, sources, width);
-        DistributedCounter via_step(kEvent, sources, width);
+        DistributedMachine via_bus(sources, width);
+        DistributedMachine via_step(sources, width);
         for (u64 cycle = 0; cycle < 20000; cycle++) {
             const u16 mask =
                 static_cast<u16>(next() & ((1u << sources) - 1));
@@ -206,22 +206,22 @@ TEST(DistributedBoundary, StepMaskEquivalentToBusTick)
                 if (mask & (1u << s))
                     bus.raise(kEvent, s);
             }
-            via_bus.tick(bus);
+            via_bus.step(bus.mask(kEvent));
             via_step.step(mask);
             ASSERT_EQ(via_bus.corrected(), via_step.corrected())
                 << "width " << width << " cycle " << cycle;
         }
-        ASSERT_EQ(via_bus.snapshot(), via_step.snapshot())
-            << "width " << width;
+        ASSERT_EQ(via_bus, via_step) << "width " << width;
     }
 }
 
 TEST(DistributedBoundary, SnapshotRestoreRoundTripMatchesLiveRun)
 {
-    // Snapshot/restore is the prover's state hook: freezing a counter
-    // mid-burst, restoring into a fresh instance, and continuing the
-    // same schedule must be byte-for-byte equivalent to never having
-    // stopped — for every width and at every split point.
+    // A copy is the prover's snapshot and an assignment its restore:
+    // freezing a counter mid-burst, restoring into a fresh instance,
+    // and continuing the same schedule must be byte-for-byte
+    // equivalent to never having stopped — for every width and at
+    // every split point.
     u64 rng = 0xdeadbeefcafef00dull;
     auto next = [&rng]() {
         rng ^= rng << 13;
@@ -237,24 +237,24 @@ TEST(DistributedBoundary, SnapshotRestoreRoundTripMatchesLiveRun)
             schedule[c] =
                 static_cast<u16>(next() & ((1u << sources) - 1));
 
-        DistributedCounter live(kEvent, sources, width);
+        DistributedMachine live(sources, width);
         for (u64 c = 0; c < cycles; c++)
             live.step(schedule[c]);
 
         for (u64 split : {u64{1}, u64{7}, u64{1000}, cycles - 1}) {
-            DistributedCounter first(kEvent, sources, width);
+            DistributedMachine first(sources, width);
             for (u64 c = 0; c < split; c++)
                 first.step(schedule[c]);
-            const DistributedCounterState state = first.snapshot();
+            const DistributedMachine state = first;
 
-            DistributedCounter resumed(kEvent, sources, width);
-            resumed.restore(state);
+            DistributedMachine resumed(sources, width);
+            resumed = state;
             for (u64 c = split; c < cycles; c++)
                 resumed.step(schedule[c]);
 
             ASSERT_EQ(resumed.corrected(), live.corrected())
                 << "width " << width << " split " << split;
-            ASSERT_EQ(resumed.snapshot(), live.snapshot())
+            ASSERT_EQ(resumed, live)
                 << "width " << width << " split " << split;
         }
     }
@@ -267,8 +267,8 @@ TEST(DistributedBoundary, SingleSourceDegenerateCase)
     for (u32 width : {1u, 2u, 4u}) {
         EventBus bus;
         bus.setNumSources(kEvent, 1);
-        ScalarCounter scalar(kEvent, 1);
-        DistributedCounter distributed(kEvent, 1, width);
+        ScalarMachine scalar(1);
+        DistributedMachine distributed(1, width);
         const u64 exact =
             drivePattern(scalar, distributed, bus, 1, 3000,
                          [](u64 cycle) {

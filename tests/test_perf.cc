@@ -307,6 +307,44 @@ TEST(PerfHarness, GroupThatNeverRanIsMarkedNotCounted)
         << report;
 }
 
+TEST(PerfHarness, ConsecutiveRunsCountAsOneRun)
+{
+    // Four run(8000) calls cross the 10,000-cycle epoch boundaries of
+    // one run(32000) mid-call. Keeping the active group and its epoch
+    // start across calls makes them rotate on the same cycles, so every
+    // value, flag and the final cycle match.
+    BoomConfig cfg = BoomConfig::giga();
+    cfg.counterArch = CounterArch::Scalar;
+    BoomCore whole_core(cfg, buildWorkload("505.mcf_r"));
+    BoomCore split_core(cfg, buildWorkload("505.mcf_r"));
+    PerfHarness whole(whole_core);
+    PerfHarness split(split_core);
+    whole.addTmaEvents();
+    split.addTmaEvents();
+    whole.run(32000);
+    for (int call = 0; call < 4; call++)
+        split.run(8000);
+
+    ASSERT_EQ(whole.numGroups(), 2u);
+    EXPECT_EQ(split.numGroups(), whole.numGroups());
+    EXPECT_EQ(split_core.cycle(), whole_core.cycle());
+    for (u32 e = 0; e < kNumEvents; e++) {
+        const EventId event = static_cast<EventId>(e);
+        EXPECT_EQ(split.value(event), whole.value(event))
+            << eventName(event);
+    }
+    EXPECT_GT(split.value(EventId::DCacheBlockedDram), 0u);
+    const std::vector<UnreliableEvent> a = whole.unreliableEvents();
+    const std::vector<UnreliableEvent> b = split.unreliableEvents();
+    ASSERT_EQ(b.size(), a.size());
+    for (u64 i = 0; i < a.size(); i++) {
+        EXPECT_EQ(b[i].event, a[i].event);
+        EXPECT_EQ(b[i].saturated, a[i].saturated);
+        EXPECT_EQ(b[i].armedWrite, a[i].armedWrite);
+        EXPECT_EQ(b[i].notCounted, a[i].notCounted);
+    }
+}
+
 TEST(PerfHarness, RejectsUnsupportedEvent)
 {
     BoomCore core(BoomConfig::large(), workloads::towers());

@@ -115,12 +115,12 @@ class CounterArchTest
 
 TEST_P(CounterArchTest, CorrectedValueIsExact)
 {
-    // Property: for any event stream, corrected() equals the true
-    // total for every architecture.
+    // Property: for any event stream, counted() equals the true total
+    // for every architecture (Scalar's per-lane registers, AddWires'
+    // register, Distributed's corrected principal).
     EventBus bus;
     bus.setNumSources(EventId::FetchBubbles, sources());
-    auto counter = makeCounter(arch(), EventId::FetchBubbles,
-                               sources());
+    CounterMachine counter = makeMachine(arch(), sources());
     Rng rng(Seed());
     u64 truth = 0;
     for (u32 cycle = 0; cycle < 5000; cycle++) {
@@ -131,17 +131,18 @@ TEST_P(CounterArchTest, CorrectedValueIsExact)
                 truth++;
             }
         }
-        counter->tick(bus);
+        std::visit([&](auto &m) { m.step(bus.mask(EventId::FetchBubbles)); },
+                   counter);
     }
-    EXPECT_EQ(counter->corrected(), truth);
+    std::visit([&](const auto &m) { EXPECT_EQ(m.counted(), truth); },
+               counter);
 }
 
 TEST_P(CounterArchTest, ReadNeverOvercounts)
 {
     EventBus bus;
     bus.setNumSources(EventId::FetchBubbles, sources());
-    auto counter = makeCounter(arch(), EventId::FetchBubbles,
-                               sources());
+    CounterMachine counter = makeMachine(arch(), sources());
     Rng rng(Seed() + 7);
     u64 truth = 0;
     for (u32 cycle = 0; cycle < 3000; cycle++) {
@@ -152,15 +153,17 @@ TEST_P(CounterArchTest, ReadNeverOvercounts)
                 truth++;
             }
         }
-        counter->tick(bus);
+        std::visit([&](auto &m) { m.step(bus.mask(EventId::FetchBubbles)); },
+                   counter);
     }
     // Distributed read() is in units of 2^width; scale before
     // comparing.
-    u64 read_events = counter->read();
+    u64 read_events =
+        std::visit([](const auto &m) { return m.read(); }, counter);
     if (arch() == CounterArch::Distributed) {
-        auto *dist = static_cast<DistributedCounter *>(counter.get());
-        read_events = dist->read() * (1ull << dist->localWidth());
-        EXPECT_LE(truth - read_events, dist->undercountBound());
+        const auto &dist = std::get<DistributedMachine>(counter);
+        read_events = dist.read() * dist.wrap();
+        EXPECT_LE(truth - read_events, dist.undercountBound());
     }
     EXPECT_LE(read_events, truth);
 }
@@ -182,32 +185,34 @@ TEST(ScalarCounter, PerLaneValuesTracked)
 {
     EventBus bus;
     bus.setNumSources(EventId::UopsIssued, 3);
-    ScalarCounter counter(EventId::UopsIssued, 3);
+    ScalarMachine counter(3);
     for (int i = 0; i < 10; i++) {
         bus.clear();
         bus.raise(EventId::UopsIssued, 0);
         if (i % 2 == 0)
             bus.raise(EventId::UopsIssued, 2);
-        counter.tick(bus);
+        counter.step(bus.mask(EventId::UopsIssued));
     }
-    EXPECT_EQ(counter.lane(0), 10u);
-    EXPECT_EQ(counter.lane(1), 0u);
-    EXPECT_EQ(counter.lane(2), 5u);
-    EXPECT_EQ(counter.read(), 15u);
-    EXPECT_EQ(counter.hwCounters(), 3u);
+    EXPECT_EQ(counter.lanes[0], 10u);
+    EXPECT_EQ(counter.lanes[1], 0u);
+    EXPECT_EQ(counter.lanes[2], 5u);
+    EXPECT_EQ(counter.counted(), 15u);
+    EXPECT_EQ(counter.lanes.size(), 3u);
+    // The shared register keeps Fig. 1's OR: one count per cycle.
+    EXPECT_EQ(counter.read(), 10u);
 }
 
 TEST(AddWiresCounter, CountsConcurrentSourcesExactly)
 {
     EventBus bus;
     bus.setNumSources(EventId::FetchBubbles, 4);
-    AddWiresCounter counter(EventId::FetchBubbles, 4);
+    AddWiresMachine counter;
     bus.raiseLanes(EventId::FetchBubbles, 4);
-    counter.tick(bus);
-    counter.tick(bus);
+    counter.step(bus.mask(EventId::FetchBubbles));
+    counter.step(bus.mask(EventId::FetchBubbles));
     EXPECT_EQ(counter.read(), 8u);
-    EXPECT_EQ(counter.hwCounters(), 1u);
-    EXPECT_EQ(counter.chainLength(), 3u);
+    EXPECT_EQ(counter.counted(), 8u);
+    EXPECT_EQ(addWiresChainLength(4), 3u);
 }
 
 TEST(DistributedCounter, PaperWorkedExample)
@@ -216,8 +221,8 @@ TEST(DistributedCounter, PaperWorkedExample)
     // 3 before overflowing at 4 = 2^2; worst-case end-of-run
     // undercount is sources x 2^2 = 16 (the paper quotes 12 counting
     // only the pre-overflow residue of 3 per counter).
-    DistributedCounter counter(EventId::FetchBubbles, 4);
-    EXPECT_EQ(counter.localWidth(), 2u);
+    DistributedMachine counter(4);
+    EXPECT_EQ(counter.width, 2u);
     EXPECT_EQ(counter.undercountBound(), 16u);
 
     // Drive 929 fetch bubbles (the paper's smallest benchmark count)
@@ -231,7 +236,7 @@ TEST(DistributedCounter, PaperWorkedExample)
         const u32 lane = static_cast<u32>(rng.below(4));
         bus.raise(EventId::FetchBubbles, lane);
         truth++;
-        counter.tick(bus);
+        counter.step(bus.mask(EventId::FetchBubbles));
     }
     const u64 visible = counter.read() * 4;
     EXPECT_LE(truth - visible, counter.undercountBound());
@@ -250,11 +255,11 @@ TEST(DistributedCounter, ArbiterDrainsOneOverflowPerCycle)
     // bound.
     EventBus bus;
     bus.setNumSources(EventId::FetchBubbles, 4);
-    DistributedCounter counter(EventId::FetchBubbles, 4);
+    DistributedMachine counter(4);
     for (u32 c = 0; c < 4000; c++) {
         bus.clear();
         bus.raiseLanes(EventId::FetchBubbles, 4);
-        counter.tick(bus);
+        counter.step(bus.mask(EventId::FetchBubbles));
     }
     const u64 truth = 4000 * 4;
     EXPECT_LE(truth - counter.read() * 4, counter.undercountBound());
@@ -566,6 +571,46 @@ TEST(CsrFile, SpanTickEqualsSingleTicks)
             EXPECT_EQ(span.hpmCorrected(i), single.hpmCorrected(i)) << i;
             EXPECT_EQ(span.hpmSaturated(i), single.hpmSaturated(i)) << i;
         }
+    }
+
+    // A Distributed span is closed form only while no watched source
+    // is high and no latch is set. Start spans on the other side of
+    // that line: with a latch set (the span must drain it first), and
+    // with a watched source high (the span must step every cycle).
+    for (bool source_high : {false, true}) {
+        SCOPED_TRACE(source_high ? "source high" : "latch set");
+        EventBus bus;
+        bus.setNumSources(EventId::FetchBubbles, 3);
+        CsrFile span(CoreKind::Boom, CounterArch::Distributed, &bus);
+        CsrFile single(CoreKind::Boom, CounterArch::Distributed, &bus);
+        for (CsrFile *csrs : {&span, &single}) {
+            csrs->program(0, {EventId::FetchBubbles});
+            csrs->setInhibit(false);
+        }
+        const auto latches = [&span] {
+            return std::get<DistributedMachine>(span.snapshotHpm(0))
+                .overflow;
+        };
+        Rng rng(source_high ? 23 : 17);
+        for (u32 round = 0; round < 300; round++) {
+            bus.clear();
+            bus.raiseLanes(EventId::FetchBubbles, 3);
+            while (!latches()) {
+                span.tick(bus);
+                single.tick(bus);
+            }
+            bus.clear();
+            if (source_high)
+                bus.raise(EventId::FetchBubbles,
+                          static_cast<u32>(rng.below(3)));
+            const u64 cycles = 1 + rng.below(12);
+            span.tick(bus, cycles);
+            for (u64 c = 0; c < cycles; c++)
+                single.tick(bus);
+            ASSERT_EQ(span.snapshotHpm(0), single.snapshotHpm(0))
+                << "round " << round << ", span of " << cycles;
+        }
+        EXPECT_EQ(span.hpmCorrected(0), single.hpmCorrected(0));
     }
 }
 

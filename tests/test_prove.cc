@@ -16,10 +16,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 
+#include "boom/boom.hh"
 #include "common/logging.hh"
 #include "core/session.hh"
+#include "perf/harness.hh"
 #include "prove/prove.hh"
 #include "prove/trace_check.hh"
 #include "store/store.hh"
@@ -252,6 +255,70 @@ TEST(ProveMutants, EverySeededBugIsCaughtByItsRegisteredRule)
             << result.info.name << " was not flagged by "
             << result.info.expectedRule << "; witness: "
             << result.firstFinding;
+    }
+}
+
+/**
+ * What a CsrFile-driven run on BOOM-large reports for `arch`, on
+ * towers and coremark over 300k cycles. Under AddWires and
+ * Distributed that is PerfHarness's values of the paper's top- and
+ * second-level events, and the raw registers its counters end with
+ * (what in-band software reads). Scalar PerfHarness counters watch
+ * one lane each, so under Scalar the run instead reads counters whose
+ * selectors map several sources onto one register.
+ */
+std::vector<u64>
+countedRunValues(CounterArch arch)
+{
+    std::vector<u64> values;
+    for (const char *workload : {"towers", "coremark"}) {
+        BoomConfig cfg = BoomConfig::large();
+        cfg.counterArch = arch;
+        BoomCore core(cfg, buildWorkload(workload));
+        if (arch == CounterArch::Scalar) {
+            CsrFile &csrs = core.csrFile();
+            csrs.program(0, {EventId::FetchBubbles});
+            csrs.program(1, {EventId::ICacheBlocked, EventId::Recovering});
+            csrs.setInhibit(false);
+            core.run(300000);
+            values.push_back(csrs.hpmValue(0));
+            values.push_back(csrs.hpmValue(1));
+            continue;
+        }
+        PerfHarness harness(core);
+        harness.addTmaEvents(/*level3=*/false);
+        harness.run(300000);
+        for (u32 e = 0; e < kNumEvents; e++)
+            values.push_back(harness.value(static_cast<EventId>(e)));
+        for (u32 i = 0; i < harness.countersUsed(); i++)
+            values.push_back(core.csrFile().hpmValue(i));
+    }
+    return values;
+}
+
+TEST(ProveMutants, CounterMutantsReachTheRunningCounters)
+{
+    // The counter mutants are seeded in the machines that CsrFile
+    // holds, so each must change at least one value a counted run
+    // reports, not only what the prover sees.
+    const std::pair<CounterMutant, CounterArch> probes[] = {
+        {CounterMutant::WrapOffByOne, CounterArch::Distributed},
+        {CounterMutant::ArbiterDoubleAdvance, CounterArch::Distributed},
+        {CounterMutant::DrainSkipsSourceZero, CounterArch::Distributed},
+        {CounterMutant::SaturatingLocalAdd, CounterArch::Distributed},
+        {CounterMutant::StickyOverflowDrain, CounterArch::Distributed},
+        {CounterMutant::ResidueDropsLatch, CounterArch::Distributed},
+        {CounterMutant::AddWiresOrSemantics, CounterArch::AddWires},
+        {CounterMutant::ScalarLaneSkip, CounterArch::Scalar},
+    };
+    std::map<CounterArch, std::vector<u64>> clean;
+    for (const auto &[mutant, arch] : probes) {
+        if (!clean.count(arch))
+            clean[arch] = countedRunValues(arch);
+        ScopedMutant activate(mutant);
+        EXPECT_NE(countedRunValues(arch), clean[arch])
+            << mutantInfo(mutant).name
+            << " left every counted value unchanged";
     }
 }
 
