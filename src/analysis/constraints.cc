@@ -1,11 +1,13 @@
 #include "analysis/constraints.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
-#include "analysis/lint.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "core/session.hh"
 
 namespace icicle
 {
@@ -47,10 +49,25 @@ bool
 satisfiesTma(const TmaConstraint &c, const TmaResult &result,
              double *violation)
 {
+    // NaN compares false both ways, so without this flag a NaN root
+    // would pass every relation below.
+    bool finite = true;
+    auto value = [&](TmaRoot root) {
+        const double v = tmaRootValue(result, root);
+        finite = finite && std::isfinite(v);
+        return v;
+    };
+    auto sum = [&](const std::vector<TmaRoot> &roots) {
+        double total = 0;
+        for (TmaRoot root : roots)
+            total += value(root);
+        return total;
+    };
+
     double excess = 0;
     switch (c.op) {
       case TmaCheckOp::InInterval: {
-        const double v = tmaRootValue(result, c.subject);
+        const double v = value(c.subject);
         if (v < c.bounds.lo - c.tolerance)
             excess = c.bounds.lo - v;
         else if (v > c.bounds.hi + c.tolerance)
@@ -58,32 +75,27 @@ satisfiesTma(const TmaConstraint &c, const TmaResult &result,
         break;
       }
       case TmaCheckOp::PartsSumToWhole: {
-        double sum = 0;
-        for (TmaRoot part : c.parts)
-            sum += tmaRootValue(result, part);
-        const double gap =
-            std::abs(tmaRootValue(result, c.subject) - sum);
+        const double gap = std::abs(value(c.subject) - sum(c.parts));
         if (gap > c.tolerance)
             excess = gap;
         break;
       }
       case TmaCheckOp::DominatedBy: {
-        const double v = tmaRootValue(result, c.subject);
-        const double dom = tmaRootValue(result, c.parts.at(0));
-        if (v > dom + c.tolerance)
-            excess = v - dom;
+        const double v = value(c.subject);
+        const double bound = sum(c.parts);
+        if (v > bound + c.tolerance)
+            excess = v - bound;
         break;
       }
       case TmaCheckOp::SumIsOne: {
-        double sum = 0;
-        for (TmaRoot part : c.parts)
-            sum += tmaRootValue(result, part);
-        const double gap = std::abs(sum - 1.0);
+        const double gap = std::abs(sum(c.parts) - 1.0);
         if (gap > c.tolerance)
             excess = gap;
         break;
       }
     }
+    if (!finite)
+        excess = std::numeric_limits<double>::infinity();
     if (violation)
         *violation = excess;
     return excess == 0;
@@ -305,13 +317,130 @@ rootAt(const TmaFormulaDag &dag, u32 node)
     return TmaRoot::NumRoots;
 }
 
+/** Root whose DAG node is clamp01(num / den), or NumRoots. */
+TmaRoot
+clampedRatioRoot(const TmaFormulaDag &dag, u32 num, u32 den)
+{
+    for (u32 r = 0; r < kNumTmaRoots; r++) {
+        const TmaNode &n = dag.nodes()[dag.root(static_cast<TmaRoot>(r))];
+        if (n.op != TmaOp::Clamp01)
+            continue;
+        const TmaNode &quot = dag.nodes()[n.a];
+        if (quot.op == TmaOp::SafeDiv && quot.a == num && quot.b == den)
+            return static_cast<TmaRoot>(r);
+    }
+    return TmaRoot::NumRoots;
+}
+
+/** Set an InInterval constraint's bounds, text and provenance. */
+void
+setBounds(TmaConstraint &c, Interval bounds, const std::string &why)
+{
+    c.bounds = bounds;
+    std::ostringstream text;
+    text << tmaRootName(c.subject) << " in [" << bounds.lo << ", "
+         << bounds.hi << "]";
+    c.text = text.str();
+    c.provenance = why;
+}
+
+/**
+ * Facts of a root clamp01((x + y) / m) whose addends have roots
+ * clamp01(x / m) and clamp01(y / m) over the same denominator, with
+ * x and y non-negative on the domain: each addend's root is at most
+ * the sum's (x/m and clamp01 are monotone), and the sum's root is at
+ * most the addends' roots added (clamp01 is subadditive on
+ * non-negative inputs).
+ */
+void
+addClampedSumFacts(
+    const TmaFormulaDag &dag, TmaRoot root,
+    const std::array<Interval, kNumTmaCounterFields> &domain,
+    const TmaParams &params, std::vector<TmaConstraint> &out)
+{
+    const TmaNode &n = dag.nodes()[dag.root(root)];
+    if (n.op != TmaOp::Clamp01)
+        return;
+    const TmaNode &quot = dag.nodes()[n.a];
+    if (quot.op != TmaOp::SafeDiv)
+        return;
+    const TmaNode &num = dag.nodes()[quot.a];
+    if (num.op != TmaOp::Add ||
+        dag.evalInterval(num.a, domain, params).lo < 0 ||
+        dag.evalInterval(num.b, domain, params).lo < 0)
+        return;
+
+    const TmaRoot x = clampedRatioRoot(dag, num.a, quot.b);
+    const TmaRoot y = clampedRatioRoot(dag, num.b, quot.b);
+    for (TmaRoot part : {x, y}) {
+        if (part == TmaRoot::NumRoots)
+            continue;
+        TmaConstraint c;
+        c.id = std::string("R4.mono.") + tmaRootName(part);
+        c.op = TmaCheckOp::DominatedBy;
+        c.subject = part;
+        c.parts = {root};
+        c.text = std::string(tmaRootName(part)) +
+                 " <= " + tmaRootName(root);
+        c.provenance =
+            std::string("monotonicity: the numerator of node ") +
+            std::to_string(dag.root(part)) +
+            " is an addend of the numerator of node " +
+            std::to_string(dag.root(root)) +
+            " over the same denominator; x/m and clamp01 are monotone "
+            "and the extra addend is non-negative on the admissible "
+            "domain";
+        out.push_back(std::move(c));
+    }
+    if (x == TmaRoot::NumRoots || y == TmaRoot::NumRoots)
+        return;
+    TmaConstraint c;
+    c.id = std::string("R4.subadd.") + tmaRootName(root);
+    c.op = TmaCheckOp::DominatedBy;
+    c.subject = root;
+    c.parts = {x, y};
+    c.text = std::string(tmaRootName(root)) + " <= " + tmaRootName(x) +
+             " + " + tmaRootName(y);
+    c.provenance =
+        std::string("subadditivity: DAG node ") +
+        std::to_string(dag.root(root)) + " computes clamp01((a + b) / m)"
+        " and nodes " + std::to_string(dag.root(x)) + " and " +
+        std::to_string(dag.root(y)) + " compute clamp01(a / m) and "
+        "clamp01(b / m); a and b are non-negative on the admissible "
+        "domain, where clamp01 is subadditive";
+    out.push_back(std::move(c));
+}
+
 void
 addTmaDomain(const Core &core, ConstraintSet &set)
 {
-    TmaParams params;
-    params.coreWidth = core.coreWidth();
-    params.recoverLength = 4;
-    const TmaFormulaDag &dag = TmaFormulaDag::instance();
+    set.tma = deriveTmaConstraints(tmaParamsFor(core));
+
+    // The bus wiring gives ipc its lid: the retire event's width.
+    const EventId retired = core.kind() == CoreKind::Boom
+                                ? EventId::UopsRetired
+                                : EventId::InstRetired;
+    const u32 sources = core.bus().sourcesOf(retired);
+    std::ostringstream why;
+    why << "ipc = delta(" << eventName(retired)
+        << ")/delta(cycles) with the PROVE-R1 width bound "
+        << "delta(" << eventName(retired) << ") <= " << sources
+        << " * delta(cycles)";
+    for (TmaConstraint &c : set.tma) {
+        if (c.op == TmaCheckOp::InInterval && c.subject == TmaRoot::Ipc)
+            setBounds(c, Interval(0.0, static_cast<double>(sources)),
+                      why.str());
+    }
+}
+
+} // namespace
+
+std::vector<TmaConstraint>
+deriveTmaConstraints(const TmaParams &params)
+{
+    std::vector<TmaConstraint> out;
+    const TmaFormulaDag &dag =
+        TmaFormulaDag::instance(params.paperLiteralNfr);
     const std::array<Interval, kNumTmaCounterFields> domain =
         tmaAdmissibleDomain(params, kDomainCycles);
 
@@ -326,29 +455,19 @@ addTmaDomain(const Core &core, ConstraintSet &set)
             << "domain";
         if (root == TmaRoot::Ipc) {
             // The interval quotient [0, W*C]/[1, C] is sound but
-            // loose; the retire width bound gives the tight lid.
-            const EventId retired = core.kind() == CoreKind::Boom
-                                        ? EventId::UopsRetired
-                                        : EventId::InstRetired;
-            const u32 sources = core.bus().sourcesOf(retired);
-            bounds = Interval(0.0, static_cast<double>(sources));
+            // loose; the domain's retire bound gives the tight lid.
+            bounds = Interval(0.0, static_cast<double>(params.coreWidth));
             why.str("");
-            why << "ipc = delta(" << eventName(retired)
-                << ")/delta(cycles) with the PROVE-R1 width bound "
-                << "delta(" << eventName(retired) << ") <= " << sources
-                << " * delta(cycles)";
+            why << "ipc = retired-uops / cycles, and the admissible "
+                   "domain bounds retired-uops by W_C * cycles (W_C = "
+                << params.coreWidth << ")";
         }
         TmaConstraint c;
         c.id = std::string("R4.interval.") + tmaRootName(root);
         c.op = TmaCheckOp::InInterval;
         c.subject = root;
-        c.bounds = bounds;
-        std::ostringstream text;
-        text << tmaRootName(root) << " in [" << bounds.lo << ", "
-             << bounds.hi << "]";
-        c.text = text.str();
-        c.provenance = why.str();
-        set.tma.push_back(std::move(c));
+        setBounds(c, bounds, why.str());
+        out.push_back(std::move(c));
     }
 
     // Structural hierarchy facts read off the DAG nodes themselves.
@@ -371,7 +490,7 @@ addTmaDomain(const Core &core, ConstraintSet &set)
                 c.provenance =
                     std::string("DAG node ") + std::to_string(node) +
                     " computes min(_, " + tmaRootName(parent) + ")";
-                set.tma.push_back(std::move(c));
+                out.push_back(std::move(c));
             }
         }
 
@@ -402,50 +521,12 @@ addTmaDomain(const Core &core, ConstraintSet &set)
                         "guarantees the difference is in [0, 1], so "
                         "the clamp is the identity and the split is "
                         "exact";
-                    set.tma.push_back(std::move(c));
+                    out.push_back(std::move(c));
                 }
             }
         }
 
-        // clamp01(x / m) vs clamp01((x + y) / m) with y >= 0: the
-        // larger numerator dominates (resteers <= branch-mispredicts).
-        if (n.op == TmaOp::Clamp01) {
-            const TmaNode &quot = dag.nodes()[n.a];
-            if (quot.op != TmaOp::SafeDiv)
-                continue;
-            for (u32 s = 0; s < kNumTmaRoots; s++) {
-                if (s == r)
-                    continue;
-                const TmaRoot other = static_cast<TmaRoot>(s);
-                const TmaNode &on = dag.nodes()[dag.root(other)];
-                if (on.op != TmaOp::Clamp01)
-                    continue;
-                const TmaNode &oq = dag.nodes()[on.a];
-                if (oq.op != TmaOp::SafeDiv || oq.b != quot.b)
-                    continue;
-                const TmaNode &onum = dag.nodes()[oq.a];
-                if (onum.op == TmaOp::Add &&
-                    (onum.a == quot.a || onum.b == quot.a)) {
-                    TmaConstraint c;
-                    c.id = std::string("R4.mono.") + tmaRootName(root);
-                    c.op = TmaCheckOp::DominatedBy;
-                    c.subject = root;
-                    c.parts = {other};
-                    c.text = std::string(tmaRootName(root)) +
-                             " <= " + tmaRootName(other);
-                    c.provenance =
-                        std::string("monotonicity: the numerator of "
-                                    "node ") +
-                        std::to_string(dag.root(root)) +
-                        " is an addend of the numerator of node " +
-                        std::to_string(dag.root(other)) +
-                        " over the same denominator; x/m and clamp01 "
-                        "are monotone and the extra addend is "
-                        "non-negative on the admissible domain";
-                    set.tma.push_back(std::move(c));
-                }
-            }
-        }
+        addClampedSumFacts(dag, root, domain, params, out);
     }
 
     // Top-level conservation: the four classes share one
@@ -487,11 +568,10 @@ addTmaDomain(const Core &core, ConstraintSet &set)
                "numerator is clamped non-negative and at least one is "
                "strictly positive whenever cycles >= 1";
         c.provenance = why.str();
-        set.tma.push_back(std::move(c));
+        out.push_back(std::move(c));
     }
+    return out;
 }
-
-} // namespace
 
 ConstraintSet
 deriveConstraints(const Core &core)
@@ -572,7 +652,7 @@ ConstraintSet::toJson() const
 // ------------------------------------------------------------- REF lint
 
 LintReport
-lintConstraints(const Core &core, const LintOptions &opts)
+lintConstraints(const Core &core)
 {
     LintReport report;
     const ConstraintSet set = deriveConstraints(core);
@@ -618,12 +698,13 @@ lintConstraints(const Core &core, const LintOptions &opts)
     // REF-003: every TMA fraction root's derived interval must stay
     // inside [0, 1]; escaping it means the formula DAG violates its
     // own codomain and the domain constraints are unsatisfiable.
+    constexpr double kCodomainSlack = 1e-6;
     for (const TmaConstraint &c : set.tma) {
         if (c.op != TmaCheckOp::InInterval ||
             c.subject == TmaRoot::Ipc)
             continue;
-        if (!c.bounds.valid() || c.bounds.lo < -opts.epsilon ||
-            c.bounds.hi > 1.0 + opts.epsilon) {
+        if (!c.bounds.valid() || c.bounds.lo < -kCodomainSlack ||
+            c.bounds.hi > 1.0 + kCodomainSlack) {
             std::ostringstream msg;
             msg << "root '" << tmaRootName(c.subject)
                 << "' has derived interval [" << c.bounds.lo << ", "

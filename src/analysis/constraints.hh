@@ -20,8 +20,9 @@
  *  - the TMA formula DAG (tma/formula.hh): interval evaluation over
  *    the admissible counter domain bounds every root, and the DAG's
  *    own node structure (min-with-parent, clamped parent-minus-child,
- *    shared normalization denominator) yields the hierarchy
- *    equalities (PROVE-R4 domain constraints).
+ *    clamped sums over a shared denominator, shared normalization
+ *    denominator) yields the hierarchy identities (PROVE-R4 domain
+ *    constraints).
  *
  * Every constraint carries provenance — the wiring edge, raise-site
  * gating, or formula node that implies it — so a refutation report
@@ -52,8 +53,6 @@
 
 namespace icicle
 {
-
-struct LintOptions;
 
 /** What kind of model fact a constraint encodes. */
 enum class ConstraintKind : u8
@@ -123,7 +122,7 @@ enum class TmaCheckOp : u8
     InInterval,
     /** subject == sum(parts) within tolerance. */
     PartsSumToWhole,
-    /** subject <= parts[0] + tolerance. */
+    /** subject <= sum(parts) + tolerance. */
     DominatedBy,
     /** sum(parts) == 1 within tolerance (top-level conservation). */
     SumIsOne,
@@ -146,10 +145,22 @@ struct TmaConstraint
 /**
  * Check one TMA constraint against an evaluated breakdown. On
  * violation returns false and stores how far outside the relation the
- * value fell in `*violation` (when non-null).
+ * value fell in `*violation` (when non-null). A non-finite value the
+ * constraint reads (NaN, infinity) satisfies no relation: it is a
+ * violation by an infinite amount. This is the one PROVE-R4
+ * evaluator: the TMA lint family, PROVE-T5 and `refute` all call it.
  */
 bool satisfiesTma(const TmaConstraint &c, const TmaResult &result,
                   double *violation = nullptr);
+
+/**
+ * The PROVE-R4 set the formula DAG implies for `params`: W_C and M_rl
+ * shape the admissible domain, and `paperLiteralNfr` selects the DAG.
+ * One interval bound per root (ipc's from the domain's retire bound
+ * W_C * cycles), then the hierarchy identities read off the DAG's
+ * structure. Deterministic for given params.
+ */
+std::vector<TmaConstraint> deriveTmaConstraints(const TmaParams &params);
 
 /** The full derived ruleset for one core configuration. */
 struct ConstraintSet
@@ -196,8 +207,7 @@ ConstraintSet deriveConstraints(const Core &core);
  *          member classes' combined per-cycle capacity is below the
  *          whole event's, so equality must fail at saturation.
  */
-LintReport lintConstraints(const Core &core,
-                           const LintOptions &opts);
+LintReport lintConstraints(const Core &core);
 
 } // namespace icicle
 

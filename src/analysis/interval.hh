@@ -1,7 +1,8 @@
 /**
  * @file
- * Tiny interval-arithmetic library used by the TMA conservation lint
- * (rule family TMA-*).
+ * Tiny interval-arithmetic library behind the formula DAG's interval
+ * evaluator (tma/formula.hh), which bounds every TMA root for the
+ * PROVE-R4 derivation and REF-003.
  *
  * The Table II formula set is evaluated once over *intervals* that
  * describe the whole admissible counter domain (e.g. fetch-bubble
@@ -16,19 +17,16 @@
  * pointwise result) but not necessarily tight under correlated
  * operands — fine for proving invariants, which only needs soundness.
  *
- * The constraint-derivation engine (analysis/constraints.hh) adds two
- * more needs served here: saturating u64 arithmetic for counter-width
+ * The constraint-derivation engine (analysis/constraints.hh) adds one
+ * more need served here: saturating u64 arithmetic for counter-width
  * bounds (hpm counters are 48 bits wide; a derived slot capacity like
- * sources * cycles must clamp instead of silently wrapping) and a
- * widening operator for terminating fixpoint iteration over growing
- * counter domains.
+ * sources * cycles must clamp instead of silently wrapping).
  */
 
 #ifndef ICICLE_ANALYSIS_INTERVAL_HH
 #define ICICLE_ANALYSIS_INTERVAL_HH
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -46,9 +44,7 @@ struct Interval
     constexpr Interval(double point) : lo(point), hi(point) {}
     constexpr Interval(double lo, double hi) : lo(lo), hi(hi) {}
 
-    bool contains(double x) const { return lo <= x && x <= hi; }
     bool valid() const { return lo <= hi; }
-    double width() const { return hi - lo; }
 };
 
 inline Interval
@@ -108,27 +104,6 @@ intervalClamp01(const Interval &a)
                     std::clamp(a.hi, 0.0, 1.0));
 }
 
-/** Smallest interval containing both operands. */
-inline Interval
-intervalHull(const Interval &a, const Interval &b)
-{
-    return Interval(std::min(a.lo, b.lo), std::max(a.hi, b.hi));
-}
-
-/**
- * Classic widening: keep the bounds of `older` that still hold for
- * `newer`, and jump any bound that grew straight to +-infinity.
- * Guarantees termination of fixpoint iteration over a chain of
- * growing intervals (each bound can only widen once).
- */
-inline Interval
-intervalWiden(const Interval &older, const Interval &newer)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    return Interval(newer.lo < older.lo ? -inf : older.lo,
-                    newer.hi > older.hi ? inf : older.hi);
-}
-
 // ---- saturating u64 arithmetic (counter-width bounds) ----------------
 //
 // Derived capacities like `sources * max_cycles` routinely exceed
@@ -145,13 +120,6 @@ satAddU64(u64 a, u64 b)
     return sum < a ? kU64Max : sum;
 }
 
-/** a - b, clamped at zero instead of wrapping. */
-inline u64
-satSubU64(u64 a, u64 b)
-{
-    return a > b ? a - b : 0;
-}
-
 inline u64
 satMulU64(u64 a, u64 b)
 {
@@ -160,19 +128,6 @@ satMulU64(u64 a, u64 b)
     if (a > kU64Max / b)
         return kU64Max;
     return a * b;
-}
-
-/**
- * a / b with the b == 0 case saturated: an unbounded quotient is the
- * conservative answer for "how many events fit" when the divisor
- * degenerates (0 / 0 stays 0).
- */
-inline u64
-satDivU64(u64 a, u64 b)
-{
-    if (b == 0)
-        return a == 0 ? 0 : kU64Max;
-    return a / b;
 }
 
 } // namespace icicle

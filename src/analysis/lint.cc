@@ -1,12 +1,10 @@
 #include "analysis/lint.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <map>
 #include <sstream>
 
-#include "analysis/constraints.hh"
-#include "analysis/interval.hh"
 #include "common/logging.hh"
 
 namespace icicle
@@ -85,7 +83,7 @@ hpmSubject(u32 index)
 // ==================================================== EVT-* (wiring)
 
 LintReport
-lintEventWiring(const Core &core, const LintOptions &)
+lintEventWiring(const Core &core)
 {
     LintReport report;
     const EventBus &bus = core.bus();
@@ -137,7 +135,7 @@ lintEventWiring(const Core &core, const LintOptions &)
 
 LintReport
 lintSelector(CoreKind kind, const EventBus &bus, u32 index,
-             u64 selector, const LintOptions &)
+             u64 selector)
 {
     LintReport report;
     if (selector == 0)
@@ -208,8 +206,7 @@ lintSelector(CoreKind kind, const EventBus &bus, u32 index,
 }
 
 LintReport
-lintCsrFile(const CsrFile &csrs, const EventBus &bus,
-            const LintOptions &opts)
+lintCsrFile(const CsrFile &csrs, const EventBus &bus)
 {
     LintReport report;
     const CoreKind kind = csrs.core();
@@ -222,7 +219,7 @@ lintCsrFile(const CsrFile &csrs, const EventBus &bus,
 
     for (u32 index = 0; index < csr::numHpm; index++) {
         const u64 selector = csrs.eventSelector(index);
-        report.merge(lintSelector(kind, bus, index, selector, opts));
+        report.merge(lintSelector(kind, bus, index, selector));
         if (selector == 0)
             continue;
         programmed++;
@@ -294,9 +291,11 @@ lintCsrFile(const CsrFile &csrs, const EventBus &bus,
 
 // ============================================ CNT-* (counter bounds)
 
+/** CNT-003: the worst-case undercount, in events, that still passes. */
+constexpr u64 kUndercountWarnEvents = 1u << 10;
+
 LintReport
-lintDistributedBounds(u32 sources, u32 local_width, const char *subject,
-                      const LintOptions &opts)
+lintDistributedBounds(u32 sources, u32 local_width, const char *subject)
 {
     LintReport report;
     if (sources == 0 || local_width == 0 || local_width >= 64)
@@ -322,12 +321,12 @@ lintDistributedBounds(u32 sources, u32 local_width, const char *subject,
     }
 
     const u64 bound = undercountBound(sources, local_width);
-    if (bound > opts.undercountWarnThreshold) {
+    if (bound > kUndercountWarnEvents) {
         std::ostringstream os;
         os << "worst-case end-of-run undercount " << sources << " x 2^"
            << local_width << " = " << bound
            << " events exceeds the tolerance of "
-           << opts.undercountWarnThreshold
+           << kUndercountWarnEvents
            << "; host-side residue correction is required for "
            << "trustworthy counts";
         report.add("CNT-003", Severity::Warn, os.str(), subject);
@@ -335,8 +334,15 @@ lintDistributedBounds(u32 sources, u32 local_width, const char *subject,
     return report;
 }
 
+/**
+ * CNT-004: the longest AddWires adder chain within the timing budget
+ * (the §V-C longest-path data shows delay growing with sources;
+ * GigaBOOM's 9-lane chain of 8 adders is the largest shipped).
+ */
+constexpr u32 kAddWiresChainWarnLength = 8;
+
 LintReport
-lintCounterArch(const Core &core, const LintOptions &opts)
+lintCounterArch(const Core &core)
 {
     LintReport report;
     const CounterArch arch = core.csrs().arch();
@@ -362,11 +368,11 @@ lintCounterArch(const Core &core, const LintOptions &opts)
             break;
           case CounterArch::AddWires:
             if (addWiresChainLength(sources) >
-                opts.addWiresChainWarnLength) {
+                kAddWiresChainWarnLength) {
                 std::ostringstream os;
                 os << "adder chain of " << addWiresChainLength(sources)
                    << " exceeds the timing budget of "
-                   << opts.addWiresChainWarnLength
+                   << kAddWiresChainWarnLength
                    << " (§V-C: chain delay grows with sources)";
                 report.add("CNT-004", Severity::Warn, os.str(),
                            info.name);
@@ -375,8 +381,7 @@ lintCounterArch(const Core &core, const LintOptions &opts)
           case CounterArch::Distributed:
             if (sources > 1) {
                 report.merge(lintDistributedBounds(
-                    sources, localWidthFor(sources), info.name,
-                    opts));
+                    sources, localWidthFor(sources), info.name));
             }
             break;
         }
@@ -385,8 +390,7 @@ lintCounterArch(const Core &core, const LintOptions &opts)
 }
 
 LintReport
-lintPerfRequest(const Core &core, const std::vector<EventId> &events,
-                const LintOptions &opts)
+lintPerfRequest(const Core &core, const std::vector<EventId> &events)
 {
     LintReport report;
     const bool per_lane =
@@ -442,7 +446,6 @@ lintPerfRequest(const Core &core, const std::vector<EventId> &events,
         report.add("CNT-001", Severity::Info, os.str(),
                    "perf-request");
     }
-    (void)opts;
     return report;
 }
 
@@ -450,6 +453,49 @@ lintPerfRequest(const Core &core, const std::vector<EventId> &events,
 
 namespace
 {
+
+/** TMA-00x: deterministic samples of the counter domain, and seed. */
+constexpr u32 kTmaSamples = 512;
+constexpr u64 kTmaSampleSeed = 0x1C1C1Eull;
+
+/** The TMA rules that judge the PROVE-R4 families, and their claims. */
+constexpr std::pair<const char *, const char *> kTmaRules[] = {
+    {"TMA-001", "top-level classes must sum to 1"},
+    {"TMA-002",
+     "level-2/level-3 children must sum to and stay within their parent"},
+    {"TMA-003", "every class must lie in its derived interval"},
+    {"TMA-004", "Branch Mispredicts must stay within its children "
+                "envelope"},
+};
+constexpr u32 kNumTmaRules = std::size(kTmaRules);
+
+/** Which TMA rule reports each R4 family, by constraint-id prefix. */
+constexpr std::pair<const char *, u32> kTmaRuleOfFamily[] = {
+    {"R4.sum.", 0},      {"R4.split.", 1}, {"R4.min.", 1},
+    {"R4.interval.", 2}, {"R4.mono.", 3},  {"R4.subadd.", 3},
+};
+
+/**
+ * Identities the TMA family checks whether or not the DAG still
+ * proves them: the top-level sum, the three child splits and the
+ * Branch Mispredicts envelope.
+ */
+constexpr const char *kRequiredTma[] = {
+    "R4.sum.top",       "R4.split.frontend",
+    "R4.split.backend", "R4.split.mem-bound",
+    "R4.mono.resteers", "R4.mono.recovery-bubbles",
+    "R4.subadd.branch-mispredicts",
+};
+
+u32
+tmaRuleOf(const std::string &id)
+{
+    for (const auto &[prefix, rule] : kTmaRuleOfFamily) {
+        if (id.rfind(prefix, 0) == 0)
+            return rule;
+    }
+    panic("PROVE-R4 constraint ", id, " has no TMA lint rule");
+}
 
 /** Domain of one TmaCounters sample, as a record for diagnostics. */
 std::string
@@ -498,89 +544,27 @@ struct RuleTally
     }
 };
 
-/**
- * Interval pass: evaluate the Table II reference structure over the
- * whole admissible counter domain, in units of total slots
- * (m_total = W_C * cycles). Proves the clamped top-level classes lie
- * in [0, 1] and that the pre-normalization class sum is at least 1,
- * which makes the normalized sum exactly 1 for *every* admissible
- * reading — not just the sampled ones.
- */
-void
-lintTmaIntervals(const TmaParams &params, const LintOptions &opts,
-                 LintReport &report)
-{
-    const double m_rl = static_cast<double>(params.recoverLength);
-
-    // Domain constraints, as slot fractions:
-    //   retired <= W_C * cycles            -> ret in [0, 1]
-    //   issued - retired (flushed uops) <= W_I * cycles with
-    //   W_I <= 4 W_C across Table IV       -> flushed in [0, 4]
-    //   fetchBubbles <= W_C * cycles       -> fb in [0, 1]
-    //   recovering <= cycles               -> rec slots in [0, 1]
-    //   mispredicts <= cycles              -> bm * W / m_total in [0,1]
-    //   flush-cause ratios                 -> in [0, 1]
-    const Interval ret(0, 1);
-    const Interval flushed(0, 4);
-    const Interval fb(0, 1);
-    const Interval rec(0, 1);
-    const Interval bm(0, 1);
-    const Interval nf_ratio(0, 1);
-
-    const Interval retiring = intervalClamp01(ret);
-    const Interval badspec = intervalClamp01(
-        flushed * nf_ratio + rec + Interval(m_rl) * bm);
-    const Interval frontend = intervalClamp01(fb);
-
-    for (const auto &[label, cls] :
-         {std::pair<const char *, Interval>{"retiring", retiring},
-          {"bad-speculation", badspec},
-          {"frontend", frontend}}) {
-        if (cls.lo < -opts.epsilon || cls.hi > 1 + opts.epsilon) {
-            std::ostringstream os;
-            os << "interval analysis: clamped class " << label
-               << " ranges over [" << cls.lo << ", " << cls.hi
-               << "], outside [0, 1]";
-            report.add("TMA-003", Severity::Error, os.str(),
-                       "tma-model");
-        }
-    }
-
-    // backend = clamp01(1 - s) with s = retiring + badspec + frontend,
-    // so the pre-normalization class sum is s + max(0, 1 - s) =
-    // max(s, 1) >= 1: normalization always divides by a sum >= 1 and
-    // the normalized top level sums to exactly 1.
-    const Interval s = retiring + badspec + frontend;
-    const Interval total(std::max(s.lo, 1.0), std::max(s.hi, 1.0));
-    if (total.lo < 1 - opts.epsilon) {
-        std::ostringstream os;
-        os << "interval analysis: pre-normalization class sum can "
-           << "reach " << total.lo
-           << " < 1, so normalization cannot guarantee the top level "
-           << "sums to 1";
-        report.add("TMA-001", Severity::Error, os.str(), "tma-model");
-    }
-
-    // Bad Speculation children (Table II): the non-fence flush ratio
-    // decomposes as m_nf_r = m_br_mr + m_fl_r, so the raw child sum
-    // flushed * m_nf_r + rec never exceeds the raw parent
-    // flushed * m_nf_r + rec + m_rl * bm.
-    const Interval children = flushed * nf_ratio + rec;
-    const Interval parent =
-        flushed * nf_ratio + rec + Interval(m_rl) * bm;
-    if (children.hi > parent.hi + opts.epsilon) {
-        std::ostringstream os;
-        os << "interval analysis: Bad-Speculation children can reach "
-           << children.hi << ", above the parent bound " << parent.hi;
-        report.add("TMA-004", Severity::Error, os.str(), "tma-model");
-    }
-}
-
 } // namespace
 
 LintReport
-lintTmaModel(const TmaParams &params, const LintOptions &opts,
-             const TmaModelFn &model)
+lintTmaCoverage(const std::vector<TmaConstraint> &r4)
+{
+    LintReport report;
+    for (const char *id : kRequiredTma) {
+        if (std::any_of(r4.begin(), r4.end(), [id](const auto &c) {
+                return c.id == id;
+            }))
+            continue;
+        report.add(kTmaRules[tmaRuleOf(id)].first, Severity::Error,
+                   std::string("the formula DAG no longer yields ") + id +
+                       ", so the TMA lint cannot check it",
+                   "tma-model");
+    }
+    return report;
+}
+
+LintReport
+lintTmaModel(const TmaParams &params, const TmaModelFn &model)
 {
     LintReport report;
 
@@ -607,7 +591,8 @@ lintTmaModel(const TmaParams &params, const LintOptions &opts,
         return report;
     }
 
-    lintTmaIntervals(params, opts, report);
+    const std::vector<TmaConstraint> r4 = deriveTmaConstraints(params);
+    report.merge(lintTmaCoverage(r4));
 
     const TmaModelFn &fn =
         model ? model
@@ -616,75 +601,29 @@ lintTmaModel(const TmaParams &params, const LintOptions &opts,
                     return computeTma(c, p);
                 });
 
-    // Sampling pass: deterministic sweep of the admissible counter
-    // domain (corners first, then pseudo-random interior points).
-    LintRng rng(opts.seed);
+    // Witness search: deterministic sweep of the admissible counter
+    // domain (corners first, then pseudo-random interior points). Each
+    // sample counts at most once per rule.
+    LintRng rng(kTmaSampleSeed);
     const u64 kCycleChoices[] = {1, 3, 64, 10000, 1u << 20};
-    const double eps = opts.epsilon;
     const u64 w = params.coreWidth;
 
-    RuleTally topSum, childSum, nonNegative, badspecEnvelope;
+    std::array<RuleTally, kNumTmaRules> tallies;
     u64 samples = 0;
 
     auto checkSample = [&](const TmaCounters &c) {
         samples++;
         const TmaResult r = fn(c, params);
-
-        const double fields[] = {
-            r.retiring, r.badSpeculation, r.frontend, r.backend,
-            r.machineClears, r.branchMispredicts, r.resteers,
-            r.recoveryBubbles, r.fetchLatency, r.pcResteer,
-            r.coreBound, r.memBound, r.memBoundL2, r.memBoundDram};
-        for (double f : fields) {
-            if (f < -eps || f > 1 + eps || std::isnan(f)) {
-                std::ostringstream os;
-                os << "class fraction " << f << " outside [0, 1]";
-                nonNegative.hit(c, os.str());
-                break;
-            }
-        }
-
-        const double top =
-            r.retiring + r.badSpeculation + r.frontend + r.backend;
-        if (std::fabs(top - 1.0) > eps) {
+        std::array<bool, kNumTmaRules> hit{};
+        for (const TmaConstraint &k : r4) {
+            const u32 rule = tmaRuleOf(k.id);
+            double excess = 0;
+            if (hit[rule] || satisfiesTma(k, r, &excess))
+                continue;
+            hit[rule] = true;
             std::ostringstream os;
-            os << "top-level sum " << top;
-            topSum.hit(c, os.str());
-        }
-
-        const double fe = r.fetchLatency + r.pcResteer;
-        const double be = r.coreBound + r.memBound;
-        const double mem = r.memBoundL2 + r.memBoundDram;
-        if (std::fabs(fe - r.frontend) > eps) {
-            std::ostringstream os;
-            os << "frontend children sum " << fe << " != parent "
-               << r.frontend;
-            childSum.hit(c, os.str());
-        } else if (std::fabs(be - r.backend) > eps) {
-            std::ostringstream os;
-            os << "backend children sum " << be << " != parent "
-               << r.backend;
-            childSum.hit(c, os.str());
-        } else if (std::fabs(mem - r.memBound) > eps) {
-            std::ostringstream os;
-            os << "mem-bound children sum " << mem << " != parent "
-               << r.memBound;
-            childSum.hit(c, os.str());
-        }
-
-        // Branch Mispredicts = Resteers + Recovery Bubbles, with
-        // subadditivity under clamping: the class lies between the
-        // max of its children and their sum.
-        const double lower =
-            std::max(r.resteers, r.recoveryBubbles) - eps;
-        const double upper = r.resteers + r.recoveryBubbles + eps;
-        if (r.branchMispredicts < lower ||
-            r.branchMispredicts > upper) {
-            std::ostringstream os;
-            os << "branch-mispredict class " << r.branchMispredicts
-               << " outside its children envelope [" << lower << ", "
-               << upper << "]";
-            badspecEnvelope.hit(c, os.str());
+            os << k.id << " (" << k.text << ") fails by " << excess;
+            tallies[rule].hit(c, os.str());
         }
     };
 
@@ -716,7 +655,7 @@ lintTmaModel(const TmaParams &params, const LintOptions &opts,
         checkSample(c);
     }
 
-    while (samples < opts.tmaSamples) {
+    while (samples < kTmaSamples) {
         TmaCounters c;
         c.cycles = kCycleChoices[rng.below(4)];
         const u64 slots = w * c.cycles;
@@ -734,36 +673,28 @@ lintTmaModel(const TmaParams &params, const LintOptions &opts,
         checkSample(c);
     }
 
-    topSum.flush(report, "TMA-001",
-                 "top-level classes must sum to 1", samples);
-    childSum.flush(report, "TMA-002",
-                   "level-2/level-3 children must sum to their parent",
-                   samples);
-    nonNegative.flush(report, "TMA-003",
-                      "every class must lie in [0, 1]", samples);
-    badspecEnvelope.flush(
-        report, "TMA-004",
-        "Branch Mispredicts must stay within its children envelope",
-        samples);
+    for (u32 rule = 0; rule < kNumTmaRules; rule++)
+        tallies[rule].flush(report, kTmaRules[rule].first,
+                            kTmaRules[rule].second, samples);
     return report;
 }
 
 // ========================================================== composite
 
 LintReport
-lintCore(const Core &core, const LintOptions &opts)
+lintCore(const Core &core)
 {
     LintReport report;
-    report.merge(lintEventWiring(core, opts));
-    report.merge(lintCounterArch(core, opts));
-    report.merge(lintCsrFile(core.csrs(), core.bus(), opts));
+    report.merge(lintEventWiring(core));
+    report.merge(lintCounterArch(core));
+    report.merge(lintCsrFile(core.csrs(), core.bus()));
 
     TmaParams params;
     params.coreWidth = core.coreWidth();
-    report.merge(lintTmaModel(params, opts));
+    report.merge(lintTmaModel(params));
     // REF-*: the derived constraint set itself must be statically
     // satisfiable (analysis/constraints.hh).
-    report.merge(lintConstraints(core, opts));
+    report.merge(lintConstraints(core));
     return report;
 }
 

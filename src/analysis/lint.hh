@@ -20,11 +20,14 @@
  *        worst-case end-of-run undercount is computed and bounded,
  *        Scalar configurations must fit the hardware-counter budget,
  *        AddWires chain lengths are checked against a timing budget.
- *  TMA-* conservation lint: interval analysis plus exhaustive
- *        deterministic sampling over the admissible counter domain
- *        proving the Table II classes sum to 1 +- epsilon, each child
- *        set sums to its parent, and no class goes negative. TMA-005
- *        records the paper's printed M_nf_r formula contradiction.
+ *  TMA-* conservation lint: a deterministic witness search over the
+ *        admissible counter domain judges each sampled breakdown with
+ *        the PROVE-R4 set derived from the formula DAG
+ *        (analysis/constraints.hh): the Table II classes sum to 1,
+ *        each child set sums to and stays within its parent, no class
+ *        leaves its derived interval or is NaN, and Branch Mispredicts
+ *        stays within its children's envelope. TMA-005 records the
+ *        paper's printed M_nf_r formula contradiction.
  *
  * Rule ids, severities, and paper justifications are tabulated in
  * DESIGN.md §"Static model checking".
@@ -36,6 +39,7 @@
 #include <functional>
 #include <vector>
 
+#include "analysis/constraints.hh"
 #include "analysis/diagnostics.hh"
 #include "core/core.hh"
 #include "pmu/csr.hh"
@@ -44,28 +48,6 @@
 
 namespace icicle
 {
-
-/** Tunables for the lint passes. */
-struct LintOptions
-{
-    /**
-     * CNT-003: warn when a Distributed counter's worst-case end-of-run
-     * undercount (sources * 2^localWidth) exceeds this many events.
-     */
-    u64 undercountWarnThreshold = 1u << 10;
-    /**
-     * CNT-004: warn when an AddWires adder chain is longer than this
-     * (the §V-C longest-path data shows delay growing with sources;
-     * GigaBOOM's 9-lane chain of 8 adders is the largest shipped).
-     */
-    u32 addWiresChainWarnLength = 8;
-    /** TMA-00x: conservation slack. */
-    double epsilon = 1e-6;
-    /** TMA-00x: deterministic samples of the counter domain. */
-    u32 tmaSamples = 512;
-    /** Seed for the sampling PRNG (deterministic across runs). */
-    u64 seed = 0x1C1C1Eull;
-};
 
 /**
  * A TMA model under lint: maps counters to a breakdown. Defaults to
@@ -78,8 +60,7 @@ using TmaModelFn =
 // ---- rule families ---------------------------------------------------
 
 /** EVT-*: audit a core's event-bus wiring against its geometry. */
-LintReport lintEventWiring(const Core &core,
-                           const LintOptions &opts = {});
+LintReport lintEventWiring(const Core &core);
 
 /**
  * CSR-*: validate one raw mhpmevent selector value against a core's
@@ -87,15 +68,14 @@ LintReport lintEventWiring(const Core &core,
  * (0..28), used only for the diagnostic subject.
  */
 LintReport lintSelector(CoreKind kind, const EventBus &bus, u32 index,
-                        u64 selector, const LintOptions &opts = {});
+                        u64 selector);
 
 /**
  * CSR-*: validate a whole programmed CSR file — every selector plus
  * the cross-counter rules (duplicate event mapping CSR-004, inhibit
  * coherence CSR-005).
  */
-LintReport lintCsrFile(const CsrFile &csrs, const EventBus &bus,
-                       const LintOptions &opts = {});
+LintReport lintCsrFile(const CsrFile &csrs, const EventBus &bus);
 
 /**
  * CNT-002/CNT-003: bounds for one DistributedCounters instance with
@@ -103,15 +83,13 @@ LintReport lintCsrFile(const CsrFile &csrs, const EventBus &bus,
  * one-hot arbiter rotating over all sources.
  */
 LintReport lintDistributedBounds(u32 sources, u32 local_width,
-                                 const char *subject,
-                                 const LintOptions &opts = {});
+                                 const char *subject);
 
 /**
  * CNT-*: audit the counter architecture a core was configured with,
  * over every multi-source event it advertises.
  */
-LintReport lintCounterArch(const Core &core,
-                           const LintOptions &opts = {});
+LintReport lintCounterArch(const Core &core);
 
 /**
  * CNT-001 (+ EVT-004): check a PerfHarness event request against the
@@ -119,22 +97,28 @@ LintReport lintCounterArch(const Core &core,
  * any counter is programmed.
  */
 LintReport lintPerfRequest(const Core &core,
-                           const std::vector<EventId> &events,
-                           const LintOptions &opts = {});
+                           const std::vector<EventId> &events);
 
 /**
- * TMA-*: prove the conservation invariants of a TMA model for the
- * given core parameters. The interval pass covers the reference
- * Table II formula structure; the sampling pass exercises `model`
- * over a deterministic sweep of the admissible counter domain and
- * reports the first counterexample per rule.
+ * TMA-001..004: search the admissible counter domain for a reading
+ * on which `model` (computeTma when empty) breaks a PROVE-R4
+ * constraint derived from `params`, and report the first
+ * counterexample per rule. The search is deterministic: fixed seed,
+ * the degenerate corner readings, then pseudo-random interior draws.
  */
 LintReport lintTmaModel(const TmaParams &params,
-                        const LintOptions &opts = {},
                         const TmaModelFn &model = {});
 
+/**
+ * TMA-001/002/004: Error for each identity the TMA family checks that
+ * `r4` lacks, so a formula edit that stops the DAG proving one shows
+ * up instead of leaving the lint one check short. lintTmaModel runs
+ * it on the set it derives.
+ */
+LintReport lintTmaCoverage(const std::vector<TmaConstraint> &r4);
+
 /** Every family for one constructed core (the Session entry point). */
-LintReport lintCore(const Core &core, const LintOptions &opts = {});
+LintReport lintCore(const Core &core);
 
 // ---- enforcement gate ------------------------------------------------
 

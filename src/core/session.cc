@@ -28,21 +28,8 @@ gatherTmaCounters(const Core &core)
 {
     TmaCounters c;
     c.cycles = core.total(EventId::Cycles);
-    if (core.kind() == CoreKind::Boom) {
-        c.retiredUops = core.total(EventId::UopsRetired);
-        c.issuedUops = core.total(EventId::UopsIssued);
-    } else {
-        c.retiredUops = core.total(EventId::InstRetired);
-        c.issuedUops = core.total(EventId::InstIssued);
-    }
-    c.fetchBubbles = core.total(EventId::FetchBubbles);
-    c.recovering = core.total(EventId::Recovering);
-    c.branchMispredicts = core.total(EventId::BranchMispredict);
-    c.machineClears = core.total(EventId::Flush);
-    c.fencesRetired = core.total(EventId::FenceRetired);
-    c.icacheBlocked = core.total(EventId::ICacheBlocked);
-    c.dcacheBlocked = core.total(EventId::DCacheBlocked);
-    c.dcacheBlockedDram = core.total(EventId::DCacheBlockedDram);
+    for (const TmaInput &in : kTmaInputs)
+        c.*in.field = core.total(in.event(core.kind()));
     return c;
 }
 

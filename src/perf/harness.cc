@@ -27,22 +27,10 @@ PerfHarness::addEvent(EventId event)
 void
 PerfHarness::addTmaEvents(bool level3)
 {
-    if (core.kind() == CoreKind::Boom) {
-        addEvent(EventId::UopsRetired);
-        addEvent(EventId::UopsIssued);
-    } else {
-        addEvent(EventId::InstRetired);
-        addEvent(EventId::InstIssued);
+    for (const TmaInput &in : kTmaInputs) {
+        if (level3 || !in.level3)
+            addEvent(in.event(core.kind()));
     }
-    addEvent(EventId::FetchBubbles);
-    addEvent(EventId::Recovering);
-    addEvent(EventId::BranchMispredict);
-    addEvent(EventId::Flush);
-    addEvent(EventId::FenceRetired);
-    addEvent(EventId::ICacheBlocked);
-    addEvent(EventId::DCacheBlocked);
-    if (level3)
-        addEvent(EventId::DCacheBlockedDram);
 }
 
 void
@@ -246,21 +234,8 @@ PerfHarness::tmaCounters() const
 {
     TmaCounters c;
     c.cycles = core.csrFile().cycles();
-    if (core.kind() == CoreKind::Boom) {
-        c.retiredUops = value(EventId::UopsRetired);
-        c.issuedUops = value(EventId::UopsIssued);
-    } else {
-        c.retiredUops = value(EventId::InstRetired);
-        c.issuedUops = value(EventId::InstIssued);
-    }
-    c.fetchBubbles = value(EventId::FetchBubbles);
-    c.recovering = value(EventId::Recovering);
-    c.branchMispredicts = value(EventId::BranchMispredict);
-    c.machineClears = value(EventId::Flush);
-    c.fencesRetired = value(EventId::FenceRetired);
-    c.icacheBlocked = value(EventId::ICacheBlocked);
-    c.dcacheBlocked = value(EventId::DCacheBlocked);
-    c.dcacheBlockedDram = value(EventId::DCacheBlockedDram);
+    for (const TmaInput &in : kTmaInputs)
+        c.*in.field = value(in.event(core.kind()));
     return c;
 }
 

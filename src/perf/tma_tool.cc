@@ -31,32 +31,11 @@ runTmaAnalysis(Core &core, TmaSource source, u64 max_cycles)
 const char *
 tmaFieldOfEvent(EventId event)
 {
-    switch (event) {
-      case EventId::InstRetired:
-      case EventId::UopsRetired:
-        return "Retiring";
-      case EventId::InstIssued:
-      case EventId::UopsIssued:
-        return "Bad Speculation";
-      case EventId::FetchBubbles:
-        return "Frontend Bound";
-      case EventId::Recovering:
-        return "Recovery Bubbles";
-      case EventId::BranchMispredict:
-        return "Branch Mispredicts";
-      case EventId::Flush:
-        return "Machine Clears";
-      case EventId::FenceRetired:
-        return "Machine Clears";
-      case EventId::ICacheBlocked:
-        return "Fetch Latency";
-      case EventId::DCacheBlocked:
-        return "Mem Bound";
-      case EventId::DCacheBlockedDram:
-        return "Mem Bound (DRAM)";
-      default:
-        return "";
+    for (const TmaInput &in : kTmaInputs) {
+        if (event == in.boom || event == in.rocket)
+            return in.feeds;
     }
+    return "";
 }
 
 std::string

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <sstream>
 #include <vector>
 
+#include "analysis/constraints.hh"
 #include "common/logging.hh"
 #include "core/core.hh"
 #include "pmu/csr.hh"
@@ -91,18 +91,6 @@ contiguous(u64 mask)
         return true;
     const u64 lsb = mask & (~mask + 1);
     return ((mask + lsb) & mask) == 0;
-}
-
-void
-approxCheck(RuleSink &sink, const char *what, double actual,
-            double expected)
-{
-    if (std::abs(actual - expected) > 1e-6) {
-        std::ostringstream os;
-        os << what << ": " << actual << " (expected " << expected
-           << ")";
-        sink.add(os.str());
-    }
 }
 
 } // namespace
@@ -220,46 +208,21 @@ checkStoreInvariants(const StoreReader &reader, LintReport &report)
         }
     }
 
-    // ---- PROVE-T5: TMA slot conservation --------------------------
+    // ---- PROVE-T5: the PROVE-R4 set on the whole-window TMA ---------
     const bool run_t5 =
         !bubble_fields.empty() && !retired_fields.empty();
     if (run_t5) {
+        TmaParams params;
+        params.coreWidth = stats.coreWidth;
         const TmaResult tma =
             reader.windowTma(0, stats.cycles, stats.coreWidth);
-        auto frac = [&](const char *what, double value) {
-            if (value < -1e-9 || value > 1.0 + 1e-9) {
-                std::ostringstream os;
-                os << what << " = " << value << " outside [0, 1]";
-                t5.add(os.str());
-            }
-        };
-        frac("retiring", tma.retiring);
-        frac("bad-speculation", tma.badSpeculation);
-        frac("frontend", tma.frontend);
-        frac("backend", tma.backend);
-        approxCheck(t5, "top-level class sum",
-                    tma.retiring + tma.badSpeculation + tma.frontend +
-                        tma.backend,
-                    1.0);
-        approxCheck(t5, "fetch-latency + pc-resteer vs frontend",
-                    tma.fetchLatency + tma.pcResteer, tma.frontend);
-        approxCheck(t5, "core-bound + mem-bound vs backend",
-                    tma.coreBound + tma.memBound, tma.backend);
-        approxCheck(t5, "L2-bound + DRAM-bound vs mem-bound",
-                    tma.memBoundL2 + tma.memBoundDram, tma.memBound);
-        if (tma.resteers > tma.branchMispredicts + 1e-9) {
-            t5.add("resteers exceed the branch-mispredict class that "
-                   "contains them");
-        }
-        if (tma.recoveryBubbles > tma.branchMispredicts + 1e-9) {
-            t5.add("recovery bubbles exceed the branch-mispredict "
-                   "class that contains them");
-        }
-        if (tma.ipc >
-            static_cast<double>(stats.coreWidth) + 1e-9) {
+        for (const TmaConstraint &c : deriveTmaConstraints(params)) {
+            double excess = 0;
+            if (satisfiesTma(c, tma, &excess))
+                continue;
             std::ostringstream os;
-            os << "ipc " << tma.ipc << " exceeds core width "
-               << stats.coreWidth;
+            os << c.id << " refuted: " << c.text << " fails by "
+               << excess << " | derived from: " << c.provenance;
             t5.add(os.str());
         }
     }

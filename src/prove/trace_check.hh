@@ -22,9 +22,11 @@
  *    fetch-bubble lanes form one contiguous run — the decode stage
  *    fills lanes in order, so bubble lanes are an interval.
  *  - PROVE-T5 (TMA conservation): the windowed TMA over the full
- *    store yields top-level classes in [0, 1] summing to one, child
- *    classes that sum exactly to their parent, and an IPC bounded by
- *    the core width.
+ *    store satisfies the PROVE-R4 set derived for the store's core
+ *    width (analysis/constraints.hh): every class in its interval and
+ *    finite, top-level classes summing to one, child classes summing
+ *    to and bounded by their parent, and an IPC bounded by the core
+ *    width.
  *  - PROVE-T6 (codec integrity): per-field popcounts recomputed by
  *    decoding every plane equal the block-footer popcounts.
  *

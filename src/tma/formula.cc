@@ -1,5 +1,6 @@
 #include "tma/formula.hh"
 
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -468,13 +469,14 @@ tmaAdmissibleDomain(const TmaParams &params, u64 max_cycles)
     const double w = static_cast<double>(params.coreWidth);
     std::array<Interval, kNumTmaCounterFields> domain;
     domain[static_cast<u32>(TmaCounterField::Cycles)] = Interval(1, c);
-    // Slot-class events: up to W_C (or W_I, bounded by a factor of
-    // W_C in every shipped config... use a conservative 2x for issue)
-    // sources per cycle; cycle-condition events at most one.
+    // Slot-class events: up to W_C sources per cycle, issue up to
+    // W_I <= 4 W_C (Table IV: SmallBoom issues 3 uops at W_C = 1);
+    // cycle-condition events at most one. The TMA lint samples this
+    // same domain.
     domain[static_cast<u32>(TmaCounterField::RetiredUops)] =
         Interval(0, w * c);
     domain[static_cast<u32>(TmaCounterField::IssuedUops)] =
-        Interval(0, 2.0 * w * c);
+        Interval(0, 4.0 * w * c);
     domain[static_cast<u32>(TmaCounterField::FetchBubbles)] =
         Interval(0, w * c);
     domain[static_cast<u32>(TmaCounterField::Recovering)] =

@@ -23,9 +23,11 @@
 #ifndef ICICLE_TMA_TMA_HH
 #define ICICLE_TMA_TMA_HH
 
+#include <array>
 #include <string>
 
 #include "common/types.hh"
+#include "pmu/event.hh"
 
 namespace icicle
 {
@@ -53,6 +55,52 @@ struct TmaCounters
     /** D$-blocked slots overlapping a DRAM-level refill (level 3). */
     u64 dcacheBlockedDram = 0;
 };
+
+/** One event-fed TmaCounters field and the event feeding it per core. */
+struct TmaInput
+{
+    u64 TmaCounters::*field;
+    EventId boom;
+    EventId rocket;
+    /** Level-3 input (the Mem Bound split), counted on request only. */
+    bool level3;
+    /** The Table II class the field feeds, for reports. */
+    const char *feeds;
+
+    EventId
+    event(CoreKind kind) const
+    {
+        return kind == CoreKind::Boom ? boom : rocket;
+    }
+};
+
+/**
+ * Table II's inputs: every TmaCounters field but `cycles`. The order
+ * is the order PerfHarness requests the events in, which fixes how
+ * they pack into multiplex groups.
+ */
+inline constexpr std::array<TmaInput, 10> kTmaInputs = {{
+    {&TmaCounters::retiredUops, EventId::UopsRetired,
+     EventId::InstRetired, false, "Retiring"},
+    {&TmaCounters::issuedUops, EventId::UopsIssued, EventId::InstIssued,
+     false, "Bad Speculation"},
+    {&TmaCounters::fetchBubbles, EventId::FetchBubbles,
+     EventId::FetchBubbles, false, "Frontend Bound"},
+    {&TmaCounters::recovering, EventId::Recovering, EventId::Recovering,
+     false, "Recovery Bubbles"},
+    {&TmaCounters::branchMispredicts, EventId::BranchMispredict,
+     EventId::BranchMispredict, false, "Branch Mispredicts"},
+    {&TmaCounters::machineClears, EventId::Flush, EventId::Flush, false,
+     "Machine Clears"},
+    {&TmaCounters::fencesRetired, EventId::FenceRetired,
+     EventId::FenceRetired, false, "Machine Clears"},
+    {&TmaCounters::icacheBlocked, EventId::ICacheBlocked,
+     EventId::ICacheBlocked, false, "Fetch Latency"},
+    {&TmaCounters::dcacheBlocked, EventId::DCacheBlocked,
+     EventId::DCacheBlocked, false, "Mem Bound"},
+    {&TmaCounters::dcacheBlockedDram, EventId::DCacheBlockedDram,
+     EventId::DCacheBlockedDram, true, "Mem Bound (DRAM)"},
+}};
 
 /** One TMA breakdown; every field is a fraction of total slots. */
 struct TmaResult

@@ -229,22 +229,15 @@ windowTmaOf(u64 num_cycles, u64 begin, u64 end, u32 core_width,
     if (core_width == 0)
         fatal(what, ": core width must be at least 1");
     end = clampTraceWindow(num_cycles, begin, end, what);
-    auto count_in = [&](EventId event) {
-        return count(event, begin, end);
-    };
+    // A trace carries one core's events, so each input counts both
+    // cores' events for its field; the absent one counts zero.
     TmaCounters counters;
     counters.cycles = end - begin;
-    counters.retiredUops = count_in(EventId::UopsRetired) +
-                           count_in(EventId::InstRetired);
-    counters.issuedUops = count_in(EventId::UopsIssued) +
-                          count_in(EventId::InstIssued);
-    counters.fetchBubbles = count_in(EventId::FetchBubbles);
-    counters.recovering = count_in(EventId::Recovering);
-    counters.branchMispredicts = count_in(EventId::BranchMispredict);
-    counters.machineClears = count_in(EventId::Flush);
-    counters.fencesRetired = count_in(EventId::FenceRetired);
-    counters.icacheBlocked = count_in(EventId::ICacheBlocked);
-    counters.dcacheBlocked = count_in(EventId::DCacheBlocked);
+    for (const TmaInput &in : kTmaInputs) {
+        counters.*in.field = count(in.boom, begin, end);
+        if (in.rocket != in.boom)
+            counters.*in.field += count(in.rocket, begin, end);
+    }
     TmaParams params;
     params.coreWidth = core_width;
     return computeTma(counters, params);

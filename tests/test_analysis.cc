@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "analysis/interval.hh"
 #include "analysis/lint.hh"
 #include "core/dispatch.hh"
@@ -300,11 +302,8 @@ TEST(LintCounter, PaperSizingIsClean)
 
 TEST(LintCounter, WarnsOnLargeUndercountBound)
 {
-    LintOptions opts;
-    opts.undercountWarnThreshold = 16;
-    // 8 x 2^8 = 2048 events of worst-case undercount > 16.
-    const LintReport report =
-        lintDistributedBounds(8, 8, "seeded", opts);
+    // 8 x 2^8 = 2048 events of worst-case undercount > 1024.
+    const LintReport report = lintDistributedBounds(8, 8, "seeded");
     EXPECT_TRUE(report.hasRule("CNT-003")) << report.format();
 }
 
@@ -313,9 +312,8 @@ TEST(LintCounter, WarnsOnLongAddWiresChain)
     const Program program = stubProgram();
     PuppetCore core(CoreKind::Boom, 12, 12, CounterArch::AddWires,
                     program);
-    LintOptions opts;
-    opts.addWiresChainWarnLength = 8;
-    const LintReport report = lintCounterArch(core, opts);
+    // A 12-lane chain of 11 adders is over the budget of 8.
+    const LintReport report = lintCounterArch(core);
     EXPECT_TRUE(report.hasRule("CNT-004")) << report.format();
 }
 
@@ -371,13 +369,16 @@ TEST(LintCounter, RejectsUnsupportedEventRequest)
 
 TEST(LintTma, ReferenceModelConservesForAllWidths)
 {
-    for (u32 width : {1u, 2u, 3u, 4u, 5u, 9u}) {
-        TmaParams params;
-        params.coreWidth = width;
-        const LintReport report = lintTmaModel(params);
-        EXPECT_EQ(report.errorCount(), 0u)
-            << "W_C=" << width << ":\n"
-            << report.format();
+    for (bool literal : {false, true}) {
+        for (u32 width : {1u, 2u, 3u, 4u, 5u, 9u}) {
+            TmaParams params;
+            params.coreWidth = width;
+            params.paperLiteralNfr = literal;
+            const LintReport report = lintTmaModel(params);
+            EXPECT_EQ(report.errorCount(), 0u)
+                << "W_C=" << width << " literal=" << literal << ":\n"
+                << report.format();
+        }
     }
 }
 
@@ -397,7 +398,7 @@ TEST(LintTma, DetectsBrokenNormalization)
         r.memBoundDram = 0;
         return r;
     };
-    const LintReport report = lintTmaModel(params, {}, broken);
+    const LintReport report = lintTmaModel(params, broken);
     EXPECT_TRUE(report.hasRule("TMA-001")) << report.format();
     EXPECT_GT(report.errorCount(), 0u);
 }
@@ -413,7 +414,7 @@ TEST(LintTma, DetectsNegativeClass)
         r.coreBound = r.backend - 2.0; // may go negative
         return r;
     };
-    const LintReport report = lintTmaModel(params, {}, broken);
+    const LintReport report = lintTmaModel(params, broken);
     EXPECT_TRUE(report.hasRule("TMA-003")) << report.format();
 }
 
@@ -428,8 +429,70 @@ TEST(LintTma, DetectsChildParentMismatch)
         r.pcResteer = r.frontend; // fetchLatency + pcResteer > parent
         return r;
     };
-    const LintReport report = lintTmaModel(params, {}, broken);
+    const LintReport report = lintTmaModel(params, broken);
     EXPECT_TRUE(report.hasRule("TMA-002")) << report.format();
+}
+
+TEST(LintTma, DetectsMispredictsAboveTheirChildren)
+{
+    TmaParams params;
+    params.coreWidth = 2;
+    // Seed: a Branch Mispredicts class larger than resteers plus
+    // recovery bubbles, the clamped sum it is built from.
+    const TmaModelFn broken = [](const TmaCounters &c,
+                                 const TmaParams &p) {
+        TmaResult r = computeTma(c, p);
+        r.branchMispredicts = r.resteers + r.recoveryBubbles + 0.05;
+        return r;
+    };
+    const LintReport report = lintTmaModel(params, broken);
+    EXPECT_TRUE(report.hasRule("TMA-004")) << report.format();
+}
+
+TEST(LintTma, DetectsNaNClass)
+{
+    TmaParams params;
+    params.coreWidth = 3;
+    // Seed: a 0/0 that escapes the guarded division.
+    const TmaModelFn broken = [](const TmaCounters &c,
+                                 const TmaParams &p) {
+        TmaResult r = computeTma(c, p);
+        r.memBoundDram = std::numeric_limits<double>::quiet_NaN();
+        return r;
+    };
+    const LintReport report = lintTmaModel(params, broken);
+    EXPECT_TRUE(report.hasRule("TMA-003")) << report.format();
+}
+
+TEST(LintTma, MissingRequiredIdentityIsAnError)
+{
+    TmaParams params;
+    params.coreWidth = 2;
+    const std::vector<TmaConstraint> r4 = deriveTmaConstraints(params);
+    EXPECT_EQ(lintTmaCoverage(r4).errorCount(), 0u);
+
+    // A formula edit that stops the DAG yielding an identity must
+    // show up under the identity's rule, not shrink the check.
+    const std::pair<const char *, const char *> required[] = {
+        {"R4.sum.top", "TMA-001"},
+        {"R4.split.frontend", "TMA-002"},
+        {"R4.split.backend", "TMA-002"},
+        {"R4.split.mem-bound", "TMA-002"},
+        {"R4.mono.resteers", "TMA-004"},
+        {"R4.mono.recovery-bubbles", "TMA-004"},
+        {"R4.subadd.branch-mispredicts", "TMA-004"},
+    };
+    for (const auto &[id, rule] : required) {
+        std::vector<TmaConstraint> missing;
+        for (const TmaConstraint &c : r4) {
+            if (c.id != id)
+                missing.push_back(c);
+        }
+        ASSERT_EQ(missing.size(), r4.size() - 1) << id;
+        const LintReport report = lintTmaCoverage(missing);
+        EXPECT_EQ(report.errorCount(), 1u) << id << report.format();
+        EXPECT_TRUE(report.hasRule(rule)) << id << report.format();
+    }
 }
 
 TEST(LintTma, ReportsZeroWidthParams)
@@ -538,7 +601,6 @@ TEST(Interval, ArithmeticIsConservative)
     EXPECT_EQ((a / b).hi, 2.0 / 3.0);
     EXPECT_EQ(intervalClamp01(a).lo, 0);
     EXPECT_EQ(intervalClamp01(a).hi, 1);
-    EXPECT_TRUE(intervalHull(a, b).contains(2.5));
 }
 
 TEST(Interval, SaturatingU64OpsAtHpmBoundaries)
@@ -553,10 +615,6 @@ TEST(Interval, SaturatingU64OpsAtHpmBoundaries)
     EXPECT_EQ(satAddU64(kU64Max, 1), kU64Max);
     EXPECT_EQ(satAddU64(kU64Max, kU64Max), kU64Max);
 
-    EXPECT_EQ(satSubU64(hpm, hpm - 1), 1u);
-    EXPECT_EQ(satSubU64(hpm - 1, hpm), 0u);
-    EXPECT_EQ(satSubU64(0, kU64Max), 0u);
-
     // 16 sources (kMaxSources) saturating a full 48-bit counter is
     // still representable; squaring the counter capacity is not.
     EXPECT_EQ(satMulU64(hpm - 1, 16), (hpm - 1) * 16);
@@ -565,38 +623,6 @@ TEST(Interval, SaturatingU64OpsAtHpmBoundaries)
     EXPECT_EQ(satMulU64(1ull << 32, 1ull << 32), kU64Max);
     EXPECT_EQ(satMulU64(0, kU64Max), 0u);
     EXPECT_EQ(satMulU64(kU64Max, 1), kU64Max);
-
-    EXPECT_EQ(satDivU64(hpm, 2), hpm / 2);
-    EXPECT_EQ(satDivU64(hpm, 0), kU64Max);
-    EXPECT_EQ(satDivU64(0, 0), 0u);
-    EXPECT_EQ(satDivU64(kU64Max, 1), kU64Max);
-}
-
-TEST(Interval, WideningTerminatesGrowingChains)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    const Interval stable(0, 1);
-
-    // A bound that holds is kept; a bound that grew jumps to infinity
-    // (each bound can widen at most once, so fixpoints terminate).
-    Interval w = intervalWiden(stable, Interval(0, 0.5));
-    EXPECT_EQ(w.lo, 0);
-    EXPECT_EQ(w.hi, 1);
-
-    w = intervalWiden(stable, Interval(0, 2));
-    EXPECT_EQ(w.lo, 0);
-    EXPECT_EQ(w.hi, inf);
-
-    w = intervalWiden(stable, Interval(-0.25, 0.5));
-    EXPECT_EQ(w.lo, -inf);
-    EXPECT_EQ(w.hi, 1);
-
-    // Widening is idempotent once both bounds have jumped.
-    const Interval top = intervalWiden(
-        intervalWiden(stable, Interval(-1, 2)), Interval(-9, 9));
-    EXPECT_EQ(top.lo, -inf);
-    EXPECT_EQ(top.hi, inf);
-    EXPECT_TRUE(top.contains(1e300));
 }
 
 // ================= property fuzz: lint errors are real violations

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -252,6 +254,79 @@ TEST(Constraints, TmaChecksDetectEachViolationShape)
     EXPECT_NEAR(excess, 0.25, 1e-12);
 }
 
+TEST(Constraints, NonFiniteBreakdownViolatesEveryTmaConstraint)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    TmaResult r;
+    r.retiring = r.badSpeculation = r.frontend = r.backend = nan;
+    r.machineClears = r.branchMispredicts = r.resteers = nan;
+    r.recoveryBubbles = r.fetchLatency = r.pcResteer = nan;
+    r.coreBound = r.memBound = r.memBoundL2 = r.memBoundDram = nan;
+    r.ipc = nan;
+
+    const Program program = stubProgram();
+    for (const std::string &name : sweepCoreNames()) {
+        const std::unique_ptr<Core> core =
+            makeSweepCore(name, CounterArch::AddWires, program);
+        for (const TmaConstraint &c : deriveConstraints(*core).tma) {
+            double excess = 0;
+            EXPECT_FALSE(satisfiesTma(c, r, &excess))
+                << name << "/" << c.id;
+            EXPECT_GT(excess, 0.0) << name << "/" << c.id;
+        }
+    }
+}
+
+TEST(Constraints, TmaSetIsDerivedFromTheParams)
+{
+    // The core's R4 set is the params' set; only ipc's lid comes from
+    // the bus wiring instead of the domain.
+    const Program program = stubProgram();
+    for (const std::string &name : sweepCoreNames()) {
+        const std::unique_ptr<Core> core =
+            makeSweepCore(name, CounterArch::AddWires, program);
+        const std::vector<TmaConstraint> from_core =
+            deriveConstraints(*core).tma;
+        const std::vector<TmaConstraint> from_params =
+            deriveTmaConstraints(tmaParamsFor(*core));
+        ASSERT_EQ(from_core.size(), from_params.size()) << name;
+        for (u64 i = 0; i < from_core.size(); i++) {
+            EXPECT_EQ(from_core[i].id, from_params[i].id) << name;
+            EXPECT_EQ(from_core[i].bounds.lo, from_params[i].bounds.lo);
+            EXPECT_EQ(from_core[i].bounds.hi, from_params[i].bounds.hi)
+                << name << "/" << from_core[i].id;
+        }
+    }
+
+    // Both M_nf_r DAGs yield the mispredict envelope, subadditivity
+    // included: branch-mispredicts <= resteers + recovery-bubbles.
+    for (bool literal : {false, true}) {
+        TmaParams params;
+        params.coreWidth = 3;
+        params.paperLiteralNfr = literal;
+        const std::vector<TmaConstraint> r4 =
+            deriveTmaConstraints(params);
+        const auto subadd =
+            std::find_if(r4.begin(), r4.end(), [](const auto &c) {
+                return c.id == "R4.subadd.branch-mispredicts";
+            });
+        ASSERT_NE(subadd, r4.end()) << literal;
+        EXPECT_EQ(subadd->op, TmaCheckOp::DominatedBy);
+        EXPECT_EQ(subadd->subject, TmaRoot::BranchMispredicts);
+        EXPECT_EQ(subadd->parts,
+                  (std::vector<TmaRoot>{TmaRoot::Resteers,
+                                        TmaRoot::RecoveryBubbles}));
+
+        TmaResult r;
+        r.resteers = 0.25;
+        r.recoveryBubbles = 0.5;
+        r.branchMispredicts = 0.75;
+        EXPECT_TRUE(satisfiesTma(*subadd, r));
+        r.branchMispredicts = 0.8;
+        EXPECT_FALSE(satisfiesTma(*subadd, r));
+    }
+}
+
 // ========================================================= REF lint
 
 TEST(ConstraintsLint, ShippedConfigsPassTheRefRules)
@@ -274,7 +349,7 @@ TEST(ConstraintsLint, ZeroSourceEventFailsRef002)
 {
     PuppetCore core(CoreKind::Boom, 2, stubProgram());
     core.events.setNumSources(EventId::UopsIssued, 0);
-    const LintReport report = lintConstraints(core, LintOptions{});
+    const LintReport report = lintConstraints(core);
     EXPECT_TRUE(report.hasRule("REF-002")) << report.format();
     EXPECT_GT(report.errorCount(), 0u);
 }
@@ -284,7 +359,7 @@ TEST(ConstraintsLint, OverwideEventFailsRef002)
     PuppetCore core(CoreKind::Boom, 2, stubProgram());
     core.events.setNumSources(EventId::FetchBubbles,
                               kMaxSources + 1);
-    const LintReport report = lintConstraints(core, LintOptions{});
+    const LintReport report = lintConstraints(core);
     EXPECT_TRUE(report.hasRule("REF-002")) << report.format();
 }
 
@@ -294,7 +369,7 @@ TEST(ConstraintsLint, UndersizedPartitionFailsRef004)
     // satisfy the conservation equality at saturation.
     PuppetCore core(CoreKind::Rocket, 1, stubProgram());
     core.events.setNumSources(EventId::InstRetired, 8);
-    const LintReport report = lintConstraints(core, LintOptions{});
+    const LintReport report = lintConstraints(core);
     EXPECT_TRUE(report.hasRule("REF-004")) << report.format();
     EXPECT_GT(report.errorCount(), 0u);
 }

@@ -20,8 +20,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,8 +28,8 @@
 #include "analysis/sarif.hh"
 #include "common/argparse.hh"
 #include "common/logging.hh"
-#include "core/session.hh"
 #include "isa/builder.hh"
+#include "sweep/sweep.hh"
 
 using namespace icicle;
 
@@ -41,43 +39,22 @@ namespace
 struct NamedConfig
 {
     std::string name;
-    std::function<std::unique_ptr<Core>(const Program &)> build;
+    std::string core;
+    CounterArch arch;
 };
 
+/** Every sweep core under every counter architecture. */
 std::vector<NamedConfig>
 allConfigs()
 {
     std::vector<NamedConfig> configs;
-    const std::pair<CounterArch, const char *> arches[] = {
-        {CounterArch::Scalar, "scalar"},
-        {CounterArch::AddWires, "addwires"},
-        {CounterArch::Distributed, "distributed"},
-    };
-
-    for (const auto &[arch, arch_name] : arches) {
-        configs.push_back(
-            {std::string("rocket-") + arch_name,
-             [arch](const Program &program) {
-                 RocketConfig config;
-                 config.counterArch = arch;
-                 return std::make_unique<RocketCore>(config, program);
-             }});
-    }
-
-    const std::pair<BoomConfig, const char *> sizes[] = {
-        {BoomConfig::small(), "small"},   {BoomConfig::medium(), "medium"},
-        {BoomConfig::large(), "large"},   {BoomConfig::mega(), "mega"},
-        {BoomConfig::giga(), "giga"},
-    };
-    for (const auto &[size, size_name] : sizes) {
-        for (const auto &[arch, arch_name] : arches) {
-            BoomConfig config = size;
-            config.counterArch = arch;
-            configs.push_back(
-                {std::string("boom-") + size_name + "-" + arch_name,
-                 [config](const Program &program) {
-                     return std::make_unique<BoomCore>(config, program);
-                 }});
+    for (const std::string &core : sweepCoreNames()) {
+        for (CounterArch arch : {CounterArch::Scalar, CounterArch::AddWires,
+                                 CounterArch::Distributed}) {
+            // Config names spell the architecture without its hyphen.
+            std::string arch_name = counterArchName(arch);
+            std::erase(arch_name, '-');
+            configs.push_back({core + "-" + arch_name, core, arch});
         }
     }
     return configs;
@@ -98,26 +75,16 @@ lintConfig(const NamedConfig &config, const Program &program)
     // Construct without the fail-fast gate: the lint *is* the check
     // and we want the full report, not the first fatal().
     ScopedLintDisable no_gate;
-    std::unique_ptr<Core> core = config.build(program);
+    std::unique_ptr<Core> core =
+        makeSweepCore(config.core, config.arch, program);
 
     LintReport report = lintCore(*core);
 
     // Validate the standard TMA request (with the level-3 extension)
     // against this config's counter budget.
     std::vector<EventId> tma_request;
-    if (core->kind() == CoreKind::Boom) {
-        tma_request.push_back(EventId::UopsRetired);
-        tma_request.push_back(EventId::UopsIssued);
-    } else {
-        tma_request.push_back(EventId::InstRetired);
-        tma_request.push_back(EventId::InstIssued);
-    }
-    for (EventId event :
-         {EventId::FetchBubbles, EventId::Recovering,
-          EventId::BranchMispredict, EventId::Flush,
-          EventId::FenceRetired, EventId::ICacheBlocked,
-          EventId::DCacheBlocked, EventId::DCacheBlockedDram})
-        tma_request.push_back(event);
+    for (const TmaInput &in : kTmaInputs)
+        tma_request.push_back(in.event(core->kind()));
     report.merge(lintPerfRequest(*core, tma_request));
     return report;
 }

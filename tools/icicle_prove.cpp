@@ -141,19 +141,6 @@ parseArgs(int argc, char **argv, int first)
     return args;
 }
 
-CounterArch
-parseArch(const std::string &name)
-{
-    if (name == "scalar")
-        return CounterArch::Scalar;
-    if (name == "addwires")
-        return CounterArch::AddWires;
-    if (name == "distributed")
-        return CounterArch::Distributed;
-    fatal("unknown counter architecture '", name,
-          "' (scalar, addwires, distributed)");
-}
-
 void
 printReport(const LintReport &report, bool verbose_notes)
 {
@@ -243,7 +230,7 @@ cmdTrace(const Args &args)
             fatal("trace --live takes no FILE.icst");
         LiveCheckOptions options;
         options.coreName = args.core;
-        options.arch = parseArch(args.arch);
+        options.arch = parseCounterArch(args.arch);
         options.workload = args.workload;
         options.maxCycles = args.cycles;
 
@@ -325,7 +312,7 @@ cmdConstraints(const Args &args)
     bool first = true;
     for (const std::string &name : cores) {
         const std::unique_ptr<Core> core =
-            makeSweepCore(name, parseArch(args.arch), probe);
+            makeSweepCore(name, parseCounterArch(args.arch), probe);
         const ConstraintSet set = deriveConstraints(*core);
         if (args.json)
             std::printf("%s%s", first ? "" : ",",
@@ -345,7 +332,7 @@ cmdRefute(const Args &args)
     RefuteOptions options;
     options.cores = args.positional;
     options.workloads = args.workloads;
-    options.arch = parseArch(args.arch);
+    options.arch = parseCounterArch(args.arch);
     if (args.cyclesSet)
         options.maxCycles = args.cycles;
 
